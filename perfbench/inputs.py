@@ -1,4 +1,4 @@
-"""Seeded inputs: the 100k-row sheet, its formulas, the classroom table and
+"""Seeded inputs: the 20k-row sheet, its formulas, the classroom table and
 the REPL script. Every input comes from ``random.Random(seed)``; each formula
 carries its expected result, computed by ``oracles`` from the same value
 lists the CSV was written from.
@@ -91,7 +91,7 @@ class SheetFormula:
 
 
 def sheet_formulas(sheet: Sheet) -> list[SheetFormula]:
-    """Every rule case that reads whole columns, on the 100k table. The two
+    """Every rule case that reads whole columns, on the 20k table. The two
     HLOOKUP cases read a 2x6 block and the RAND case cannot be compared, so
     they are not here."""
     n = len(sheet.columns[0])
@@ -128,6 +128,11 @@ def sheet_formulas(sheet: Sheet) -> list[SheetFormula]:
             "sumifs", '=SUMIFS(ys,xs,">2",ys,"<8")', O.sum_where(ys, [x > 2 for x in xs], [y < 8 for y in ys])
         ),
     ]
+
+
+# The rule cases of the sheet, in sheet_formulas' order: the one list the
+# per-layer metric names are built from.
+SHEET_CASES = tuple(f.case for f in sheet_formulas(gen_sheet(0, rows=4)))
 
 
 @dataclass(frozen=True)

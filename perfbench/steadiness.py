@@ -1,14 +1,15 @@
 """Run workloads repeatedly and report how steady each end-to-end metric is.
 
-    python3 perfbench/steadiness.py --runs 10 --sets 2 --seconds 10
+    python3 perfbench/steadiness.py --runs 10
 
-Each run is a fresh ``run.py`` process with its own seed. With ``--sets 2``
-the runs of the two sets alternate (set A run 1, set B run 1, set A run 2,
-...), so slow drift on the machine lands in both. For each set, workload
-and metric it prints the median, the first and third quartiles (as
-``statistics.quantiles(values, n=4)`` gives them) and their distance as a
-share of the median; with two sets, also how far set B's median moved from
-set A's. Raw results go to ``perfbench/out/steadiness.json``.
+Each run is a fresh ``run.py`` process of ``run_seconds`` (from
+BENCHMARK.json) with its own seed: set A uses seeds 1, 2, ..., set B seeds
+1001, 1002, .... The runs of the two sets alternate (set A run 1, set B run
+1, set A run 2, ...) over all four workloads, so slow drift on the machine
+lands in both. For each set, workload and metric it prints the median, the
+first and third quartiles (as ``statistics.quantiles(values, n=4)`` gives
+them) and their distance as a share of the median, and how far set B's
+median moved from set A's. Raw results go to ``perfbench/out/steadiness.json``.
 """
 
 from __future__ import annotations
@@ -43,20 +44,16 @@ def spread(values: list[float]) -> tuple[float, float, float, float]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--sets", type=int, choices=(1, 2), default=1)
-    parser.add_argument("--seconds", type=float, default=10)
-    parser.add_argument("--seed", type=int, default=1, help="first seed; set B starts 1000 higher")
-    parser.add_argument("--workload", action="append", choices=WORKLOADS, help="default: all four")
+    parser.add_argument("--runs", type=int, default=10, help="runs per set and workload")
     args = parser.parse_args(argv)
-    workloads = args.workload or list(WORKLOADS)
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
 
-    results: dict[str, dict[str, list[dict]]] = {s: {w: [] for w in workloads} for s in "AB"[: args.sets]}
+    results: dict[str, dict[str, list[dict]]] = {s: {w: [] for w in WORKLOADS} for s in "AB"}
     for i in range(args.runs):
         for s in results:
-            for w in workloads:
-                seed = args.seed + i + (1000 if s == "B" else 0)
-                res = run_once(w, seed, args.seconds)
+            for w in WORKLOADS:
+                seed = 1 + i + (1000 if s == "B" else 0)
+                res = run_once(w, seed, seconds)
                 results[s][w].append(res)
                 ok = "ok" if res["correct"] and res["failed"] == 0 else "FAILED CHECKS"
                 print(f"[{s} {i + 1}/{args.runs}] {w} seed {seed}: {ok}", file=sys.stderr, flush=True)
@@ -66,7 +63,7 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(results, indent=1), encoding="utf-8")
 
     print(f"{'set':3} {'workload':15} {'metric':12} {'median':>12} {'q1':>12} {'q3':>12} {'iqr/med':>8} {'shift':>7}")
-    for w in workloads:
+    for w in WORKLOADS:
         names = list(results["A"][w][0]["metrics"])
         for name in names:
             meds = {}

@@ -89,13 +89,13 @@ def small_sprego_sheet(tmp_path) -> workloads.SheetSprego:
 
 def test_sheet_results_match_their_oracles(tmp_path):
     w = small_sprego_sheet(tmp_path)
-    _times, results = w.one_pass(None)
+    _times, _scales, results = w.one_pass(None, lambda: 1.0)
     assert w.check(results) == [True] * (len(w.formulas) + len(w.rows))
 
 
 def test_a_corrupted_sheet_result_fails_that_operation(tmp_path):
     w = small_sprego_sheet(tmp_path)
-    _times, results = w.one_pass(None)
+    _times, _scales, results = w.one_pass(None, lambda: 1.0)
     results[0] = results[0] + 1.0
     assert w.check(results) == [False] + [True] * (len(results) - 1)
 
@@ -104,7 +104,7 @@ def test_an_operation_that_raises_fails_and_the_pass_goes_on(tmp_path):
     w = small_sprego_sheet(tmp_path)
     span, _text, row = w.work[1]
     w.work[1] = (span, "=SUM(", row)
-    _times, results = w.one_pass(None)
+    _times, _scales, results = w.one_pass(None, lambda: 1.0)
     assert isinstance(results[1], Exception)
     assert w.check(results) == [True, False] + [True] * (len(results) - 2)
 

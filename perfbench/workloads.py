@@ -1,17 +1,17 @@
 """The four workloads. Each runs in its own process, one thread, as a closed
 loop with one caller: an operation starts when the previous one returned.
 
-A run: build the inputs from the seed (not timed); set up several times and
-keep the median; one warm-up pass; then timed passes, each after
-``gc.collect()``, until ``seconds`` have gone and at least ``MIN_PASSES``
-passes are done. Every pass's outputs are checked against ``oracles`` after
-the pass's clock stops. A pass's time is the sum of each operation's fastest
-try over the timed passes. The yardstick runs between set-ups and passes,
-and the end-to-end times are scaled by it to quiet-machine seconds.
+A run: build the inputs from the seed (not timed); set up several times; one
+warm-up pass; then timed passes, each after ``gc.collect()``, until
+``seconds`` have gone and at least ``MIN_PASSES`` passes are done. Every
+pass's outputs are checked against ``oracles`` after the pass's clock stops.
+The yardstick is timed right before each set-up and each pass (each
+operation on the sheets), and the times that follow are scaled by it to
+quiet-machine seconds; the end-to-end times are medians of the scaled times.
 
 With tracing on, untraced and traced passes alternate; the layer figures
 come from the spans of the traced ones, in this run's raw seconds, and the
-ratio of the two pass times is the tracing overhead.
+ratio of the two median pass times is the tracing overhead.
 """
 
 from __future__ import annotations
@@ -60,7 +60,10 @@ class Workload:
     def make_inputs(self) -> None: ...
     def setup_once(self) -> float: ...  # returns seconds spent outside import
     def verify_setup(self) -> None: ...
-    def one_pass(self, tracer: Tracer | None) -> tuple[list[float], list]: ...
+    # one_pass returns each operation's latency, its yardstick scale and its
+    # result; scale() times the yardstick and returns the factor to
+    # quiet-machine seconds, called before each operation or once per pass
+    def one_pass(self, tracer: Tracer | None, scale) -> tuple[list[float], list[float], list]: ...
     def check(self, results: list) -> list[bool]: ...
     def patch(self, tracer: Tracer) -> None: ...
     def layer_metrics(self, tracer: Tracer, op_times: list[float]) -> None: ...
@@ -74,29 +77,29 @@ def run(workload: Workload, seconds: float, trace: bool) -> dict:
     workload.make_inputs()
     fresh_import(*workload.modules)  # the first import also loads the stdlib modules sprego uses
     yard = Yardstick()
-    setups = []
+    setups = []  # each set-up in quiet-machine seconds
     for _ in range(workload.setup_reps):
-        yard.measure()
+        scale = yard.scale()
         gc.collect()
         t0 = now()
         fresh_import(*workload.modules)
         imported = now() - t0
-        setups.append(imported + workload.setup_once())
+        setups.append((imported + workload.setup_once()) * scale)
     workload.verify_setup()
 
     attempted = failed = 0
     plain_ops: list[list[float]] = []  # per timed pass, each operation's latency
-    traced_ops: list[list[float]] = []
+    plain_scaled: list[list[float]] = []  # the same in quiet-machine seconds
+    traced_scaled: list[list[float]] = []
     tracer = Tracer() if trace else None
 
     def one(measured: bool, traced: bool):
         nonlocal attempted, failed
-        yard.measure(2)
         if traced:
             workload.patch(tracer)
         gc.collect()
         try:
-            times, results = workload.one_pass(tracer if traced else None)
+            times, scales, results = workload.one_pass(tracer if traced else None, yard.scale)
         finally:
             if traced:
                 tracer.restore()
@@ -104,7 +107,12 @@ def run(workload: Workload, seconds: float, trace: bool) -> dict:
         attempted += len(verdicts)
         failed += verdicts.count(False)
         if measured:
-            (traced_ops if traced else plain_ops).append(times)
+            scaled = [t * s for t, s in zip(times, scales)]
+            if traced:
+                traced_scaled.append(scaled)
+            else:
+                plain_ops.append(times)
+                plain_scaled.append(scaled)
 
     one(measured=False, traced=False)  # warm-up
     start = now()
@@ -113,20 +121,25 @@ def run(workload: Workload, seconds: float, trace: bool) -> dict:
         one(measured=True, traced=trace and k % 2 == 1)
         k += 1
 
+    plain_s = statistics.median(map(sum, plain_scaled))
     if trace:
         layer = workload.layer
-        layer["trace.overhead_pct"] = (sum(fastest(traced_ops)) / sum(fastest(plain_ops)) - 1.0) * 100.0
+        layer["trace.overhead_pct"] = (statistics.median(map(sum, traced_scaled)) / plain_s - 1.0) * 100.0
         layer["trace.spans"] = float(len(tracer))
         layer["machine.yardstick_ms"] = min(yard.tries) * 1e3
         workload.layer_metrics(tracer, [t for times in plain_ops for t in times])
         tracer.write(workload.workdir / f"trace-{workload.name}-{workload.seed}.json")
+        names = {name for name, _ in PER_LAYER}
+        for name in sorted(set(layer) - names):
+            workload.note(f"layer figure {name} is not in PER_LAYER")
         metrics = {name: (layer.get(name, 0.0), unit) for name, unit in PER_LAYER}
     else:
-        scale = yard.scale()
+        # each operation's median over the passes, then the median over operations
+        per_op = [statistics.median(tries) for tries in zip(*plain_scaled)]
         metrics = {
-            "setup_s": (statistics.median(setups) * scale, "s"),
-            "run_s": (sum(fastest(plain_ops)) * scale, "s"),
-            "op_p50_ms": (statistics.median(fastest(plain_ops)) * 1e3 * scale, "ms"),
+            "setup_s": (statistics.median(setups), "s"),
+            "run_s": (plain_s, "s"),
+            "op_p50_ms": (statistics.median(per_op) * 1e3, "ms"),
             "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB"),
         }
     return {
@@ -135,14 +148,6 @@ def run(workload: Workload, seconds: float, trace: bool) -> dict:
         "failed": failed,
         "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()},
     }
-
-
-def fastest(passes: list[list[float]]) -> list[float]:
-    """Each operation's shortest latency over the passes. Contention from
-    other machines' work only ever adds time, and on a shared host it comes
-    in episodes of seconds to minutes, so the shortest of several tries is
-    far steadier between runs than their median."""
-    return [min(tries) for tries in zip(*passes)]
 
 
 def percentile(values, q: float) -> float:
@@ -156,7 +161,7 @@ def percentile(values, q: float) -> float:
 
 
 class _Sheet(Workload):
-    setup_reps = 5
+    setup_reps = 9
     sheet_rows = inputs.SHEET_ROWS
 
     def make_inputs(self):
@@ -196,9 +201,12 @@ class _Sheet(Workload):
             return self.sp.EvalContext(self.table, mode="array")
         return self.sp.EvalContext(self.table, current_row=row, mode="scalar")
 
-    def one_pass(self, tracer):
-        times, results = [], []
+    def one_pass(self, tracer, scale):
+        # an operation takes 5-200 ms, long enough to scale each one by the
+        # yardstick timed right before it
+        times, scales, results = [], [], []
         for span, text, row in self.work:
+            scales.append(scale())
             t0 = now()
             try:
                 r = self._op(tracer, span, text, row)
@@ -206,7 +214,7 @@ class _Sheet(Workload):
                 r = exc
             times.append(now() - t0)
             results.append(r)
-        return times, results
+        return times, scales, results
 
     def _op(self, tracer, span, text, row):
         """Formula text in, value out: parse, rewrite on the Sprego side,
@@ -315,7 +323,7 @@ def _parse_layers(w: Workload, tr: Tracer) -> None:
 
 class RuleCheck(Workload):
     name = "rule-check"
-    setup_reps = 15
+    setup_reps = 25
 
     def make_inputs(self):
         pass  # check_rule_case draws its datasets from the seed itself
@@ -335,8 +343,9 @@ class RuleCheck(Workload):
         if names != RULE_CASES:
             self.note(f"rule cases {names} are not the {len(RULE_CASES)} this benchmark reports")
 
-    def one_pass(self, tracer):
+    def one_pass(self, tracer, scale):
         times, results = [], []
+        s = scale()
         for case in self.cases:
             t0 = now()
             try:
@@ -348,7 +357,7 @@ class RuleCheck(Workload):
                 v = exc
             times.append(now() - t0)
             results.append(v)
-        return times, results
+        return times, [s] * len(times), results
 
     def check(self, results):
         out = []
@@ -422,7 +431,7 @@ class ScriptedStdin:
 class ClassroomRepl(Workload):
     name = "classroom-repl"
     modules = ("sprego", "sprego.cli")
-    setup_reps = 15
+    setup_reps = 25
 
     def make_inputs(self):
         self.table = inputs.gen_classroom(self.seed)
@@ -468,15 +477,16 @@ class ClassroomRepl(Workload):
         self.layer["cli.repl_startup_ms"] = statistics.median(self.startups) * 1e3
         self.layer["table.cells_loaded"] = float(t.row_count * t.column_count)
 
-    def one_pass(self, tracer):
+    def one_pass(self, tracer, scale):
         lines = [ln.text for ln in self.script]
+        s = scale()
         if tracer is None:
             result = self.session(lines)
         else:
             result = tracer.call("cli.repl_session", self.session, lines, tracer)
         marks = result[3]
         times = [b[0] - a[0] for a, b in zip(marks, marks[1:])]
-        return times, [result]
+        return times, [s] * len(times), [result]
 
     def check(self, results):
         (code, out, err, marks), = results
@@ -522,10 +532,7 @@ class ClassroomRepl(Workload):
 
 WORKLOADS = {w.name: w for w in (SheetClassic, SheetSprego, RuleCheck, ClassroomRepl)}
 
-SHEET_CASES = (
-    "countif-literal", "countif-ref-criteria", "sumif-with-sum-range", "sumif-self", "averageif-with-range",
-    "averageif-self", "count", "counta", "vlookup-exact", "vlookup-approx", "iferror-division", "countifs", "sumifs",
-)
+SHEET_CASES = inputs.SHEET_CASES
 RULE_CASES = SHEET_CASES[:10] + ("hlookup-exact", "hlookup-approx", "iferror-division", "iferror-volatile",
                                  "countifs", "sumifs")
 

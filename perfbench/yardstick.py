@@ -1,12 +1,12 @@
 """A fixed piece of pure-Python work that says how fast the machine is now.
 
-On a shared host the same code runs up to 2x slower for minutes at a time,
-whatever it is: the slowdown comes from other tenants, not from the code.
-Timing this yardstick beside the workload, in the same process and the same
-minutes, and scaling the workload's times by ``NOMINAL_S / yardstick time``
-reports them in the seconds of a quiet machine. The yardstick is the
-benchmark's own code and never changes with the engine, so a change to the
-engine still shows in full.
+On a shared host the same code runs up to 2x slower for seconds to minutes
+at a time, whatever it is: the slowdown comes from other tenants, not from
+the code. Timing this yardstick right before each set-up and each pass, in
+the same process, and scaling that set-up's or pass's times by
+``NOMINAL_S / yardstick time`` reports them in the seconds of a quiet
+machine. The yardstick is the benchmark's own code and never changes with
+the engine, so a change to the engine still shows in full.
 """
 
 from __future__ import annotations
@@ -62,12 +62,11 @@ class Yardstick:
         self.cells = _cells()
         self.tries: list[float] = []
 
-    def measure(self, n: int = 1) -> None:
+    def scale(self, n: int = 2) -> float:
+        """Time the yardstick *n* times now and return the factor from this
+        moment's seconds to quiet-machine seconds."""
         for _ in range(n):
             t0 = time.perf_counter()
             _work(self.cells)
             self.tries.append(time.perf_counter() - t0)
-
-    def scale(self) -> float:
-        """Factor from this run's seconds to quiet-machine seconds."""
-        return NOMINAL_S / min(self.tries)
+        return NOMINAL_S / min(self.tries[-n:])
