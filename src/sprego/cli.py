@@ -2,7 +2,8 @@
 profile, and a line-oriented REPL.
 
 Exit status: 0 on success, 1 when lint finds something or an equivalence
-check fails, 2 on usage or formula-parse errors. Data goes to stdout,
+check fails, 2 on usage or formula-parse errors, unreadable input files
+or a SPREGO_SEED that is not an integer. Data goes to stdout,
 messages to stderr. The seed defaults to 0 (or SPREGO_SEED) so identical
 invocations print identical bytes.
 """
@@ -16,14 +17,18 @@ import sys
 from pathlib import Path
 
 from . import competency, equivalence
-from .evaluator import EvalContext, evaluate, precedents
-from .formula import CellRef, Formula, FormulaError, NameRef, RangeRef, expr_to_json, parse
+from .evaluator import EvalContext, evaluate
+from .formula import FormulaError, expr_to_json, parse
 from .formula import format as format_formula
 from .rewrite import lint, non_sprego_calls, rewrite
 from .table import CsvError, RangeView, Table, load_csv, profile
 from .values import ErrorKind, format_value
 
 SCHEMA_VERSION = 1
+
+
+class UsageError(Exception):
+    """A bad setting outside the argument list, such as SPREGO_SEED."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,7 +88,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _dispatch(args)
-    except (FormulaError, CsvError) as exc:
+    except (FormulaError, CsvError, OSError, UnicodeDecodeError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -110,7 +115,11 @@ def _dispatch(args) -> int:
 def _seed(args) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
-    return int(os.environ.get("SPREGO_SEED", "0"))
+    raw = os.environ.get("SPREGO_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"SPREGO_SEED must be an integer, got {raw!r}") from None
 
 
 def _load_tables(args) -> list[Table]:
@@ -245,7 +254,7 @@ def _cmd_check(args) -> int:
             return 2
         original = parse(args.original)
         rewritten = parse(args.rewritten)
-        schemas = _schemas_for_pair(original, rewritten)
+        schemas = equivalence.schemas_for_pair(original, rewritten)
         verdicts = [
             equivalence.check_equivalence(
                 original, rewritten, schemas, trials_per_schema=args.trials, seed=seed, name="pair"
@@ -262,40 +271,6 @@ def _cmd_check(args) -> int:
         }
     )
     return 0 if passed else 1
-
-
-def _schemas_for_pair(original: Formula, rewritten: Formula):
-    """Dataset schemas sized to the references the pair actually uses:
-    named columns first, then enough positional columns and rows to cover
-    every cell reference."""
-    names: list[str] = []
-    max_col = 0
-    max_row = 0
-    for ref in precedents(original) + precedents(rewritten):
-        if isinstance(ref, NameRef):
-            if ref.name.lower() not in [n.lower() for n in names]:
-                names.append(ref.name)
-        elif isinstance(ref, CellRef):
-            max_col = max(max_col, ref.col)
-            max_row = max(max_row, ref.row)
-        elif isinstance(ref, RangeRef):
-            max_col = max(max_col, ref.end.col)
-            max_row = max(max_row, ref.end.row)
-    width = max(len(names), max_col, 1)
-    rows = min(max(max_row, 16), 64)
-
-    def columns(kind):
-        cols = []
-        for i in range(width):
-            name = names[i] if i < len(names) else f"c{i + 1}"
-            cols.append(equivalence.ColumnSpec(name, kind))
-        return tuple(cols)
-
-    return [
-        equivalence.DatasetSchema(columns("numeric"), rows, label="numeric"),
-        equivalence.DatasetSchema(columns("with-blanks"), rows, label="with-blanks"),
-        equivalence.DatasetSchema(columns("with-errors"), rows, label="with-errors"),
-    ]
 
 
 def _cmd_report(args) -> int:
@@ -378,12 +353,18 @@ def _cmd_repl(args) -> int:
                     print(f"loaded {table.name!r}: {table.row_count} rows, {table.column_count} columns", file=sys.stderr)
                 except (OSError, CsvError) as exc:
                     print(f"error: {exc}", file=sys.stderr)
-            elif cmd == ":row":
-                row = int(rest) if rest else None
-                print(f"row = {row}", file=sys.stderr)
-            elif cmd == ":seed":
-                seed = int(rest or "0")
-                print(f"seed = {seed}", file=sys.stderr)
+            elif cmd in (":row", ":seed"):
+                try:
+                    n = int(rest) if rest else None
+                except ValueError:
+                    print(f"error: {cmd} takes an integer, got {rest!r}", file=sys.stderr)
+                    continue
+                if cmd == ":row":
+                    row = n
+                    print(f"row = {row}", file=sys.stderr)
+                else:
+                    seed = n or 0
+                    print(f"seed = {seed}", file=sys.stderr)
             else:
                 print(f"unknown command {cmd}; :help lists them", file=sys.stderr)
             continue

@@ -98,11 +98,12 @@ ITEMS: tuple[CompetencyItem, ...] = (
 
 ITEMS_BY_ID = {item.id: item for item in ITEMS}
 
-# function sets behind the two call-classification items
-NON_ARRAY_CALLS = frozenset(
-    {"LEN", "LEFT", "RIGHT", "SEARCH", "SUBSTITUTE", "INT", "ROUND", "SUM", "AVERAGE", "MIN", "MAX", "SMALL", "LARGE"}
+# function sets behind the two call-classification items; classify reads
+# each call's item straight from its spec
+NON_ARRAY_CALLS = frozenset(n for n, s in FUNCTION_SPECS.items() if s.competency == "non-array-functions")
+ARRAY_CONDITION_CALLS = frozenset(
+    n for n, s in FUNCTION_SPECS.items() if s.competency == "array-error-condition-functions"
 )
-ARRAY_CONDITION_CALLS = frozenset({"IF", "MATCH", "INDEX", "ISERROR", "AND", "OR", "NOT", "OFFSET"})
 
 _ARITHMETIC_BINARY = frozenset({"+", "-", "*", "/", "^"})
 
@@ -140,10 +141,10 @@ def nesting_depth(expr: Expr) -> int:
     return 0
 
 
-# functions whose result is one value even over ranged arguments
-_COLLAPSING = frozenset(
-    name for name, spec in FUNCTION_SPECS.items() if spec.lifting == "aggregating"
-) | {"MATCH", "INDEX", "VLOOKUP", "HLOOKUP", "RAND", "OFFSET"}
+# functions whose result is one value even over ranged arguments, and those
+# (ROW, COLUMN) whose result is a vector exactly when an argument is a range
+_COLLAPSING = frozenset(n for n, s in FUNCTION_SPECS.items() if s.shape == "scalar")
+_RANGE_SHAPED = frozenset(n for n, s in FUNCTION_SPECS.items() if s.shape == "range")
 
 
 def static_shape(expr: Expr) -> str:
@@ -158,7 +159,7 @@ def static_shape(expr: Expr) -> str:
             return "vector"
         return "scalar"
     if isinstance(expr, Call):
-        if expr.func in ("ROW", "COLUMN"):
+        if expr.func in _RANGE_SHAPED:
             return "vector" if any(isinstance(a, RangeRef) for a in expr.args) else "scalar"
         if expr.func in _COLLAPSING:
             return "scalar"
@@ -190,10 +191,9 @@ def classify(formula: Formula | Expr) -> CompetencyProfile:
             hit("basic-arithmetic", node)
         elif isinstance(node, Call):
             hit("concept-of-functions", node)
-            if node.func in NON_ARRAY_CALLS:
-                hit("non-array-functions", node)
-            if node.func in ARRAY_CONDITION_CALLS:
-                hit("array-error-condition-functions", node)
+            spec = FUNCTION_SPECS.get(node.func)
+            if spec is not None and spec.competency is not None:
+                hit(spec.competency, node)
 
     depth = nesting_depth(expr)
     if 2 <= depth <= 3:

@@ -10,37 +10,34 @@ formula. Wildcards (``*``/``?``) are unsupported throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 from .formula import Binary, BoolLit, CellRef, Expr, NameRef, NumberLit, TextLit
-from .values import ErrorKind, Value, compare_values, parse_number
+from .values import COMPARISONS, ErrorKind, Value, compare_values, parse_number
 
-_OPS = (">=", "<=", "<>", ">", "<", "=")
+# longest first, so that ">=" is split off before ">"
+_OPS = tuple(sorted(COMPARISONS, key=len, reverse=True))
 
 
 @dataclass(frozen=True)
 class Criteria:
-    """A reified criteria: comparison operator plus a concrete operand."""
+    """A reified criteria: comparison operator plus a concrete operand.
+    The operator's predicate is bound once, as *test*."""
 
     op: str
     operand: Value
+    test: Callable[[int], bool] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "test", COMPARISONS[self.op])
 
     def matches(self, cell: Value) -> bool | ErrorKind:
         """Apply the criteria to one cell; error cells propagate."""
         c = compare_values(cell, self.operand)
         if isinstance(c, ErrorKind):
             return c
-        if self.op == "=":
-            return c == 0
-        if self.op == "<>":
-            return c != 0
-        if self.op == "<":
-            return c < 0
-        if self.op == "<=":
-            return c <= 0
-        if self.op == ">":
-            return c > 0
-        return c >= 0
+        return self.test(c)
 
 
 def split_criteria_text(text: str) -> tuple[str, str]:

@@ -14,8 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .evaluator import EvalContext, evaluate
-from .formula import Formula, parse
+from .evaluator import EvalContext, evaluate, precedents
+from .formula import CellRef, Formula, NameRef, RangeRef, parse
 from .rewrite import _contains_rand, rewrite
 from .table import RangeView, Table
 from .values import ErrorKind, Value, format_value, value_type
@@ -263,6 +263,40 @@ def check_equivalence(
                 )
     verdict.failures.sort(key=lambda f: (f.schema, f.dataset_seed))
     return verdict
+
+
+def schemas_for_pair(original: Formula, rewritten: Formula):
+    """Dataset schemas sized to the references the pair actually uses:
+    named columns first, then enough positional columns and rows to cover
+    every cell reference."""
+    names: list[str] = []
+    max_col = 0
+    max_row = 0
+    for ref in precedents(original) + precedents(rewritten):
+        if isinstance(ref, NameRef):
+            if ref.name.lower() not in [n.lower() for n in names]:
+                names.append(ref.name)
+        elif isinstance(ref, CellRef):
+            max_col = max(max_col, ref.col)
+            max_row = max(max_row, ref.row)
+        elif isinstance(ref, RangeRef):
+            max_col = max(max_col, ref.end.col)
+            max_row = max(max_row, ref.end.row)
+    width = max(len(names), max_col, 1)
+    rows = min(max(max_row, 16), 64)
+
+    def columns(kind):
+        cols = []
+        for i in range(width):
+            name = names[i] if i < len(names) else f"c{i + 1}"
+            cols.append(ColumnSpec(name, kind))
+        return tuple(cols)
+
+    return [
+        DatasetSchema(columns("numeric"), rows, label="numeric"),
+        DatasetSchema(columns("with-blanks"), rows, label="with-blanks"),
+        DatasetSchema(columns("with-errors"), rows, label="with-errors"),
+    ]
 
 
 # ---------------------------------------------------------------------------

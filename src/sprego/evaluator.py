@@ -19,6 +19,10 @@ ISERROR guard in its SUM(IF()) replacement.
 
 All failures come back as error values; evaluate never raises for data
 reasons.
+
+The function catalog, FUNCTION_SPECS near the end of this module, holds one
+spec per function: arity, set, calling convention, implementation and
+competency item. Adding a function means adding one entry there.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import Callable
 
 from .criteria import Criteria, criteria_from_value
 from .formula import (
@@ -43,6 +48,7 @@ from .formula import (
 )
 from .table import RangeView, Table, resolve
 from .values import (
+    COMPARISONS,
     ErrorKind,
     Value,
     coerce_logical,
@@ -51,81 +57,7 @@ from .values import (
     compare_values,
     finite_or_error,
     is_number,
-    values_equal,
 )
-
-# ---------------------------------------------------------------------------
-# Function catalog
-# ---------------------------------------------------------------------------
-
-CORE_FUNCTIONS = frozenset(
-    {"LEN", "LEFT", "RIGHT", "SEARCH", "SUM", "AVERAGE", "MIN", "MAX", "IF", "MATCH", "INDEX", "ISERROR"}
-)
-
-EXTENDED_FUNCTIONS = frozenset(
-    {"SUBSTITUTE", "SMALL", "LARGE", "AND", "OR", "NOT", "INT", "ROUND", "RAND", "OFFSET", "ROW", "COLUMN"}
-)
-
-SPREGO_FUNCTIONS = CORE_FUNCTIONS | EXTENDED_FUNCTIONS
-
-# Consumed by the linter/rewriter, never emitted by it.
-BASELINE_FUNCTIONS = frozenset(
-    {"COUNT", "COUNTA", "COUNTIF", "COUNTIFS", "SUMIF", "SUMIFS", "AVERAGEIF", "VLOOKUP", "HLOOKUP", "IFERROR"}
-)
-
-
-@dataclass(frozen=True)
-class FunctionSpec:
-    name: str
-    min_args: int
-    max_args: int | None  # None = unbounded
-    category: str
-    lifting: str  # "elementwise" | "aggregating" | "special"
-
-
-def _spec(name, lo, hi, category, lifting):
-    return name, FunctionSpec(name, lo, hi, category, lifting)
-
-
-FUNCTION_SPECS: dict[str, FunctionSpec] = dict(
-    [
-        _spec("LEN", 1, 1, "text", "elementwise"),
-        _spec("LEFT", 1, 2, "text", "elementwise"),
-        _spec("RIGHT", 1, 2, "text", "elementwise"),
-        _spec("SEARCH", 2, 3, "text", "elementwise"),
-        _spec("SUM", 1, None, "math", "aggregating"),
-        _spec("AVERAGE", 1, None, "math", "aggregating"),
-        _spec("MIN", 1, None, "math", "aggregating"),
-        _spec("MAX", 1, None, "math", "aggregating"),
-        _spec("IF", 2, 3, "conditional/array/error", "special"),
-        _spec("MATCH", 2, 3, "conditional/array/error", "special"),
-        _spec("INDEX", 2, 3, "conditional/array/error", "special"),
-        _spec("ISERROR", 1, 1, "conditional/array/error", "elementwise"),
-        _spec("SUBSTITUTE", 3, 4, "extended", "elementwise"),
-        _spec("SMALL", 2, 2, "extended", "aggregating"),
-        _spec("LARGE", 2, 2, "extended", "aggregating"),
-        _spec("AND", 1, None, "extended", "aggregating"),
-        _spec("OR", 1, None, "extended", "aggregating"),
-        _spec("NOT", 1, 1, "extended", "elementwise"),
-        _spec("INT", 1, 1, "extended", "elementwise"),
-        _spec("ROUND", 1, 2, "extended", "elementwise"),
-        _spec("RAND", 0, 0, "extended", "special"),
-        _spec("OFFSET", 3, 5, "extended", "special"),
-        _spec("ROW", 0, 1, "extended", "special"),
-        _spec("COLUMN", 0, 1, "extended", "special"),
-        _spec("COUNT", 1, None, "problem-specific-baseline", "aggregating"),
-        _spec("COUNTA", 1, None, "problem-specific-baseline", "aggregating"),
-        _spec("COUNTIF", 2, 2, "problem-specific-baseline", "aggregating"),
-        _spec("COUNTIFS", 2, None, "problem-specific-baseline", "aggregating"),
-        _spec("SUMIF", 2, 3, "problem-specific-baseline", "aggregating"),
-        _spec("SUMIFS", 3, None, "problem-specific-baseline", "aggregating"),
-        _spec("AVERAGEIF", 2, 3, "problem-specific-baseline", "aggregating"),
-        _spec("VLOOKUP", 3, 4, "problem-specific-baseline", "special"),
-        _spec("HLOOKUP", 3, 4, "problem-specific-baseline", "special"),
-        _spec("IFERROR", 2, 2, "problem-specific-baseline", "elementwise"),
-    ]
-)
-
 
 # ---------------------------------------------------------------------------
 # Evaluation context
@@ -217,18 +149,12 @@ def _call(expr: Call, st: _EvalState):
     if n < spec.min_args or (spec.max_args is not None and n > spec.max_args):
         return ErrorKind.VALUE
 
-    if expr.func == "IF":
-        return _fn_if(expr.args, st)
-    if expr.func in ("OFFSET", "ROW", "COLUMN"):
-        return _REF_FUNCS[expr.func](expr.args, st)
-    if expr.func == "RAND":
-        return st.rng.random()
-
+    if spec.call == "raw":
+        return spec.impl(expr.args, st)
     args = [_eval(a, st) for a in expr.args]
-    if spec.lifting == "elementwise":
-        fn, propagate = _ELEMENTWISE[expr.func]
-        return _lift(fn, args, st, propagate=propagate)
-    return _AGG_AND_SPECIAL[expr.func](args, st)
+    if spec.call == "elementwise":
+        return _lift(spec.impl, args, st, propagate=spec.propagate)
+    return spec.impl(args, st)
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +264,7 @@ _BINARY_OPS = {
     "/": _arith(_div),
     "^": _arith(_pow),
     "&": _concat,
-    "=": _compare(lambda c: c == 0),
-    "<>": _compare(lambda c: c != 0),
-    "<": _compare(lambda c: c < 0),
-    "<=": _compare(lambda c: c <= 0),
-    ">": _compare(lambda c: c > 0),
-    ">=": _compare(lambda c: c >= 0),
+    **{op: _compare(test) for op, test in COMPARISONS.items()},
 }
 
 
@@ -386,21 +307,18 @@ def match_position(lookup: Value, vec, match_type: int) -> Value:
     if isinstance(lookup, ErrorKind):
         return lookup
 
-    if match_type == 0:
-        for i, v in enumerate(view.cells, 1):
-            if values_equal(v, lookup) is True:
-                return i
-        return ErrorKind.NA
-
+    exact = match_type == 0
+    keep = COMPARISONS["=" if exact else "<=" if match_type > 0 else ">="]
     best: int | None = None
-    want = 1 if match_type > 0 else -1
     for i, v in enumerate(view.cells, 1):
         c = compare_values(v, lookup)
         if isinstance(c, ErrorKind):
             continue
-        if c * want <= 0:
+        if keep(c):
             best = i
-        else:
+            if exact:
+                break
+        elif not exact:
             break
     return best if best is not None else ErrorKind.NA
 
@@ -563,20 +481,6 @@ def _fn_iserror(v):
 
 def _fn_iferror(x, fallback):
     return fallback if isinstance(x, ErrorKind) else x
-
-
-_ELEMENTWISE = {
-    "LEN": (_fn_len, True),
-    "LEFT": (_fn_left, True),
-    "RIGHT": (_fn_right, True),
-    "SEARCH": (_fn_search, True),
-    "SUBSTITUTE": (_fn_substitute, True),
-    "INT": (_fn_int, True),
-    "ROUND": (_fn_round, True),
-    "NOT": (_fn_not, True),
-    "ISERROR": (_fn_iserror, False),
-    "IFERROR": (_fn_iferror, False),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -749,126 +653,80 @@ def _criteria_arg(v, st: _EvalState) -> Criteria | ErrorKind:
     return criteria_from_value(c)
 
 
-def _fn_countif(args, st):
-    view = _as_view(args[0])
-    crit = _criteria_arg(args[1], st)
-    if isinstance(crit, ErrorKind):
-        return crit
-    count = 0
-    for v in view.cells:
-        if isinstance(v, ErrorKind):
-            return v
-        if crit.matches(v) is True:
-            count += 1
-    return float(count)
+def _criteria_reduce(sums, pair_args, st):
+    """The one loop behind COUNTIF(S), SUMIF(S) and AVERAGEIF: over
+    (range, criteria) argument pairs and an optional sum range, return
+    (rows matched, sum of the numbers in *sums* on those rows) or the
+    first error met.
 
-
-def _fn_sumif(args, st):
-    view = _as_view(args[0])
-    crit = _criteria_arg(args[1], st)
-    if isinstance(crit, ErrorKind):
-        return crit
-    sums = _as_view(args[2]) if len(args) > 2 else view
-    if len(sums) != len(view):
-        return ErrorKind.VALUE
-    total = 0.0
-    for i, v in enumerate(view.cells):
-        if isinstance(v, ErrorKind):
-            return v
-        if crit.matches(v) is True:
-            s = sums.cells[i]
-            if isinstance(s, ErrorKind):
-                return s
-            if is_number(s):
-                total += s
-    return finite_or_error(total)
-
-
-def _fn_averageif(args, st):
-    view = _as_view(args[0])
-    crit = _criteria_arg(args[1], st)
-    if isinstance(crit, ErrorKind):
-        return crit
-    sums = _as_view(args[2]) if len(args) > 2 else view
-    if len(sums) != len(view):
-        return ErrorKind.VALUE
-    total = 0.0
-    matched = 0
-    for i, v in enumerate(view.cells):
-        if isinstance(v, ErrorKind):
-            return v
-        if crit.matches(v) is True:
-            matched += 1
-            s = sums.cells[i]
-            if isinstance(s, ErrorKind):
-                return s
-            if is_number(s):
-                total += s
-    if matched == 0:
-        return ErrorKind.DIV0
-    return finite_or_error(total / matched)
-
-
-def _criteria_pairs(args, st):
+    Each criteria argument is read before its range's size is checked,
+    pair by pair, then the sum range's size. Rows are walked in order;
+    within a row the criteria are tried in argument order up to the first
+    miss, and the sum cell is read only on a matched row, so an error the
+    walk does not reach is ignored.
+    """
     pairs = []
-    size = None
-    for j in range(0, len(args), 2):
-        view = _as_view(args[j])
-        crit = _criteria_arg(args[j + 1], st)
+    for j in range(0, len(pair_args), 2):
+        view = _as_view(pair_args[j])
+        crit = _criteria_arg(pair_args[j + 1], st)
         if isinstance(crit, ErrorKind):
             return crit
-        if size is None:
-            size = len(view)
-        elif len(view) != size:
+        if pairs and len(view) != len(pairs[0][0]):
             return ErrorKind.VALUE
         pairs.append((view, crit))
-    return pairs
+    (view, crit), *rest = pairs
+    if sums is None:
+        sums = view
+    elif len(sums) != len(view):
+        return ErrorKind.VALUE
+
+    # per row, the first criteria result that is not True: False on a
+    # miss, the error of an error cell, True when every criteria matched
+    matches = crit.matches
+    hits = [matches(v) for v in view.cells]
+    for view, crit in rest:
+        matches = crit.matches
+        hits = [h if h is not True else matches(v) for h, v in zip(hits, view.cells)]
+
+    matched = 0
+    total = 0.0
+    for h, s in zip(hits, sums.cells):
+        if h is True:
+            if isinstance(s, ErrorKind):
+                return s
+            matched += 1
+            if is_number(s):
+                total += s
+        elif h is not False:
+            return h
+    return matched, total
 
 
 def _fn_countifs(args, st):
     if len(args) % 2 != 0:
         return ErrorKind.VALUE
-    pairs = _criteria_pairs(args, st)
-    if isinstance(pairs, ErrorKind):
-        return pairs
-    size = len(pairs[0][0])
-    count = 0
-    for i in range(size):
-        for view, crit in pairs:
-            v = view.cells[i]
-            if isinstance(v, ErrorKind):
-                return v
-            if crit.matches(v) is not True:
-                break
-        else:
-            count += 1
-    return float(count)
+    reduced = _criteria_reduce(None, args, st)
+    return reduced if isinstance(reduced, ErrorKind) else float(reduced[0])
 
 
 def _fn_sumifs(args, st):
     if len(args) % 2 != 1:
         return ErrorKind.VALUE
-    sums = _as_view(args[0])
-    pairs = _criteria_pairs(args[1:], st)
-    if isinstance(pairs, ErrorKind):
-        return pairs
-    if len(pairs[0][0]) != len(sums):
-        return ErrorKind.VALUE
-    total = 0.0
-    for i in range(len(sums)):
-        for view, crit in pairs:
-            v = view.cells[i]
-            if isinstance(v, ErrorKind):
-                return v
-            if crit.matches(v) is not True:
-                break
-        else:
-            s = sums.cells[i]
-            if isinstance(s, ErrorKind):
-                return s
-            if is_number(s):
-                total += s
-    return finite_or_error(total)
+    reduced = _criteria_reduce(_as_view(args[0]), args[1:], st)
+    return reduced if isinstance(reduced, ErrorKind) else finite_or_error(reduced[1])
+
+
+def _fn_sumif(args, st):
+    # SUMIF(range, criteria[, sum range]) is SUMIFS(sum range, range, criteria)
+    return _fn_sumifs((args[2] if len(args) > 2 else args[0], *args[:2]), st)
+
+
+def _fn_averageif(args, st):
+    reduced = _criteria_reduce(_as_view(args[2]) if len(args) > 2 else None, args[:2], st)
+    if isinstance(reduced, ErrorKind):
+        return reduced
+    matched, total = reduced
+    return finite_or_error(total / matched) if matched else ErrorKind.DIV0
 
 
 def _fn_match(args, st):
@@ -936,31 +794,8 @@ def _lookup(args, st, *, by_row: bool):
     return view.at(pos, k) if by_row else view.at(k, pos)
 
 
-_AGG_AND_SPECIAL = {
-    "SUM": _fn_sum,
-    "AVERAGE": _fn_average,
-    "MIN": _fn_minmax(min),
-    "MAX": _fn_minmax(max),
-    "AND": _fn_bool_agg(True, False),
-    "OR": _fn_bool_agg(False, True),
-    "SMALL": _fn_small_large(False),
-    "LARGE": _fn_small_large(True),
-    "COUNT": _fn_count,
-    "COUNTA": _fn_counta,
-    "COUNTIF": _fn_countif,
-    "COUNTIFS": _fn_countifs,
-    "SUMIF": _fn_sumif,
-    "SUMIFS": _fn_sumifs,
-    "AVERAGEIF": _fn_averageif,
-    "MATCH": _fn_match,
-    "INDEX": _fn_index,
-    "VLOOKUP": _fn_vlookup,
-    "HLOOKUP": _fn_hlookup,
-}
-
-
 # ---------------------------------------------------------------------------
-# Reference functions: OFFSET / ROW / COLUMN
+# Functions over unevaluated arguments: OFFSET / ROW / COLUMN / RAND
 # ---------------------------------------------------------------------------
 
 
@@ -1042,7 +877,107 @@ def _fn_column(args: tuple[Expr, ...], st: _EvalState):
     return RangeView(1, width, tuple(float(c) for c in range(col, col + width)))
 
 
-_REF_FUNCS = {"OFFSET": _fn_offset, "ROW": _fn_row, "COLUMN": _fn_column}
+def _fn_rand(args: tuple[Expr, ...], st: _EvalState):
+    return st.rng.random()
+
+
+# ---------------------------------------------------------------------------
+# Function catalog: one spec per function
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FunctionSpec:
+    """Everything the engine knows about one function.
+
+    group       "core" | "extended" | "baseline"; baselines are consumed by
+                the linter/rewriter, never emitted by it
+    call        how _call invokes impl:
+                  "elementwise"  impl(*cells), lifted over the evaluated
+                                 arguments; with propagate, an error
+                                 argument is the result
+                  "evaluated"    impl(evaluated arguments, state)
+                  "raw"          impl(unevaluated Expr arguments, state)
+    shape       the result shape competency's static guess reads: "scalar"
+                whatever the arguments, "lifted" (a vector when an argument
+                is one), or "range" (a vector when an argument is a range)
+    competency  the competency item id a call demonstrates, if any
+    """
+
+    name: str
+    min_args: int
+    max_args: int | None  # None = unbounded
+    group: str
+    call: str
+    impl: Callable
+    propagate: bool
+    shape: str
+    competency: str | None
+
+
+def _spec(name, lo, hi, group, call, impl, *, propagate=True, shape=None, competency=None):
+    # functions over evaluated arguments (aggregators, lookups) give one value
+    shape = shape or ("scalar" if call == "evaluated" else "lifted")
+    return FunctionSpec(name, lo, hi, group, call, impl, propagate, shape, competency)
+
+
+# the two competency items a call can demonstrate
+_NON_ARRAY = "non-array-functions"
+_ARRAY_COND = "array-error-condition-functions"
+
+FUNCTION_SPECS: dict[str, FunctionSpec] = {
+    spec.name: spec
+    for spec in (
+        # core: text and math
+        _spec("LEN", 1, 1, "core", "elementwise", _fn_len, competency=_NON_ARRAY),
+        _spec("LEFT", 1, 2, "core", "elementwise", _fn_left, competency=_NON_ARRAY),
+        _spec("RIGHT", 1, 2, "core", "elementwise", _fn_right, competency=_NON_ARRAY),
+        _spec("SEARCH", 2, 3, "core", "elementwise", _fn_search, competency=_NON_ARRAY),
+        _spec("SUM", 1, None, "core", "evaluated", _fn_sum, competency=_NON_ARRAY),
+        _spec("AVERAGE", 1, None, "core", "evaluated", _fn_average, competency=_NON_ARRAY),
+        _spec("MIN", 1, None, "core", "evaluated", _fn_minmax(min), competency=_NON_ARRAY),
+        _spec("MAX", 1, None, "core", "evaluated", _fn_minmax(max), competency=_NON_ARRAY),
+        # core: conditional, array and error
+        _spec("IF", 2, 3, "core", "raw", _fn_if, competency=_ARRAY_COND),
+        _spec("MATCH", 2, 3, "core", "evaluated", _fn_match, competency=_ARRAY_COND),
+        _spec("INDEX", 2, 3, "core", "evaluated", _fn_index, competency=_ARRAY_COND),
+        _spec("ISERROR", 1, 1, "core", "elementwise", _fn_iserror, propagate=False, competency=_ARRAY_COND),
+        # extended
+        _spec("SUBSTITUTE", 3, 4, "extended", "elementwise", _fn_substitute, competency=_NON_ARRAY),
+        _spec("SMALL", 2, 2, "extended", "evaluated", _fn_small_large(False), competency=_NON_ARRAY),
+        _spec("LARGE", 2, 2, "extended", "evaluated", _fn_small_large(True), competency=_NON_ARRAY),
+        _spec("AND", 1, None, "extended", "evaluated", _fn_bool_agg(True, False), competency=_ARRAY_COND),
+        _spec("OR", 1, None, "extended", "evaluated", _fn_bool_agg(False, True), competency=_ARRAY_COND),
+        _spec("NOT", 1, 1, "extended", "elementwise", _fn_not, competency=_ARRAY_COND),
+        _spec("INT", 1, 1, "extended", "elementwise", _fn_int, competency=_NON_ARRAY),
+        _spec("ROUND", 1, 2, "extended", "elementwise", _fn_round, competency=_NON_ARRAY),
+        _spec("RAND", 0, 0, "extended", "raw", _fn_rand, shape="scalar"),
+        _spec("OFFSET", 3, 5, "extended", "raw", _fn_offset, shape="scalar", competency=_ARRAY_COND),
+        _spec("ROW", 0, 1, "extended", "raw", _fn_row, shape="range"),
+        _spec("COLUMN", 0, 1, "extended", "raw", _fn_column, shape="range"),
+        # problem-specific baselines
+        _spec("COUNT", 1, None, "baseline", "evaluated", _fn_count),
+        _spec("COUNTA", 1, None, "baseline", "evaluated", _fn_counta),
+        _spec("COUNTIF", 2, 2, "baseline", "evaluated", _fn_countifs),
+        _spec("COUNTIFS", 2, None, "baseline", "evaluated", _fn_countifs),
+        _spec("SUMIF", 2, 3, "baseline", "evaluated", _fn_sumif),
+        _spec("SUMIFS", 3, None, "baseline", "evaluated", _fn_sumifs),
+        _spec("AVERAGEIF", 2, 3, "baseline", "evaluated", _fn_averageif),
+        _spec("VLOOKUP", 3, 4, "baseline", "evaluated", _fn_vlookup),
+        _spec("HLOOKUP", 3, 4, "baseline", "evaluated", _fn_hlookup),
+        _spec("IFERROR", 2, 2, "baseline", "elementwise", _fn_iferror, propagate=False),
+    )
+}
+
+
+def _group(name: str) -> frozenset[str]:
+    return frozenset(n for n, spec in FUNCTION_SPECS.items() if spec.group == name)
+
+
+CORE_FUNCTIONS = _group("core")
+EXTENDED_FUNCTIONS = _group("extended")
+BASELINE_FUNCTIONS = _group("baseline")
+SPREGO_FUNCTIONS = CORE_FUNCTIONS | EXTENDED_FUNCTIONS
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import enum
 import re
 from dataclasses import dataclass, field
 
-from .values import number_to_text
+from .values import COMPARISONS, number_to_text
 
 Span = tuple[int, int]
 
@@ -261,7 +261,7 @@ def index_to_col_letters(index: int) -> str:
 # Parser
 # ---------------------------------------------------------------------------
 
-_COMPARE_OPS = ("=", "<>", "<", "<=", ">", ">=")
+_COMPARE_OPS = tuple(COMPARISONS)
 
 
 class _Parser:
@@ -477,8 +477,7 @@ _PREC_UNARY = 7
 _PREC_ATOM = 9
 
 _BINARY_PREC = {
-    "=": _PREC_COMPARE, "<>": _PREC_COMPARE, "<": _PREC_COMPARE,
-    "<=": _PREC_COMPARE, ">": _PREC_COMPARE, ">=": _PREC_COMPARE,
+    **dict.fromkeys(COMPARISONS, _PREC_COMPARE),
     "&": _PREC_CONCAT,
     "+": _PREC_ADD, "-": _PREC_ADD,
     "*": _PREC_MUL, "/": _PREC_MUL,

@@ -199,8 +199,14 @@ def _blank_as(other: Value) -> Value:
     return ""
 
 
-def values_equal(a: Value, b: Value) -> bool | ErrorKind:
-    c = compare_values(a, b)
-    if isinstance(c, ErrorKind):
-        return c
-    return c == 0
+# Each comparison operator as a predicate on compare_values' three-way
+# result. The binary operators, criteria and MATCH all read this one table;
+# bind a predicate once per operator, not once per cell.
+COMPARISONS = {
+    "=": lambda c: c == 0,
+    "<>": lambda c: c != 0,
+    "<": lambda c: c < 0,
+    "<=": lambda c: c <= 0,
+    ">": lambda c: c > 0,
+    ">=": lambda c: c >= 0,
+}

@@ -54,6 +54,28 @@ def oracle_countif(cells, predicate):
     return float(sum(1 for v in cells if predicate(v)))
 
 
+def oracle_criteria_reduce(keys, tests, sums=None):
+    """(matched rows, sum of numbers read on them) under the row-order
+    error rule: rows in order; within a row each criteria column in
+    argument order, stopping at the first miss; an error key met that way,
+    or an error in the sum cell of a matched row, is the result."""
+    matched, total = 0, 0.0
+    for i in range(len(keys[0])):
+        for col, test in zip(keys, tests):
+            if isinstance(col[i], ErrorKind):
+                return col[i]
+            if not test(col[i]):
+                break
+        else:
+            matched += 1
+            s = sums[i] if sums is not None else None
+            if isinstance(s, ErrorKind):
+                return s
+            if isinstance(s, float):
+                total += s
+    return matched, total
+
+
 # ---------------------------------------------------------------------------
 # Random valid formulas (seeded, for round-trip and acceptance runs)
 # ---------------------------------------------------------------------------

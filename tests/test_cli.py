@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -178,6 +179,15 @@ def test_check_byte_identical_runs(capsys):
     assert first == second
 
 
+def test_check_all_rules_matches_golden_output(capsys):
+    # the committed bytes pin the differential tester's output: a refactor
+    # of the engine must leave every verdict, trial count and note as it was
+    golden = Path(__file__).parent / "data" / "check_all_rules_seed7_trials20.json"
+    code, out, _ = run(capsys, "check", "--all-rules", "--seed", "7", "--trials", "20")
+    assert code == 0
+    assert out == golden.read_text(encoding="utf-8")
+
+
 def test_check_missing_rewritten(capsys):
     code, _, err = run(capsys, "check", "--original", "=SUM(xs)")
     assert code == 2
@@ -265,6 +275,57 @@ def test_repl_parse_error_keeps_going(monkeypatch, capsys, csv_path):
     assert code == 0
     assert "error" in err
     assert out.splitlines()[0] == "4"
+
+
+def test_repl_bad_commands_keep_going(monkeypatch, capsys, csv_path):
+    script = ":row 2\n:row abc\n:seed 5\n:seed x\n=LEN(name)\n:row\n=RAND()\n"
+    code, out, err = repl(monkeypatch, capsys, script, "--table", csv_path)
+    assert code == 0
+    assert "Traceback" not in err
+    assert err.count("error: ") == 2
+    lines = out.splitlines()
+    assert lines[0] == "2"  # still at row 2
+    _, seeded, _ = run(capsys, "eval", "--formula", "=RAND()", "--seed", "5")
+    assert lines[1] == seeded.strip()  # still seed 5
+
+
+# ---------------------------------------------------------------------------
+# unreadable input
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--table", "{missing}", "--formula", "=1"),
+        ("parse", "--formula-file", "{missing}"),
+        ("report", "--formulas-file", "{missing}"),
+        ("repl", "--table", "{missing}"),
+    ],
+)
+def test_unreadable_input_exit_2(capsys, tmp_path, argv):
+    missing = str(tmp_path / "missing.csv")
+    code, out, err = run(capsys, *(a.format(missing=missing) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert missing in err
+
+
+def test_undecodable_formula_file_exit_2(capsys, tmp_path):
+    f = tmp_path / "formula.txt"
+    f.write_bytes(b"=LEN(\xff)")
+    code, _, err = run(capsys, "parse", "--formula-file", str(f))
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_bad_env_seed_exit_2(monkeypatch, capsys):
+    monkeypatch.setenv("SPREGO_SEED", "abc")
+    code, out, err = run(capsys, "eval", "--formula", "=RAND()")
+    assert code == 2
+    assert out == ""
+    assert err == "error: SPREGO_SEED must be an integer, got 'abc'\n"
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from sprego.competency import (
     report,
     static_shape,
 )
+from sprego.evaluator import FUNCTION_SPECS
 from sprego.formula import parse
 
 from helpers import make_table, random_source
@@ -94,6 +95,12 @@ def test_classifier_function_sets():
         "SUM", "AVERAGE", "MIN", "MAX", "SMALL", "LARGE",
     }
     assert ARRAY_CONDITION_CALLS == {"IF", "MATCH", "INDEX", "ISERROR", "AND", "OR", "NOT", "OFFSET"}
+
+
+def test_function_spec_competency_tags_name_evaluable_items():
+    tags = {spec.competency for spec in FUNCTION_SPECS.values()} - {None}
+    assert tags == {"non-array-functions", "array-error-condition-functions"}
+    assert all(ITEMS_BY_ID[tag].evaluable for tag in tags)
 
 
 # ---------------------------------------------------------------------------

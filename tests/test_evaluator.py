@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from sprego.criteria import Criteria
 from sprego.evaluator import (
     BASELINE_FUNCTIONS,
     CORE_FUNCTIONS,
@@ -22,6 +23,7 @@ from sprego.values import ErrorKind
 from helpers import (
     make_table,
     oracle_countif,
+    oracle_criteria_reduce,
     oracle_match_ascending,
     oracle_match_descending,
     oracle_match_exact,
@@ -575,6 +577,84 @@ def test_countif_matches_brute_force():
         if not isinstance(want, ErrorKind):
             want += want_text
         assert got == want
+
+
+# every kind of cell: numbers on both sides of the thresholds, text,
+# logicals, blank and errors
+_CRITERIA_ALPHABET = (0.0, 5.0, 7.0, 9.0, "b", True, False, None, ErrorKind.NA, ErrorKind.DIV0)
+
+
+def _gt5(v):
+    # text and logicals sort above every number; blank counts as 0
+    return isinstance(v, (str, bool)) or (isinstance(v, float) and v > 5)
+
+
+def _lt8(v):
+    return v is None or (isinstance(v, float) and v < 8)
+
+
+def test_criteria_aggregators_match_brute_force():
+    formulas = {
+        "sumif": parse('=SUMIF(x,">5",s)'),
+        "sumif-self": parse('=SUMIF(x,">5")'),
+        "averageif": parse('=AVERAGEIF(x,">5",s)'),
+        "countifs": parse('=COUNTIFS(x,">5",y,"<8")'),
+        "sumifs": parse('=SUMIFS(s,x,">5",y,"<8")'),
+    }
+    rng = random.Random(3)
+    for _ in range(1500):
+        n = rng.randint(1, 8)
+        x, y, s = (tuple(rng.choice(_CRITERIA_ALPHABET) for _ in range(n)) for _ in range(3))
+        ctx = EvalContext(Table("t", ("x", "y", "s"), (x, y, s)), mode="array")
+        got = {name: evaluate(f, ctx) for name, f in formulas.items()}
+
+        sumif = oracle_criteria_reduce([x], [_gt5], s)
+        assert _agrees(got["sumif"], sumif, lambda matched, total: total)
+        assert _agrees(
+            got["averageif"], sumif, lambda matched, total: total / matched if matched else ErrorKind.DIV0
+        )
+        self_sum = oracle_criteria_reduce([x], [_gt5], x)
+        assert _agrees(got["sumif-self"], self_sum, lambda matched, total: total)
+        countifs = oracle_criteria_reduce([x, y], [_gt5, _lt8])
+        assert _agrees(got["countifs"], countifs, lambda matched, total: float(matched))
+        sumifs = oracle_criteria_reduce([x, y], [_gt5, _lt8], s)
+        assert _agrees(got["sumifs"], sumifs, lambda matched, total: total)
+
+
+def _agrees(got, oracle, expected):
+    """got is the oracle's error, or expected(matched, total) exactly."""
+    if isinstance(oracle, ErrorKind):
+        return got is oracle
+    want = expected(*oracle)
+    return got is want if isinstance(want, ErrorKind) else (type(got) is float and got == want)
+
+
+def test_criteria_aggregators_skip_errors_off_matched_rows():
+    # an error in the sum range on a row that does not match is never read
+    t = make_table(x=(1, 6), s=(ErrorKind.NA, 20))
+    assert ev('=SUMIF(x,">5",s)', t) == 20.0
+    assert ev('=AVERAGEIF(x,">5",s)', t) == 20.0
+    assert ev('=SUMIFS(s,x,">5")', t) == 20.0
+    # nor is one in a later criteria range once an earlier criteria missed
+    t = make_table(x=(1, 6), y=(ErrorKind.DIV0, 2), s=(10, 20))
+    assert ev('=COUNTIFS(x,">5",y,"<8")', t) == 1.0
+    assert ev('=SUMIFS(s,x,">5",y,"<8")', t) == 20.0
+    # but the error in the first range of that row is
+    assert ev('=COUNTIFS(y,"<8",x,">5")', t) is ErrorKind.DIV0
+
+
+def test_averageif_counts_matched_rows_with_text_sums():
+    t = make_table(x=(6, 7, 1), s=(10, "abc", 40))
+    assert ev('=AVERAGEIF(x,">5",s)', t) == 5.0
+
+
+@pytest.mark.parametrize("op", ["=", "<>", "<", "<=", ">", ">="])
+def test_binary_comparison_agrees_with_criteria(op):
+    universe = (-1.0, 0.0, 2.5, "", "abc", "ABC", "b", True, False, None, *ErrorKind)
+    formula = parse(f"=A1{op}B1")
+    for a, b in itertools.product(universe, repeat=2):
+        ctx = EvalContext(Table("t", ("a", "b"), ((a,), (b,))), mode="array")
+        assert evaluate(formula, ctx) is Criteria(op, b).matches(a), (a, op, b)
 
 
 def test_sumif_with_and_without_sum_range():
