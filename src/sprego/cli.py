@@ -2,10 +2,10 @@
 profile, and a line-oriented REPL.
 
 Exit status: 0 on success, 1 when lint finds something or an equivalence
-check fails, 2 on usage or formula-parse errors, unreadable input files
-or a SPREGO_SEED that is not an integer. Data goes to stdout,
-messages to stderr. The seed defaults to 0 (or SPREGO_SEED) so identical
-invocations print identical bytes.
+check fails, 2 on usage or formula-parse errors, unreadable input files,
+a SPREGO_SEED that is not an integer or a check --trials below 1. Data
+goes to stdout, messages to stderr. The seed defaults to 0 (or
+SPREGO_SEED) so identical invocations print identical bytes.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ SCHEMA_VERSION = 1
 
 
 class UsageError(Exception):
-    """A bad setting outside the argument list, such as SPREGO_SEED."""
+    """A bad setting argparse does not catch: a SPREGO_SEED that is not an
+    integer, a check --trials below 1."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -245,6 +246,8 @@ def _cmd_rewrite(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
     seed = _seed(args)
     if args.all_rules:
         verdicts = equivalence.check_all_rules(trials_per_schema=args.trials, seed=seed)

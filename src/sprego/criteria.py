@@ -23,11 +23,11 @@ _OPS = tuple(sorted(COMPARISONS, key=len, reverse=True))
 @dataclass(frozen=True)
 class Criteria:
     """A reified criteria: comparison operator plus a concrete operand.
-    The operator's predicate is bound once, as *test*."""
+    The operator's function is bound once, as *test*."""
 
     op: str
     operand: Value
-    test: Callable[[int], bool] = field(init=False, repr=False, compare=False)
+    test: Callable[[int, int], bool] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "test", COMPARISONS[self.op])
@@ -37,7 +37,7 @@ class Criteria:
         c = compare_values(cell, self.operand)
         if isinstance(c, ErrorKind):
             return c
-        return self.test(c)
+        return self.test(c, 0)
 
 
 def split_criteria_text(text: str) -> tuple[str, str]:

@@ -10,6 +10,10 @@ Elementwise shape rules: two vectors combine positionally when their
 lengths match, whatever their orientation; a length mismatch makes every
 result cell a VALUE error. True matrices must share shapes exactly.
 
+A binary arithmetic or comparison operator whose operands are all floats
+or ranges of floats runs a number kernel over whole ranges instead of the
+per-cell loop; it gives the same cells, bit for bit.
+
 Error values propagate through every operator and elementwise function
 (the first error operand wins, argument order then cell order), except
 IF (only the condition and the taken branch matter), ISERROR, and
@@ -28,8 +32,10 @@ competency item. Adding a function means adding one entry there.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable
 
 from .criteria import Criteria, criteria_from_value
@@ -135,7 +141,7 @@ def _eval(expr: Expr, st: _EvalState):
     if isinstance(expr, Binary):
         left = _eval(expr.left, st)
         right = _eval(expr.right, st)
-        return _lift(_BINARY_OPS[expr.op], [left, right], st)
+        return _lift(_BINARY_OPS[expr.op], [left, right], st, kernel=_BINARY_KERNELS.get(expr.op))
     if isinstance(expr, Call):
         return _call(expr, st)
     raise TypeError(f"not an Expr: {expr!r}")
@@ -162,31 +168,36 @@ def _call(expr: Call, st: _EvalState):
 # ---------------------------------------------------------------------------
 
 
-def _apply(fn, args, propagate):
-    if propagate:
+def _propagating(fn):
+    """*fn*, except that its first error argument is the result."""
+
+    def apply(*args):
         for a in args:
             if isinstance(a, ErrorKind):
                 return a
-    return fn(*args)
+        return fn(*args)
+
+    return apply
 
 
-def _lift(fn, args, st: _EvalState, propagate: bool = True):
-    """Apply a scalar function across possibly-ranged arguments."""
+def _lift(fn, args, st: _EvalState, propagate: bool = True, kernel=None):
+    """Apply a scalar function across possibly-ranged arguments. *kernel*,
+    if given, takes the place of the per-cell loop when every argument is
+    a float or a view of floats; it must give the same cells."""
     if st.scalar:
         args = [_scalarize(a, st) for a in args]
+    if propagate:
+        fn = _propagating(fn)
     views = [a for a in args if isinstance(a, RangeView)]
     if not views:
-        return _apply(fn, args, propagate)
+        return fn(*args)
 
     first = views[0]
     if all(v.is_vector for v in views):
         lengths = {len(v) for v in views}
         if len(lengths) == 1:
             size = lengths.pop()
-            cells = tuple(
-                _apply(fn, [a.element(i) if isinstance(a, RangeView) else a for a in args], propagate)
-                for i in range(1, size + 1)
-            )
+            cells = _map_cells(fn, args, kernel)
         else:
             size = max(lengths)
             cells = (ErrorKind.VALUE,) * size
@@ -195,13 +206,27 @@ def _lift(fn, args, st: _EvalState, propagate: bool = True):
 
     shapes = {(v.rows, v.cols) for v in views}
     if len(shapes) == 1:
-        cells = tuple(
-            _apply(fn, [a.cells[i] if isinstance(a, RangeView) else a for a in args], propagate)
-            for i in range(len(first))
-        )
+        cells = _map_cells(fn, args, kernel)
     else:
         cells = (ErrorKind.VALUE,) * len(first)
     return RangeView(first.rows, first.cols, cells)
+
+
+def _map_cells(fn, args, kernel):
+    """*fn* over the cells of same-sized views taken in step, scalar
+    arguments repeated; or *kernel* over the same streams when every
+    argument is a number."""
+    streams = [a.cells if isinstance(a, RangeView) else repeat(a) for a in args]
+    if kernel is not None and all(map(_all_floats, args)):
+        return kernel(*streams)
+    return tuple(map(fn, *streams))
+
+
+def _all_floats(a) -> bool:
+    if isinstance(a, RangeView):
+        # stops at the first cell that is not a float
+        return all(map(operator.is_, map(type, a.cells), repeat(float)))
+    return type(a) is float
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +277,7 @@ def _compare(op):
         c = compare_values(a, b)
         if isinstance(c, ErrorKind):
             return c
-        return op(c)
+        return op(c, 0)
 
     return cmp
 
@@ -264,7 +289,44 @@ _BINARY_OPS = {
     "/": _arith(_div),
     "^": _arith(_pow),
     "&": _concat,
-    **{op: _compare(test) for op, test in COMPARISONS.items()},
+    **{op: _compare(fn) for op, fn in COMPARISONS.items()},
+}
+
+
+# Number kernels: the binary operators over two streams of floats, giving
+# the cells _BINARY_OPS would. On floats coerce_number is the identity and
+# compare_values the plain comparison, so only the finite and zero-divisor
+# checks remain.
+
+
+def _finite_cells(cells: tuple) -> tuple:
+    if all(map(math.isfinite, cells)):
+        return cells
+    return tuple(x if math.isfinite(x) else ErrorKind.NUM for x in cells)
+
+
+def _arith_kernel(op):
+    return lambda xs, ys: _finite_cells(tuple(map(op, xs, ys)))
+
+
+def _div_kernel(xs, ys):
+    try:
+        return _finite_cells(tuple(map(operator.truediv, xs, ys)))
+    except ZeroDivisionError:
+        # the streams are tuples or repeat(), so they can be read again
+        return tuple(map(_div, xs, ys))
+
+
+def _compare_kernel(op):
+    return lambda xs, ys: tuple(map(op, xs, ys))
+
+
+_BINARY_KERNELS = {
+    "+": _arith_kernel(operator.add),
+    "-": _arith_kernel(operator.sub),
+    "*": _arith_kernel(operator.mul),
+    "/": _div_kernel,
+    **{op: _compare_kernel(fn) for op, fn in COMPARISONS.items()},
 }
 
 
@@ -314,7 +376,7 @@ def match_position(lookup: Value, vec, match_type: int) -> Value:
         c = compare_values(v, lookup)
         if isinstance(c, ErrorKind):
             continue
-        if keep(c):
+        if keep(c, 0):
             best = i
             if exact:
                 break
@@ -494,17 +556,14 @@ def _fn_if(args: tuple[Expr, ...], st: _EvalState):
         cond = _scalarize(cond, st)
 
     if isinstance(cond, RangeView):
-        then_v = _eval(args[1], st)
-        else_v = _eval(args[2], st) if len(args) > 2 else False
-        cells = []
-        for i in range(len(cond)):
-            c = coerce_logical(cond.cells[i])
-            if isinstance(c, ErrorKind):
-                cells.append(c)
-                continue
-            branch = then_v if c else else_v
-            cells.append(_pick_cell(branch, i, len(cond)))
-        return RangeView(cond.rows, cond.cols, tuple(cells))
+        size = len(cond)
+        then_s = _branch_cells(_eval(args[1], st), size)
+        else_s = _branch_cells(_eval(args[2], st) if len(args) > 2 else False, size)
+        cells = tuple(
+            (t if c else e) if type(c) is bool else _if_cell(c, t, e)
+            for c, t, e in zip(cond.cells, then_s, else_s)
+        )
+        return RangeView(cond.rows, cond.cols, cells)
 
     c = coerce_logical(cond)
     if isinstance(c, ErrorKind):
@@ -516,12 +575,20 @@ def _fn_if(args: tuple[Expr, ...], st: _EvalState):
     return False
 
 
-def _pick_cell(branch, i: int, size: int):
+def _branch_cells(branch, size: int):
+    """A branch's cell at each position of a vector condition: a view of
+    the condition's size gives its cells, any other view VALUE, a scalar
+    itself."""
     if isinstance(branch, RangeView):
-        if len(branch) != size:
-            return ErrorKind.VALUE
-        return branch.cells[i]
-    return branch
+        return branch.cells if len(branch) == size else repeat(ErrorKind.VALUE)
+    return repeat(branch)
+
+
+def _if_cell(c, then_cell, else_cell):
+    b = coerce_logical(c)
+    if isinstance(b, ErrorKind):
+        return b
+    return then_cell if b else else_cell
 
 
 # ---------------------------------------------------------------------------
@@ -538,11 +605,15 @@ def _iter_cells(args):
 
 
 def _fn_sum(args, st):
+    # explicit left-to-right +=: sum() on floats is compensated from
+    # Python 3.12 on and would change the last bits
     total = 0.0
     for v in _iter_cells(args):
-        if isinstance(v, ErrorKind):
+        if type(v) is float:
+            total += v
+        elif isinstance(v, ErrorKind):
             return v
-        if is_number(v):
+        elif is_number(v):
             total += v
     return finite_or_error(total)
 

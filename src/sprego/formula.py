@@ -263,12 +263,23 @@ def index_to_col_letters(index: int) -> str:
 
 _COMPARE_OPS = tuple(COMPARISONS)
 
+# Excel's limit. Each parenthesis, call and prefix sign opens a level, so
+# the recursive descent never nears Python's recursion limit.
+MAX_NESTING = 64
+
 
 class _Parser:
     def __init__(self, tokens: list[Token], source_len: int):
         self.tokens = tokens
         self.pos = 0
         self.source_len = source_len
+        self.depth = 0
+
+    def nest(self, tok: Token) -> None:
+        """Open one nesting level at *tok*; close it with ``depth -= 1``."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(tok.span[0], f"at most {MAX_NESTING} nesting levels", repr(tok.lexeme))
+        self.depth += 1
 
     def peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -345,8 +356,10 @@ class _Parser:
     def unary(self) -> Expr:
         tok = self.peek()
         if tok is not None and tok.kind is TokenKind.OP and tok.lexeme in ("-", "+"):
+            self.nest(tok)
             self.pos += 1
             operand = self.unary()
+            self.depth -= 1
             end = operand.span[1] if operand.span else tok.span[1]
             return Unary(tok.lexeme, operand, span=(tok.span[0], end))
         return self.primary()
@@ -393,14 +406,17 @@ class _Parser:
             return NameRef(tok.lexeme, span=tok.span)
 
         if tok.lexeme == "(":
+            self.nest(tok)
             self.pos += 1
             expr = self.comparison()
             self.expect(")")
+            self.depth -= 1
             return expr
 
         raise self.error("expression")
 
     def call(self, name_tok: Token) -> Expr:
+        self.nest(name_tok)
         self.expect("(")
         args: list[Expr] = []
         if self.peek() is not None and self.peek().lexeme != ")":
@@ -408,6 +424,7 @@ class _Parser:
             while self.match(",") is not None:
                 args.append(self.comparison())
         close = self.expect(")")
+        self.depth -= 1
         return Call(name_tok.lexeme.upper(), tuple(args), span=(name_tok.span[0], close.span[1]))
 
 

@@ -10,6 +10,7 @@ two.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .formula import CellRef, Expr, NameRef, RangeRef, index_to_col_letters
 from .values import ErrorKind, Value, is_number, parse_number, value_type
@@ -292,14 +293,13 @@ def resolve(table: Table, ref: Expr) -> Value | RangeView:
 
     if isinstance(ref, RangeRef):
         start, end = ref.start, ref.end
-        if not (_in_table(table, start.row, start.col) and _in_table(table, end.row, end.col)):
+        r0, c0, r1, c1 = start.row, start.col, end.row, end.col
+        if not (_in_table(table, r0, c0) and _in_table(table, r1, c1)):
             return ErrorKind.REF
-        cells = tuple(
-            table.cell(r, c)
-            for r in range(start.row, end.row + 1)
-            for c in range(start.col, end.col + 1)
-        )
-        return RangeView(end.row - start.row + 1, end.col - start.col + 1, cells, origin=start)
+        # one tuple slice per column; several columns interleave row-major
+        slices = [column[r0 - 1 : r1] for column in table.columns[c0 - 1 : c1]]
+        cells = slices[0] if len(slices) == 1 else tuple(chain.from_iterable(zip(*slices)))
+        return RangeView(r1 - r0 + 1, c1 - c0 + 1, cells, origin=start)
 
     raise TypeError(f"not a reference: {ref!r}")
 

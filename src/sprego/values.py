@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import re
-from typing import Union
 
 
 class ErrorKind(enum.Enum):
@@ -34,7 +34,10 @@ class ErrorKind(enum.Enum):
         return self.value
 
 
-Value = Union[float, str, bool, None, ErrorKind]
+# a types.UnionType, not typing.Union: typing caches its unions by their
+# members, so each import of this module would stay pinned there through
+# its ErrorKind class
+Value = float | str | bool | None | ErrorKind
 
 # Accepted numerals: optional sign, decimal point, exponent; leading zeros
 # allowed. Grouped forms like "1,000" are not numerals.
@@ -118,6 +121,8 @@ def finite_or_error(x: float) -> float | ErrorKind:
 def coerce_number(v: Value) -> float | ErrorKind:
     """Arithmetic coercion: logicals become 1/0, blank becomes 0, numeric
     text parses, other text is a VALUE error."""
+    if type(v) is float:
+        return v
     if isinstance(v, ErrorKind):
         return v
     if v is None:
@@ -169,6 +174,8 @@ def compare_values(a: Value, b: Value) -> int | ErrorKind:
     compares as 0 against numbers, "" against text, FALSE against
     logicals, and equal to blank. Errors propagate.
     """
+    if type(a) is float and type(b) is float:
+        return (a > b) - (a < b)
     if isinstance(a, ErrorKind):
         return a
     if isinstance(b, ErrorKind):
@@ -199,14 +206,16 @@ def _blank_as(other: Value) -> Value:
     return ""
 
 
-# Each comparison operator as a predicate on compare_values' three-way
-# result. The binary operators, criteria and MATCH all read this one table;
-# bind a predicate once per operator, not once per cell.
+# Each comparison operator as its ``operator`` function. Applied to
+# compare_values' three-way result and 0 it is the engine's comparison; on
+# two numbers it is the same comparison made directly. The binary
+# operators, their number kernels, criteria and MATCH all read this one
+# table; bind a function once per operator, not once per cell.
 COMPARISONS = {
-    "=": lambda c: c == 0,
-    "<>": lambda c: c != 0,
-    "<": lambda c: c < 0,
-    "<=": lambda c: c <= 0,
-    ">": lambda c: c > 0,
-    ">=": lambda c: c >= 0,
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }

@@ -193,6 +193,18 @@ def test_check_missing_rewritten(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+@pytest.mark.parametrize(
+    "target", [("--all-rules",), ("--original", "=COUNTIF(xs,\">5\")", "--rewritten", "{=SUM(IF(xs>5,1,0))}")]
+)
+def test_check_trials_below_one_exit_2(capsys, target, trials):
+    # a check over no dataset compares nothing, so it must not report a pass
+    code, out, err = run(capsys, "check", *target, "--trials", trials)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --trials must be at least 1, got {trials}\n"
+
+
 # ---------------------------------------------------------------------------
 # report / profile
 # ---------------------------------------------------------------------------

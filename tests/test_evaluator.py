@@ -1,9 +1,15 @@
 import itertools
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sprego
+from sprego import evaluator
 from sprego.criteria import Criteria
+from sprego.equivalence import ColumnSpec, DatasetSchema, gen_dataset
 from sprego.evaluator import (
     BASELINE_FUNCTIONS,
     CORE_FUNCTIONS,
@@ -73,6 +79,15 @@ def test_function_sets_exact():
 
 def test_sum_example(nums):
     assert ev("=SUM(A1:A3)", nums) == 6.0
+
+
+def test_sum_accumulates_left_to_right():
+    # a plain += in cell order: 1e16 + 1 rounds back to 1e16, so the 1 is
+    # lost; a compensated sum (math.fsum, or sum() from Python 3.12 on)
+    # would return 1.0
+    t = make_table(x=(1e16, 1.0, -1e16))
+    assert repr(ev("=SUM(x)", t)) == "0.0"
+    assert repr(ev("{=SUM(IF(x<>0,x,0))}", t)) == "0.0"
 
 
 def test_array_broadcast(nums):
@@ -243,6 +258,116 @@ def test_array_vs_copy_random(seed):
         assert list(array.cells) == per_row
     else:
         assert per_row == [array] * 6
+
+
+# ---------------------------------------------------------------------------
+# number kernels against the per-cell operators
+# ---------------------------------------------------------------------------
+
+_KERNEL_OPS = ("+", "-", "*", "/", "=", "<>", "<", "<=", ">", ">=")
+_EDGE_FLOATS = (0.0, -0.0, 1e308, -1e308, 5e-324, -5e-324, 1.5, -2.0)
+
+
+def _same_cell(got, want) -> bool:
+    """Same type and equal, or the same error; repr also tells -0.0 from 0.0."""
+    if isinstance(want, ErrorKind):
+        return got is want
+    return type(got) is type(want) and got == want and repr(got) == repr(want)
+
+
+def _per_cell(op, xs, ys):
+    return [evaluator._BINARY_OPS[op](x, y) for x, y in zip(xs, ys)]
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts kernel calls per operator, so a case cannot pass by falling
+    back to the per-cell path."""
+    calls = dict.fromkeys(_KERNEL_OPS, 0)
+    for op in _KERNEL_OPS:
+        kernel = evaluator._BINARY_KERNELS[op]
+
+        def counted(xs, ys, op=op, kernel=kernel):
+            calls[op] += 1
+            return kernel(xs, ys)
+
+        monkeypatch.setitem(evaluator._BINARY_KERNELS, op, counted)
+    return calls
+
+
+def _check_lift(op, table, left, right, xs, ys, calls):
+    before = calls[op]
+    got = ev(f"{{={left}{op}{right}}}", table)
+    want = _per_cell(op, xs, ys)
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got.cells, want)):
+        assert _same_cell(g, w), (op, left, right, i, xs[i], ys[i], g, w)
+    assert calls[op] == before + 1
+
+
+@pytest.mark.parametrize("op", _KERNEL_OPS)
+def test_kernels_match_per_cell_on_generated_columns(op, kernel_calls):
+    schema = DatasetSchema(
+        (
+            ColumnSpec("a"),
+            ColumnSpec("b", integers=True, lo=0, hi=4),
+            ColumnSpec("c", "sorted-ascending", lo=-5, hi=5),
+            ColumnSpec("d", "sorted-descending", integers=True, lo=0, hi=3),
+        ),
+        rows=40,
+    )
+    for seed in range(5):
+        t = gen_dataset(schema, seed)
+        cols = dict(zip("abcd", t.columns))
+        for x, y in itertools.permutations("abcd", 2):
+            _check_lift(op, t, x, y, cols[x], cols[y], kernel_calls)
+        # vector against scalar, in both orders
+        _check_lift(op, t, "a", "B2", cols["a"], [cols["b"][1]] * 40, kernel_calls)
+        _check_lift(op, t, "B2", "c", [cols["b"][1]] * 40, cols["c"], kernel_calls)
+        _check_lift(op, t, "d", "2", cols["d"], [2.0] * 40, kernel_calls)
+
+
+@pytest.mark.parametrize("op", _KERNEL_OPS)
+def test_kernels_match_per_cell_on_edge_floats(op, kernel_calls):
+    # every pair of edge values: zeros of both signs (the divisor gives
+    # #DIV/0!), +-1e308 (overflow to #NUM! under + and *), the smallest
+    # subnormal
+    pairs = list(itertools.product(_EDGE_FLOATS, repeat=2))
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    t = make_table(x=xs, y=ys)
+    _check_lift(op, t, "x", "y", xs, ys, kernel_calls)
+    n = len(pairs)
+    for i, v in enumerate(_EDGE_FLOATS, 1):
+        _check_lift(op, t, "x", f"B{i}", xs, [ys[i - 1]] * n, kernel_calls)
+        _check_lift(op, t, f"A{i * len(_EDGE_FLOATS)}", "y", [v] * n, ys, kernel_calls)
+
+
+@pytest.mark.parametrize("op", _KERNEL_OPS)
+def test_kernels_row_against_column_and_length_mismatch(op, kernel_calls):
+    t = make_table(a=(1.5, 0.0, -2.0, 7.0), b=(0.0, 3.0, -2.0, 1e308), c=(2.0, 2.0, 2.0, 5e-324))
+    across, down = (t.cell(1, 1), t.cell(1, 2), t.cell(1, 3)), t.columns[0][:3]
+    # A1:C1 runs along row 1; it pairs positionally with a column of three
+    got = ev(f"{{=A1:C1{op}A1:A3}}", t)
+    assert (got.rows, got.cols) == (1, 3)
+    assert all(_same_cell(g, w) for g, w in zip(got.cells, _per_cell(op, across, down)))
+    assert kernel_calls[op] == 1
+    # a length mismatch is #VALUE! in every cell and runs no kernel
+    got = ev(f"{{=A1:A4{op}B1:B3}}", t)
+    assert got.cells == (ErrorKind.VALUE,) * 4
+    assert kernel_calls[op] == 1
+
+
+@pytest.mark.parametrize("op", _KERNEL_OPS)
+def test_kernels_skip_columns_that_are_not_all_floats(op, kernel_calls):
+    # one blank, text, logical or error cell sends the whole range down the
+    # per-cell path, which coerces it
+    for odd in (None, "3", True, ErrorKind.NA):
+        xs = (1.0, 2.0, odd, 4.0)
+        ys = (2.0, 0.0, 1.0, 4.0)
+        t = make_table(x=xs, y=ys)
+        got = ev(f"{{=x{op}y}}", t)
+        assert all(_same_cell(g, w) for g, w in zip(got.cells, _per_cell(op, xs, ys)))
+    assert kernel_calls[op] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -754,3 +879,29 @@ def test_random_formulas_never_raise(seed):
         src = random_source(rng, depth=3)
         result = ev(src, t)
         assert result is None or isinstance(result, (float, str, bool, ErrorKind, RangeView))
+
+
+# ---------------------------------------------------------------------------
+# re-import
+# ---------------------------------------------------------------------------
+
+_REIMPORT = """
+import gc, sys
+sys.path.insert(0, {src!r})
+import sprego.cli
+for _ in range(5):
+    for name in [m for m in sys.modules if m == "sprego" or m.startswith("sprego.")]:
+        del sys.modules[name]
+    import sprego.cli
+gc.collect()
+print(sum(isinstance(o, type) and o.__qualname__ == "ErrorKind" for o in gc.get_objects()))
+"""
+
+
+def test_reimport_frees_the_old_modules():
+    # nothing the package registers at import (such as a typing cache
+    # entry keyed by its classes) may keep an earlier import alive
+    src = str(Path(sprego.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", _REIMPORT.format(src=src)], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "1"

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sprego.evaluator import EvalContext, evaluate
 from sprego.formula import (
+    MAX_NESTING,
     Binary,
     BoolLit,
     Call,
@@ -25,7 +27,7 @@ from sprego.formula import (
     tokenize,
 )
 
-from helpers import malformed_sources, random_source
+from helpers import make_table, malformed_sources, random_source
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +289,55 @@ def test_malformed_inputs_positioned_errors():
         with pytest.raises((LexError, ParseError)) as exc:
             parse(src)
         assert 0 <= exc.value.offset <= len(src)
+
+
+# ---------------------------------------------------------------------------
+# nesting limit
+# ---------------------------------------------------------------------------
+
+
+def _nested(levels: int, opener: str, inner: str = "1", closer: str = "") -> str:
+    return "=" + opener * levels + inner + closer * levels
+
+
+@pytest.mark.parametrize(
+    "source,offset",
+    [
+        (_nested(5000, "(", closer=")"), 1 + MAX_NESTING),
+        (_nested(5000, "-"), 1 + MAX_NESTING),
+        (_nested(2000, "INT(", closer=")"), 1 + 4 * MAX_NESTING),
+        (_nested(5000, "(-", closer=")"), 1 + MAX_NESTING),
+    ],
+    ids=["parentheses", "unary-minuses", "calls", "mixed"],
+)
+def test_parse_deep_nesting_is_parse_error(source, offset):
+    # the level past the limit is reported at its opening token, never as
+    # a RecursionError from the recursive descent
+    with pytest.raises(ParseError) as exc:
+        parse(source)
+    assert exc.value.offset == offset
+    assert exc.value.expected == f"at most {MAX_NESTING} nesting levels"
+
+
+@pytest.mark.parametrize(
+    "opener,inner,closer,value",
+    [("(", "1", ")", 1.0), ("-", "1", "", 1.0), ("INT(", "2.5", ")", 2.0), ("+", "A1", "", 3.0)],
+    ids=["parentheses", "unary-minuses", "calls", "unary-pluses"],
+)
+def test_parse_limit_is_64_levels(opener, inner, closer, value):
+    assert MAX_NESTING == 64
+    formula = parse(_nested(64, opener, inner, closer))
+    assert evaluate(formula, EvalContext(make_table(x=(3,)))) == value
+    with pytest.raises(ParseError):
+        parse(_nested(65, opener, inner, closer))
+
+
+def test_parse_nesting_counts_open_levels_only():
+    # siblings do not add up: one call holding 100 arguments, each 63
+    # parentheses deep, is 64 levels
+    deep = "(" * 63 + "1" + ")" * 63
+    formula = parse("=SUM(" + ",".join([deep] * 100) + ")")
+    assert evaluate(formula, EvalContext(make_table(x=(3,)))) == 100.0
 
 
 # ---------------------------------------------------------------------------

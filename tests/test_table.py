@@ -1,5 +1,7 @@
 import pytest
 
+from sprego.equivalence import ColumnSpec, DatasetSchema, gen_dataset
+from sprego.evaluator import EvalContext, evaluate
 from sprego.formula import CellRef, NameRef, RangeRef, parse
 from sprego.table import CsvError, RangeView, Table, load_csv, profile, resolve, vector
 from sprego.values import ErrorKind
@@ -172,6 +174,63 @@ def test_resolve_rect_row_major(table):
 
 def test_resolve_range_partially_out(table):
     assert resolve(table, RangeRef(CellRef("A", 1), CellRef("A", 9))) is ErrorKind.REF
+
+
+def _resolve_cell_by_cell(table, ref):
+    """The range built one table.cell at a time, row-major."""
+    start, end = ref.start, ref.end
+    cells = tuple(
+        table.cell(r, c) for r in range(start.row, end.row + 1) for c in range(start.col, end.col + 1)
+    )
+    return RangeView(end.row - start.row + 1, end.col - start.col + 1, cells, origin=start)
+
+
+_MIXED_SCHEMA = DatasetSchema(
+    (
+        ColumnSpec("a"),
+        ColumnSpec("b", "with-errors"),
+        ColumnSpec("c", "with-blanks"),
+        ColumnSpec("d", "mixed", mixed_types=("number", "text", "logical", "blank", "error")),
+        ColumnSpec("e", "text"),
+    ),
+    rows=12,
+)
+
+
+@pytest.mark.parametrize("text", ["B3:D7", "C2:C2", "A1:E12", "A2:E9", "E5:E12", "B12:D12", "D4:E4"])
+def test_resolve_subrange_matches_cell_by_cell(text):
+    for seed in range(3):
+        t = gen_dataset(_MIXED_SCHEMA, seed)
+        ref = parse("=" + text).body
+        got = resolve(t, ref)
+        want = _resolve_cell_by_cell(t, ref)
+        assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("kind", ["with-errors", "with-blanks", "mixed"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "A1:A20*2",
+        "A2:A21-B1:B20",
+        "IF(A1:A20>5,B1:B20,C2:C21)",
+        "IFERROR(A1:A20/B1:B20,-1)",
+        'LEN(c&"")+ISERROR(a+0)',
+        "A1:C1+1",
+    ],
+)
+def test_scalar_copy_down_matches_array_entry(kind, text):
+    # copying a formula down row by row gives, at every row, the element
+    # of the array-entered formula's result at that row
+    schema = DatasetSchema(tuple(ColumnSpec(n, kind) for n in "abc"), rows=21)
+    for seed in range(3):
+        t = gen_dataset(schema, seed)
+        array = evaluate(parse("{=" + text + "}"), EvalContext(t))
+        assert isinstance(array, RangeView)
+        formula = parse("=" + text)
+        for row in range(1, len(array) + 1):
+            got = evaluate(formula, EvalContext(t, mode="scalar", current_row=row))
+            assert repr(got) == repr(array.element(row)), (seed, row)
 
 
 def test_rangeview_validation():
