@@ -10,9 +10,18 @@ Elementwise shape rules: two vectors combine positionally when their
 lengths match, whatever their orientation; a length mismatch makes every
 result cell a VALUE error. True matrices must share shapes exactly.
 
-A binary arithmetic or comparison operator whose operands are all floats
-or ranges of floats runs a number kernel over whole ranges instead of the
-per-cell loop; it gives the same cells, bit for bit.
+Whole ranges run through kernels instead of a per-cell loop where the
+argument types allow, chosen by those types alone and giving the same
+cells bit for bit: a binary arithmetic or comparison operator over floats
+or ranges of floats, & over cells without errors, LEN over text, ISERROR
+over anything. Other arguments take the per-cell path, where a function
+pays for the first-error-wins check only when a scan of each range, one
+per range, finds an error. IF over a condition of logicals (or 1 and 0)
+copies the branch taken more often and overwrites the other's cells.
+
+A subtree that occurs more than once in the tree (the parser never shares
+nodes, a rewrite may) is evaluated once per evaluate() call and its value
+reused, unless the formula calls RAND(), whose draws are each made.
 
 Error values propagate through every operator and elementwise function
 (the first error operand wins, argument order then cell order), except
@@ -25,18 +34,19 @@ All failures come back as error values; evaluate never raises for data
 reasons.
 
 The function catalog, FUNCTION_SPECS near the end of this module, holds one
-spec per function: arity, set, calling convention, implementation and
-competency item. Adding a function means adding one entry there.
+spec per function: arity, set, calling convention, implementation, kernel
+and competency item. Adding a function means adding one entry there.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import random
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Callable
+from itertools import islice, repeat
+from typing import Callable, NamedTuple
 
 from .criteria import Criteria, criteria_from_value
 from .formula import (
@@ -88,22 +98,62 @@ class EvalContext:
 @dataclass
 class _EvalState:
     ctx: EvalContext
-    rng: random.Random
+    scalar: bool  # ctx.mode == "scalar"
+    # id of each shared node -> its value once evaluated, else _PENDING
+    reuse: dict[int, object]
+    _rng: random.Random | None = None
 
     @property
-    def scalar(self) -> bool:
-        return self.ctx.mode == "scalar"
+    def rng(self) -> random.Random:
+        # seeded at the first RAND() call: seeding costs more than many a
+        # whole evaluation
+        if self._rng is None:
+            self._rng = random.Random(self.ctx.rng_seed)
+        return self._rng
+
+
+_PENDING = object()
 
 
 def evaluate(formula: Formula | Expr, ctx: EvalContext) -> Value | RangeView:
     """Evaluate a parsed formula against ctx.table. Returns a single
     Value in scalar mode, a Value or RangeView in array mode."""
     expr = formula.body if isinstance(formula, Formula) else formula
-    st = _EvalState(ctx, random.Random(ctx.rng_seed))
+    reuse = dict.fromkeys(_shared_nodes(expr), _PENDING)
+    st = _EvalState(ctx, ctx.mode == "scalar", reuse)
     result = _eval(expr, st)
     if st.scalar:
         result = _scalarize(result, st)
     return result
+
+
+def _shared_nodes(expr: Expr) -> list[int]:
+    """Ids of the operator and call nodes met more than once in the tree.
+    The parser never shares a node; a rewrite may (R7 uses its x twice).
+    A tree that calls RAND() shares none: each of its draws must be made."""
+    seen: dict[int, Expr] = {}
+    shared = []
+    nodes = [expr]
+    for node in nodes:  # grows as operands are appended
+        operands = _OPERANDS.get(type(node))
+        if operands is None:
+            continue
+        if id(node) in seen:
+            shared.append(id(node))
+        else:
+            seen[id(node)] = node
+            nodes.extend(operands(node))
+    if shared and any(isinstance(n, Call) and n.func == "RAND" for n in seen.values()):
+        return []
+    return shared
+
+
+# the operands of each operator and call node type; other nodes have none
+_OPERANDS = {
+    Binary: operator.attrgetter("left", "right"),
+    Unary: lambda node: (node.operand,),
+    Call: operator.attrgetter("args"),
+}
 
 
 def _scalarize(v, st: _EvalState) -> Value:
@@ -135,16 +185,28 @@ def _eval(expr: Expr, st: _EvalState):
         return expr.value
     if isinstance(expr, (CellRef, RangeRef, NameRef)):
         return resolve(st.ctx.table, expr)
+    if st.reuse and id(expr) in st.reuse:
+        return _reused(expr, st)
     if isinstance(expr, Unary):
         operand = _eval(expr.operand, st)
         return _lift(_UNARY_OPS[expr.op], [operand], st)
     if isinstance(expr, Binary):
         left = _eval(expr.left, st)
         right = _eval(expr.right, st)
-        return _lift(_BINARY_OPS[expr.op], [left, right], st, kernel=_BINARY_KERNELS.get(expr.op))
+        return _lift(_BINARY_OPS[expr.op], [left, right], st, kernel=_binary_kernel(expr.op))
     if isinstance(expr, Call):
         return _call(expr, st)
     raise TypeError(f"not an Expr: {expr!r}")
+
+
+def _reused(expr: Expr, st: _EvalState):
+    """The value of a shared node, evaluated on first use."""
+    key = id(expr)
+    value = st.reuse[key]
+    if value is _PENDING:
+        del st.reuse[key]  # so that _eval evaluates it this once
+        value = st.reuse[key] = _eval(expr, st)
+    return value
 
 
 def _call(expr: Call, st: _EvalState):
@@ -159,7 +221,7 @@ def _call(expr: Call, st: _EvalState):
         return spec.impl(expr.args, st)
     args = [_eval(a, st) for a in expr.args]
     if spec.call == "elementwise":
-        return _lift(spec.impl, args, st, propagate=spec.propagate)
+        return _lift(spec.impl, args, st, propagate=spec.propagate, kernel=spec.kernel)
     return spec.impl(args, st)
 
 
@@ -180,16 +242,28 @@ def _propagating(fn):
     return apply
 
 
-def _lift(fn, args, st: _EvalState, propagate: bool = True, kernel=None):
-    """Apply a scalar function across possibly-ranged arguments. *kernel*,
-    if given, takes the place of the per-cell loop when every argument is
-    a float or a view of floats; it must give the same cells."""
+class Kernel(NamedTuple):
+    """A whole-range stand-in for an elementwise function. *run* takes one
+    stream per argument (a view's cells, a scalar repeated) and gives the
+    cells the per-cell function would; it is used when every argument
+    passes *accepts*."""
+
+    accepts: Callable[[object], bool]
+    run: Callable[..., tuple]
+
+
+def _lift(fn, args, st: _EvalState, propagate: bool = True, kernel: Kernel | None = None):
+    """Apply a scalar function across possibly-ranged arguments."""
     if st.scalar:
         args = [_scalarize(a, st) for a in args]
-    if propagate:
-        fn = _propagating(fn)
-    views = [a for a in args if isinstance(a, RangeView)]
+        views = None
+    else:
+        views = [a for a in args if isinstance(a, RangeView)]
     if not views:
+        if propagate:
+            for a in args:
+                if isinstance(a, ErrorKind):
+                    return a
         return fn(*args)
 
     first = views[0]
@@ -197,7 +271,7 @@ def _lift(fn, args, st: _EvalState, propagate: bool = True, kernel=None):
         lengths = {len(v) for v in views}
         if len(lengths) == 1:
             size = lengths.pop()
-            cells = _map_cells(fn, args, kernel)
+            cells = _map_cells(fn, args, propagate, kernel)
         else:
             size = max(lengths)
             cells = (ErrorKind.VALUE,) * size
@@ -206,27 +280,49 @@ def _lift(fn, args, st: _EvalState, propagate: bool = True, kernel=None):
 
     shapes = {(v.rows, v.cols) for v in views}
     if len(shapes) == 1:
-        cells = _map_cells(fn, args, kernel)
+        cells = _map_cells(fn, args, propagate, kernel)
     else:
         cells = (ErrorKind.VALUE,) * len(first)
     return RangeView(first.rows, first.cols, cells)
 
 
-def _map_cells(fn, args, kernel):
+def _map_cells(fn, args, propagate, kernel):
     """*fn* over the cells of same-sized views taken in step, scalar
     arguments repeated; or *kernel* over the same streams when every
-    argument is a number."""
+    argument passes its test. With *propagate*, *fn* is wrapped to return
+    its first error argument only when some argument holds an error."""
     streams = [a.cells if isinstance(a, RangeView) else repeat(a) for a in args]
-    if kernel is not None and all(map(_all_floats, args)):
-        return kernel(*streams)
+    if kernel is not None and all(map(kernel.accepts, args)):
+        return kernel.run(*streams)
+    if propagate and not all(map(_no_errors, args)):
+        fn = _propagating(fn)
     return tuple(map(fn, *streams))
+
+
+# The argument tests a kernel can state. A view passes when every cell does;
+# the scans run in C and stop at the first cell that fails.
 
 
 def _all_floats(a) -> bool:
     if isinstance(a, RangeView):
-        # stops at the first cell that is not a float
         return all(map(operator.is_, map(type, a.cells), repeat(float)))
     return type(a) is float
+
+
+def _no_errors(a) -> bool:
+    if isinstance(a, RangeView):
+        return ErrorKind not in map(type, a.cells)
+    return type(a) is not ErrorKind
+
+
+def _all_text(a) -> bool:
+    if isinstance(a, RangeView):
+        return all(map(operator.is_, map(type, a.cells), repeat(str)))
+    return type(a) is str
+
+
+def _any(a) -> bool:
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -236,15 +332,23 @@ def _all_floats(a) -> bool:
 
 def _arith(fn):
     def op(a, b):
-        x = coerce_number(a)
-        if isinstance(x, ErrorKind):
+        x = a if type(a) is float else coerce_number(a)
+        if type(x) is ErrorKind:
             return x
-        y = coerce_number(b)
-        if isinstance(y, ErrorKind):
+        y = b if type(b) is float else coerce_number(b)
+        if type(y) is ErrorKind:
             return y
         return fn(x, y)
 
     return op
+
+
+def _finite(fn):
+    def checked(x, y):
+        z = fn(x, y)
+        return z if math.isfinite(z) else ErrorKind.NUM
+
+    return checked
 
 
 def _div(x, y):
@@ -283,9 +387,9 @@ def _compare(op):
 
 
 _BINARY_OPS = {
-    "+": _arith(lambda x, y: finite_or_error(x + y)),
-    "-": _arith(lambda x, y: finite_or_error(x - y)),
-    "*": _arith(lambda x, y: finite_or_error(x * y)),
+    "+": _arith(_finite(operator.add)),
+    "-": _arith(_finite(operator.sub)),
+    "*": _arith(_finite(operator.mul)),
     "/": _arith(_div),
     "^": _arith(_pow),
     "&": _concat,
@@ -328,6 +432,34 @@ _BINARY_KERNELS = {
     "/": _div_kernel,
     **{op: _compare_kernel(fn) for op, fn in COMPARISONS.items()},
 }
+
+
+def _concat_kernel(xs, ys):
+    return tuple(map(operator.add, _texts(xs), _texts(ys)))
+
+
+def _texts(stream):
+    """coerce_text over an error-free stream: text cells, all of them."""
+    if isinstance(stream, repeat):
+        # a scalar argument: coerce it once
+        return repeat(coerce_text(next(stream)))
+    return map(coerce_text, stream)
+
+
+_CONCAT_KERNEL = Kernel(_no_errors, _concat_kernel)
+
+
+def _binary_kernel(op: str) -> Kernel | None:
+    """& over cells without errors; the number kernels over floats."""
+    if op == "&":
+        return _CONCAT_KERNEL
+    run = _BINARY_KERNELS.get(op)
+    return None if run is None else _number_kernel(run)
+
+
+@functools.cache
+def _number_kernel(run) -> Kernel:
+    return Kernel(_all_floats, run)
 
 
 def _unary_num(fn):
@@ -436,6 +568,10 @@ def _fn_len(t):
     return float(len(s))
 
 
+def _len_kernel(ts):
+    return tuple(map(float, map(len, ts)))
+
+
 def _count_arg(v, *, minimum=0):
     x = coerce_number(v)
     if isinstance(x, ErrorKind):
@@ -541,6 +677,10 @@ def _fn_iserror(v):
     return isinstance(v, ErrorKind)
 
 
+def _iserror_kernel(vs):
+    return tuple(map(operator.is_, map(type, vs), repeat(ErrorKind)))
+
+
 def _fn_iferror(x, fallback):
     return fallback if isinstance(x, ErrorKind) else x
 
@@ -559,10 +699,14 @@ def _fn_if(args: tuple[Expr, ...], st: _EvalState):
         size = len(cond)
         then_s = _branch_cells(_eval(args[1], st), size)
         else_s = _branch_cells(_eval(args[2], st) if len(args) > 2 else False, size)
-        cells = tuple(
-            (t if c else e) if type(c) is bool else _if_cell(c, t, e)
-            for c, t, e in zip(cond.cells, then_s, else_s)
-        )
+        trues = cond.cells.count(True)
+        if trues + cond.cells.count(False) == size:
+            cells = _pick(cond.cells, trues, then_s, else_s)
+        else:
+            cells = tuple(
+                (t if c else e) if type(c) is bool else _if_cell(c, t, e)
+                for c, t, e in zip(cond.cells, then_s, else_s)
+            )
         return RangeView(cond.rows, cond.cols, cells)
 
     c = coerce_logical(cond)
@@ -582,6 +726,26 @@ def _branch_cells(branch, size: int):
     if isinstance(branch, RangeView):
         return branch.cells if len(branch) == size else repeat(ErrorKind.VALUE)
     return repeat(branch)
+
+
+def _pick(cond: tuple, trues: int, then_s, else_s) -> tuple:
+    """IF over a condition whose every cell equals TRUE or FALSE (a logical,
+    or the number 1 or 0, which IF reads the same way), holding *trues*
+    TRUE cells: a copy of the branch taken more often, with the other
+    branch's cells written over it where the condition says."""
+    size = len(cond)
+    if trues * 2 > size:
+        target, count, base, other = False, size - trues, then_s, else_s
+    else:
+        target, count, base, other = True, trues, else_s, then_s
+    cells = list(islice(base, size))
+    if not isinstance(other, tuple):
+        other = tuple(islice(other, size))
+    i = -1
+    for _ in range(count):
+        i = cond.index(target, i + 1)
+        cells[i] = other[i]
+    return tuple(cells)
 
 
 def _if_cell(c, then_cell, else_cell):
@@ -619,12 +783,16 @@ def _fn_sum(args, st):
 
 
 def _fn_average(args, st):
+    # the same left-to-right += as SUM
     total = 0.0
     count = 0
     for v in _iter_cells(args):
-        if isinstance(v, ErrorKind):
+        if type(v) is float:
+            total += v
+            count += 1
+        elif isinstance(v, ErrorKind):
             return v
-        if is_number(v):
+        elif is_number(v):
             total += v
             count += 1
     if count == 0:
@@ -966,7 +1134,8 @@ class FunctionSpec:
     call        how _call invokes impl:
                   "elementwise"  impl(*cells), lifted over the evaluated
                                  arguments; with propagate, an error
-                                 argument is the result
+                                 argument is the result; a kernel, if
+                                 any, does the same over whole ranges
                   "evaluated"    impl(evaluated arguments, state)
                   "raw"          impl(unevaluated Expr arguments, state)
     shape       the result shape competency's static guess reads: "scalar"
@@ -982,14 +1151,15 @@ class FunctionSpec:
     call: str
     impl: Callable
     propagate: bool
+    kernel: Kernel | None
     shape: str
     competency: str | None
 
 
-def _spec(name, lo, hi, group, call, impl, *, propagate=True, shape=None, competency=None):
+def _spec(name, lo, hi, group, call, impl, *, propagate=True, kernel=None, shape=None, competency=None):
     # functions over evaluated arguments (aggregators, lookups) give one value
     shape = shape or ("scalar" if call == "evaluated" else "lifted")
-    return FunctionSpec(name, lo, hi, group, call, impl, propagate, shape, competency)
+    return FunctionSpec(name, lo, hi, group, call, impl, propagate, kernel, shape, competency)
 
 
 # the two competency items a call can demonstrate
@@ -1000,7 +1170,10 @@ FUNCTION_SPECS: dict[str, FunctionSpec] = {
     spec.name: spec
     for spec in (
         # core: text and math
-        _spec("LEN", 1, 1, "core", "elementwise", _fn_len, competency=_NON_ARRAY),
+        _spec(
+            "LEN", 1, 1, "core", "elementwise", _fn_len,
+            kernel=Kernel(_all_text, _len_kernel), competency=_NON_ARRAY,
+        ),
         _spec("LEFT", 1, 2, "core", "elementwise", _fn_left, competency=_NON_ARRAY),
         _spec("RIGHT", 1, 2, "core", "elementwise", _fn_right, competency=_NON_ARRAY),
         _spec("SEARCH", 2, 3, "core", "elementwise", _fn_search, competency=_NON_ARRAY),
@@ -1012,7 +1185,10 @@ FUNCTION_SPECS: dict[str, FunctionSpec] = {
         _spec("IF", 2, 3, "core", "raw", _fn_if, competency=_ARRAY_COND),
         _spec("MATCH", 2, 3, "core", "evaluated", _fn_match, competency=_ARRAY_COND),
         _spec("INDEX", 2, 3, "core", "evaluated", _fn_index, competency=_ARRAY_COND),
-        _spec("ISERROR", 1, 1, "core", "elementwise", _fn_iserror, propagate=False, competency=_ARRAY_COND),
+        _spec(
+            "ISERROR", 1, 1, "core", "elementwise", _fn_iserror,
+            propagate=False, kernel=Kernel(_any, _iserror_kernel), competency=_ARRAY_COND,
+        ),
         # extended
         _spec("SUBSTITUTE", 3, 4, "extended", "elementwise", _fn_substitute, competency=_NON_ARRAY),
         _spec("SMALL", 2, 2, "extended", "evaluated", _fn_small_large(False), competency=_NON_ARRAY),

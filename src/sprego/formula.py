@@ -16,6 +16,12 @@ A formula may start with ``=`` (optional) or be wrapped in ``{= ... }``,
 which sets the array-entered flag. String literals use ``"`` with ``""``
 as the escape for an embedded quote. The argument separator is ``,`` and
 the decimal point is ``.`` (no locale variants).
+
+Two limits keep every recursive walk of a parsed tree inside Python's
+default recursion limit: at most MAX_NESTING (64) parentheses, calls and
+prefix signs open at once, and a tree at most MAX_DEPTH (256) operator and
+call nodes deep. Past either, parse raises ParseError at the token that
+goes past it.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .values import COMPARISONS, number_to_text
 
@@ -267,6 +274,13 @@ _COMPARE_OPS = tuple(COMPARISONS)
 # the recursive descent never nears Python's recursion limit.
 MAX_NESTING = 64
 
+# The depth of the parsed tree, counted in operator and call nodes, so that
+# left-deep chains such as =1+1+...+1 count too. Every recursive walk of a
+# tree (evaluate, format, classify, rewrite, ...) takes at most two Python
+# frames per level, so a tree this deep stays well inside Python's default
+# recursion limit of 1000.
+MAX_DEPTH = 256
+
 
 class _Parser:
     def __init__(self, tokens: list[Token], source_len: int):
@@ -274,12 +288,27 @@ class _Parser:
         self.pos = 0
         self.source_len = source_len
         self.depth = 0
+        # id of each operator and call node -> its depth. Each such node is
+        # built at a token of its own, so a formula of at most MAX_DEPTH
+        # tokens cannot pass the limit and is not counted.
+        self.levels: dict[int, int] | None = {} if len(tokens) > MAX_DEPTH else None
 
     def nest(self, tok: Token) -> None:
         """Open one nesting level at *tok*; close it with ``depth -= 1``."""
         if self.depth == MAX_NESTING:
             raise ParseError(tok.span[0], f"at most {MAX_NESTING} nesting levels", repr(tok.lexeme))
         self.depth += 1
+
+    def grow(self, tok: Token, node: Expr, *children: Expr) -> Expr:
+        """*node*, built at *tok* over *children*, one level deeper than the
+        deepest of them; past MAX_DEPTH levels a ParseError at *tok*."""
+        if self.levels is None:
+            return node
+        level = 1 + max(map(self.levels.get, map(id, children), repeat(0)), default=0)
+        if level > MAX_DEPTH:
+            raise ParseError(tok.span[0], f"at most {MAX_DEPTH} operator and call levels", repr(tok.lexeme))
+        self.levels[id(node)] = level
+        return node
 
     def peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -316,41 +345,42 @@ class _Parser:
         left = self.concat()
         while (tok := self.match(*_COMPARE_OPS)) is not None:
             right = self.concat()
-            left = Binary(tok.lexeme, left, right, span=_join(left, right))
+            left = self.grow(tok, Binary(tok.lexeme, left, right, span=_join(left, right)), left, right)
         return left
 
     def concat(self) -> Expr:
         left = self.additive()
         while (tok := self.match("&")) is not None:
             right = self.additive()
-            left = Binary(tok.lexeme, left, right, span=_join(left, right))
+            left = self.grow(tok, Binary(tok.lexeme, left, right, span=_join(left, right)), left, right)
         return left
 
     def additive(self) -> Expr:
         left = self.multiplicative()
         while (tok := self.match("+", "-")) is not None:
             right = self.multiplicative()
-            left = Binary(tok.lexeme, left, right, span=_join(left, right))
+            left = self.grow(tok, Binary(tok.lexeme, left, right, span=_join(left, right)), left, right)
         return left
 
     def multiplicative(self) -> Expr:
         left = self.power()
         while (tok := self.match("*", "/")) is not None:
             right = self.power()
-            left = Binary(tok.lexeme, left, right, span=_join(left, right))
+            left = self.grow(tok, Binary(tok.lexeme, left, right, span=_join(left, right)), left, right)
         return left
 
     def power(self) -> Expr:
         left = self.postfix()
         while (tok := self.match("^")) is not None:
             right = self.postfix()
-            left = Binary(tok.lexeme, left, right, span=_join(left, right))
+            left = self.grow(tok, Binary(tok.lexeme, left, right, span=_join(left, right)), left, right)
         return left
 
     def postfix(self) -> Expr:
         expr = self.unary()
         while (tok := self.match("%")) is not None:
-            expr = Unary("%", expr, span=(expr.span[0] if expr.span else tok.span[0], tok.span[1]))
+            span = (expr.span[0] if expr.span else tok.span[0], tok.span[1])
+            expr = self.grow(tok, Unary("%", expr, span=span), expr)
         return expr
 
     def unary(self) -> Expr:
@@ -361,7 +391,7 @@ class _Parser:
             operand = self.unary()
             self.depth -= 1
             end = operand.span[1] if operand.span else tok.span[1]
-            return Unary(tok.lexeme, operand, span=(tok.span[0], end))
+            return self.grow(tok, Unary(tok.lexeme, operand, span=(tok.span[0], end)), operand)
         return self.primary()
 
     def primary(self) -> Expr:
@@ -425,7 +455,8 @@ class _Parser:
                 args.append(self.comparison())
         close = self.expect(")")
         self.depth -= 1
-        return Call(name_tok.lexeme.upper(), tuple(args), span=(name_tok.span[0], close.span[1]))
+        call = Call(name_tok.lexeme.upper(), tuple(args), span=(name_tok.span[0], close.span[1]))
+        return self.grow(name_tok, call, *args)
 
 
 def _cellref_from_token(tok: Token) -> CellRef:

@@ -139,6 +139,10 @@ def coerce_number(v: Value) -> float | ErrorKind:
 
 def coerce_text(v: Value) -> str | ErrorKind:
     """Text coercion for concatenation and the text functions."""
+    if type(v) is str:
+        return v
+    if type(v) is float:
+        return number_to_text(v)
     if isinstance(v, ErrorKind):
         return v
     return format_value(v)

@@ -214,3 +214,25 @@ def _rand_elementwise(rng: random.Random, names: list[str], depth: int) -> str:
     name, arity = rng.choice(_ELEMENTWISE_CALLS)
     args = [_rand_elementwise(rng, names, depth - 1) for _ in range(arity)]
     return name + "(" + ",".join(args) + ")"
+
+
+# ---------------------------------------------------------------------------
+# Formulas at the parse depth limit
+# ---------------------------------------------------------------------------
+
+
+def deep_formulas(depth: int) -> dict[str, tuple[str, int]]:
+    """Formulas whose parsed tree is *depth* operator and call levels deep,
+    by shape, each with the offset of the token that builds its deepest
+    level: a left-deep operator chain, a chain of postfix percents, and a
+    chain inside 63 nested calls (the most calls MAX_NESTING leaves room
+    for around it)."""
+    chain = "1" + "+1" * (depth - 63)
+    nested = "=" + "IF(TRUE," * 63 + chain + ",0)" * 63
+    operators = "=1" + "+1" * depth
+    percents = "=1" + "%" * depth
+    return {
+        "operator-chain": (operators, operators.rindex("+")),
+        "percent-chain": (percents, percents.rindex("%")),
+        "calls-around-chain": (nested, 1),
+    }

@@ -5,6 +5,9 @@ from pathlib import Path
 import pytest
 
 from sprego.cli import main
+from sprego.formula import MAX_DEPTH
+
+from helpers import deep_formulas
 
 
 @pytest.fixture
@@ -89,6 +92,25 @@ def test_eval_formula_file(capsys, csv_path, tmp_path):
     f.write_text("=SUM(age)\n", encoding="utf-8")
     _, out, _ = run(capsys, "eval", "--table", csv_path, "--formula-file", str(f))
     assert out.strip() == "19"
+
+
+@pytest.mark.parametrize("command", ["eval", "lint"])
+@pytest.mark.parametrize("shape", sorted(deep_formulas(MAX_DEPTH)))
+def test_depth_limit_both_sides(capsys, command, shape):
+    code, out, err = run(capsys, command, "--formula", deep_formulas(MAX_DEPTH)[shape][0])
+    assert (code, err) == (0, "")
+    assert out.strip()
+    code, out, err = run(capsys, command, "--formula", deep_formulas(MAX_DEPTH + 1)[shape][0])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: parse error at offset {deep_formulas(MAX_DEPTH + 1)[shape][1]}:")
+
+
+def test_long_operator_chain_exit_2(capsys):
+    code, _, err = run(capsys, "eval", "--formula", "=1" + "+1" * 4999)
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:")
 
 
 # ---------------------------------------------------------------------------

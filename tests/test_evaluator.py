@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import subprocess
@@ -22,7 +23,8 @@ from sprego.evaluator import (
     precedents,
     search_position,
 )
-from sprego.formula import CellRef, NameRef, RangeRef, parse
+from sprego.formula import CellRef, NameRef, RangeRef, format, parse
+from sprego.rewrite import rewrite
 from sprego.table import RangeView, Table, vector
 from sprego.values import ErrorKind
 
@@ -88,6 +90,13 @@ def test_sum_accumulates_left_to_right():
     t = make_table(x=(1e16, 1.0, -1e16))
     assert repr(ev("=SUM(x)", t)) == "0.0"
     assert repr(ev("{=SUM(IF(x<>0,x,0))}", t)) == "0.0"
+
+
+def test_average_accumulates_left_to_right():
+    # the same plain += as SUM: a compensated sum would give 1/3
+    t = make_table(x=(1e16, 1.0, -1e16))
+    assert repr(ev("=AVERAGE(x)", t)) == "0.0"
+    assert repr(ev("=AVERAGE(x,x)", t)) == "0.0"
 
 
 def test_array_broadcast(nums):
@@ -368,6 +377,232 @@ def test_kernels_skip_columns_that_are_not_all_floats(op, kernel_calls):
         got = ev(f"{{=x{op}y}}", t)
         assert all(_same_cell(g, w) for g, w in zip(got.cells, _per_cell(op, xs, ys)))
     assert kernel_calls[op] == 0
+
+
+# ---------------------------------------------------------------------------
+# the mixed path: text kernels, the error scan and IF against per-cell
+# ---------------------------------------------------------------------------
+
+# every kind of cell: numbers (integral, -0.0, 1e16, fractions), numeric
+# and other text, "", logicals, blank and each error
+_ODD_CELLS = (
+    1.0, -0.0, 0.0, 1e16, 123.0, 0.1, -2.5, 1e-7,
+    "12", " 3 ", "", "abc", "TRUE",
+    True, False, None,
+    *ErrorKind,
+)
+
+
+def _mixed_columns():
+    """Columns of 40 cells: gen_dataset's with-errors, with-blanks and mixed
+    kinds over a few seeds, plus _ODD_CELLS in two orders."""
+    schema = DatasetSchema(
+        (
+            ColumnSpec("e", "with-errors"),
+            ColumnSpec("b", "with-blanks", integers=True, lo=0, hi=3),
+            ColumnSpec("m", "mixed", mixed_types=("number", "text", "logical", "blank", "error")),
+            ColumnSpec("t", "text", alphabet=("a", " ", "é", "1")),
+        ),
+        rows=40,
+    )
+    cols = []
+    for seed in range(3):
+        cols.extend(gen_dataset(schema, seed).columns)
+    odd = (_ODD_CELLS * 3)[:40]
+    cols += [odd, odd[::-1], *_logical_columns()]
+    return cols
+
+
+def _logical_columns():
+    """Columns of 40 cells that each equal TRUE or FALSE, which IF reads
+    by truth: logicals, 1 and 0 of both signs; mostly true, mostly false,
+    all one way."""
+    flags = (True, 1.0, False, 0.0, -0.0) * 8
+    coin = gen_dataset(DatasetSchema((ColumnSpec("l", "logical"),), rows=40), 5).columns[0]
+    return [flags, flags[::-1], coin, (True,) * 37 + (False, 0.0, -0.0), (False,) * 40, (1.0,) * 40]
+
+
+def _lifted_cases():
+    """(formula over columns x and y, per-cell reference, whether the
+    reference propagates errors, the columns it takes in order)."""
+    ops = evaluator._BINARY_OPS
+    specs = FUNCTION_SPECS
+    return [
+        ("x&y", ops["&"], True, "xy"),
+        ('x&""', lambda a: ops["&"](a, ""), True, "x"),
+        ('"<"&x', lambda a: ops["&"]("<", a), True, "x"),
+        ("x&1", lambda a: ops["&"](a, 1.0), True, "x"),
+        ("LEN(x)", specs["LEN"].impl, True, "x"),
+        # LEN of what x&"" gives, x's errors passing through
+        ('LEN(x&"")', lambda a: specs["LEN"].impl(ops["&"](a, "")), True, "x"),
+        ("ISERROR(x)", specs["ISERROR"].impl, False, "x"),
+        ("x+y", ops["+"], True, "xy"),
+        ("x/y", ops["/"], True, "xy"),
+        ("x^y", ops["^"], True, "xy"),
+        ("x<y", ops["<"], True, "xy"),
+        ("-x", evaluator._UNARY_OPS["-"], True, "x"),
+        ("LEFT(x,y)", specs["LEFT"].impl, True, "xy"),
+        ("SEARCH(x,y)", specs["SEARCH"].impl, True, "xy"),
+        ("ROUND(x,y)", specs["ROUND"].impl, True, "xy"),
+        ("NOT(x)", specs["NOT"].impl, True, "x"),
+        ("IF(x,y,x)", evaluator._if_cell, False, "xyx"),
+        ("IF(x,1,y)", lambda c, e: evaluator._if_cell(c, 1.0, e), False, "xy"),
+    ]
+
+
+@pytest.mark.parametrize("source,fn,propagate,names", _lifted_cases(), ids=[c[0] for c in _lifted_cases()])
+def test_mixed_path_matches_per_cell(source, fn, propagate, names):
+    ref = evaluator._propagating(fn) if propagate else fn
+    cols = _mixed_columns()
+    for xs, ys in itertools.product(cols, cols[::3]):
+        got = ev("{=" + source + "}", make_table(x=xs, y=ys))
+        want = [ref(*cells) for cells in zip(*({"x": xs, "y": ys}[n] for n in names))]
+        assert len(got) == len(want)
+        for i, (g, w) in enumerate(zip(got.cells, want)):
+            assert _same_cell(g, w), (source, i, xs[i], ys[i], g, w)
+
+
+def test_if_picks_by_truth_on_logical_conditions(monkeypatch):
+    picks = []
+    pick = evaluator._pick
+    monkeypatch.setattr(evaluator, "_pick", lambda *a: picks.append(None) or pick(*a))
+    cols = _mixed_columns()
+    conds = _logical_columns()
+    for cond, xs in itertools.product(conds, cols[::2]):
+        t = make_table(c=cond, x=xs, y=xs[::-1])
+        for source, then_s, else_s in (
+            ("{=IF(c,x,y)}", xs, xs[::-1]),
+            ("{=IF(c,x)}", xs, [False] * 40),
+            ('{=IF(c,"t",y)}', ["t"] * 40, xs[::-1]),
+        ):
+            got = ev(source, t)
+            want = [evaluator._if_cell(c, a, b) for c, a, b in zip(cond, then_s, else_s)]
+            assert all(_same_cell(g, w) for g, w in zip(got.cells, want)), (source, cond)
+    assert len(picks) == 3 * len(conds) * len(cols[::2])
+
+
+def test_error_argument_wins_over_failed_coercion():
+    # the first error argument is the result, even when an argument before
+    # it fails to coerce: "abc"+#N/A is #N/A, not #VALUE!
+    errs = make_table(e=(ErrorKind.NA, 2.0, ErrorKind.DIV0), t=("x", "abc", "y"))
+    assert ev('{="abc"+e}', errs).cells == (ErrorKind.NA, ErrorKind.VALUE, ErrorKind.DIV0)
+    assert ev('{=ROUND("x",e)}', errs).cells == (ErrorKind.NA, ErrorKind.VALUE, ErrorKind.DIV0)
+    assert ev("{=ROUND(t,e)}", errs).cells == (ErrorKind.NA, ErrorKind.VALUE, ErrorKind.DIV0)
+    assert ev("{=e&t}", errs).cells == (ErrorKind.NA, "2abc", ErrorKind.DIV0)
+    assert ev('="abc"+A1', errs) is ErrorKind.NA
+    assert ev('=ROUND("x",A3)', errs) is ErrorKind.DIV0
+
+
+@pytest.fixture
+def spies(monkeypatch):
+    """Counts runs of the & and LEN kernels and wraps in _propagating."""
+    calls = {"&": 0, "LEN": 0, "wrap": 0}
+
+    def counting(name, kernel):
+        def run(*streams):
+            calls[name] += 1
+            return kernel.run(*streams)
+
+        return evaluator.Kernel(kernel.accepts, run)
+
+    monkeypatch.setattr(evaluator, "_CONCAT_KERNEL", counting("&", evaluator._CONCAT_KERNEL))
+    spec = FUNCTION_SPECS["LEN"]
+    monkeypatch.setitem(FUNCTION_SPECS, "LEN", dataclasses.replace(spec, kernel=counting("LEN", spec.kernel)))
+    wrap = evaluator._propagating
+
+    def counted_wrap(fn):
+        calls["wrap"] += 1
+        return wrap(fn)
+
+    monkeypatch.setattr(evaluator, "_propagating", counted_wrap)
+    return calls
+
+
+def test_text_kernels_run_by_argument_type(spies):
+    t = make_table(n=(1.0, -0.0, 1e16, 0.25), s=("a", "", "bc", "12"), m=(True, None, "x", 2.0))
+    # & takes any cells but errors; LEN only text
+    assert ev('{=n&s&m&""}', t).cells == ("1aTRUE", "0", "1e+16bcx", "0.25122")
+    assert spies == {"&": 3, "LEN": 0, "wrap": 0}
+    assert ev("{=LEN(s)}", t).cells == (1.0, 0.0, 2.0, 2.0)
+    assert ev("{=LEN(m)}", t).cells == (4.0, 0.0, 1.0, 1.0)
+    assert spies == {"&": 3, "LEN": 1, "wrap": 0}
+    # an error cell or argument sends the call down the per-cell path,
+    # wrapped to return the first error argument
+    e = make_table(s=("a", ErrorKind.NA, "b"))
+    assert ev('{=LEN(s&"!")}', e).cells == (2.0, ErrorKind.NA, 2.0)
+    assert ev('{=s&(1/0)}', e).cells == (ErrorKind.DIV0, ErrorKind.NA, ErrorKind.DIV0)
+    assert spies == {"&": 3, "LEN": 1, "wrap": 3}
+
+
+def test_error_free_lift_is_not_wrapped(spies):
+    t = make_table(x=(1.0, None, "3", True, "abc"), y=(2.0, 2.0, "", 0.0, 1.0))
+    assert ev("{=x/y}", t).cells == (0.5, 0.0, ErrorKind.VALUE, ErrorKind.DIV0, ErrorKind.VALUE)
+    assert ev("{=ROUND(x,y)}", t).cells == (1.0, 0.0, ErrorKind.VALUE, 1.0, ErrorKind.VALUE)
+    assert spies["wrap"] == 0
+    # a view holding an error, here one the division made, is wrapped
+    assert ev("{=x/y+1}", t).cells == (1.5, 1.0, ErrorKind.VALUE, ErrorKind.DIV0, ErrorKind.VALUE)
+    assert spies["wrap"] == 1
+
+
+# ---------------------------------------------------------------------------
+# shared subtrees
+# ---------------------------------------------------------------------------
+
+
+def test_shared_subtree_is_evaluated_once(monkeypatch):
+    calls = []
+    div = evaluator._BINARY_OPS["/"]
+    monkeypatch.setitem(evaluator._BINARY_OPS, "/", lambda a, b: calls.append((a, b)) or div(a, b))
+    t = make_table(x=(6, 0), y=(3, "n"))
+    # R7 rewrites IFERROR(x, y) to IF(ISERROR(x), y, x) with one x node
+    shared = rewrite(parse("=IFERROR(A1/B1,-1)"))[0]
+    assert format(shared) == "=IF(ISERROR(A1/B1),-1,A1/B1)"
+    ctx = EvalContext(t)
+    assert evaluate(shared, ctx) == 2.0
+    assert len(calls) == 1
+    # the parser builds two x nodes from the same text, and each divides
+    assert evaluate(parse(format(shared)), ctx) == 2.0
+    assert len(calls) == 3
+    # the value is reused within one evaluation only
+    assert evaluate(shared, ctx) == 2.0
+    assert len(calls) == 4
+    # an error x is reused as well: A2/B2 is #VALUE!, so the fallback
+    assert evaluate(rewrite(parse("=IFERROR(A2/B2,-1)"))[0], ctx) == -1.0
+    assert len(calls) == 5
+    # nested, each level's x holds the level below: still one division,
+    # where evaluating each x twice would make 2**12
+    nested = rewrite(parse("=" + "IFERROR(" * 12 + "A1/B1" + ",-1)" * 12))[0]
+    assert evaluate(nested, ctx) == 2.0
+    assert len(calls) == 6
+
+
+def test_shared_subtree_over_rand_draws_twice(monkeypatch):
+    # R7's note on IFERROR(1/(RAND()>0.5),-1): the rewrite evaluates its x
+    # twice, and the two draws may differ
+    draws = []
+    spec = FUNCTION_SPECS["RAND"]
+
+    def counted(args, st):
+        draws.append(None)
+        return spec.impl(args, st)
+
+    monkeypatch.setitem(FUNCTION_SPECS, "RAND", dataclasses.replace(spec, impl=counted))
+    shared, plans = rewrite(parse("=IFERROR(1/(RAND()>0.5),-1)"))
+    assert "twice" in " ".join(plans[0].notes)
+    unshared = parse(format(shared))
+    t = Table("empty", (), ())
+    results = set()
+    for seed in range(40):
+        del draws[:]
+        got = evaluate(shared, EvalContext(t, rng_seed=seed))
+        # a first draw of 0.5 or less makes x an error and IF takes -1;
+        # a higher one sends IF to x, which draws again
+        assert len(draws) == (1 if random.Random(seed).random() <= 0.5 else 2)
+        assert got == evaluate(unshared, EvalContext(t, rng_seed=seed))
+        results.add(got)
+    # #DIV/0! comes from a second draw of 0.5 or less after a first above,
+    # which one draw could never give
+    assert results == {1.0, -1.0, ErrorKind.DIV0}
 
 
 # ---------------------------------------------------------------------------

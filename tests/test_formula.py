@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sprego.evaluator import EvalContext, evaluate
+from sprego.competency import classify, nesting_depth, static_shape
+from sprego.evaluator import EvalContext, evaluate, precedents
 from sprego.formula import (
+    MAX_DEPTH,
     MAX_NESTING,
     Binary,
     BoolLit,
@@ -21,13 +23,16 @@ from sprego.formula import (
     TokenKind,
     Unary,
     col_letters_to_index,
+    expr_to_json,
     format,
     index_to_col_letters,
     parse,
     tokenize,
+    walk,
 )
+from sprego.rewrite import lint, rewrite
 
-from helpers import make_table, malformed_sources, random_source
+from helpers import deep_formulas, make_table, malformed_sources, random_source
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +343,62 @@ def test_parse_nesting_counts_open_levels_only():
     deep = "(" * 63 + "1" + ")" * 63
     formula = parse("=SUM(" + ",".join([deep] * 100) + ")")
     assert evaluate(formula, EvalContext(make_table(x=(3,)))) == 100.0
+
+
+def _depth(expr) -> int:
+    # operator and call levels, as the parser counts them
+    if isinstance(expr, Binary):
+        return 1 + max(_depth(expr.left), _depth(expr.right))
+    if isinstance(expr, Unary):
+        return 1 + _depth(expr.operand)
+    if isinstance(expr, Call):
+        return 1 + max(map(_depth, expr.args), default=0)
+    return 0
+
+
+@pytest.mark.parametrize("shape", sorted(deep_formulas(MAX_DEPTH)))
+def test_deepest_tree_goes_through_every_walker(shape):
+    # each recursive walk of a tree, under Python's default recursion limit
+    source, _ = deep_formulas(MAX_DEPTH)[shape]
+    formula = parse(source)
+    assert _depth(formula.body) == MAX_DEPTH
+    t = make_table(x=(1, 2, 3))
+    assert evaluate(formula, EvalContext(t)) == evaluate(formula, EvalContext(t, current_row=1, mode="scalar"))
+    assert parse(format(formula)) == formula
+    assert len(list(walk(formula.body))) > MAX_DEPTH
+    assert expr_to_json(formula.body)
+    assert precedents(formula) == []
+    assert classify(formula).level
+    assert nesting_depth(formula.body) <= MAX_NESTING
+    assert static_shape(formula.body) == "scalar"
+    lint(formula, t)
+    rewritten, _ = rewrite(formula, t)
+    evaluate(rewritten, EvalContext(t))
+
+
+@pytest.mark.parametrize("shape", sorted(deep_formulas(MAX_DEPTH + 1)))
+def test_one_level_past_the_depth_limit_is_parse_error(shape):
+    source, offset = deep_formulas(MAX_DEPTH + 1)[shape]
+    with pytest.raises(ParseError) as exc:
+        parse(source)
+    assert exc.value.offset == offset
+    assert exc.value.expected == f"at most {MAX_DEPTH} operator and call levels"
+
+
+def test_long_operator_chain_is_parse_error_not_recursion_error():
+    # 5,000 terms: rejected at the term that passes the limit
+    source = "=1" + "+1" * 4999
+    with pytest.raises(ParseError) as exc:
+        parse(source)
+    assert exc.value.offset == 2 + 2 * MAX_DEPTH
+
+
+def test_depth_limit_counts_the_deepest_path_only():
+    # 100 arguments, each a chain MAX_DEPTH - 1 deep, under one call
+    chain = "1" + "+1" * (MAX_DEPTH - 1)
+    formula = parse("=SUM(" + ",".join([chain] * 100) + ")")
+    assert _depth(formula.body) == MAX_DEPTH
+    assert evaluate(formula, EvalContext(make_table(x=(3,)))) == 100.0 * MAX_DEPTH
 
 
 # ---------------------------------------------------------------------------
