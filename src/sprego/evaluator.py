@@ -131,6 +131,13 @@ def _shared_nodes(expr: Expr) -> list[int]:
     """Ids of the operator and call nodes met more than once in the tree.
     The parser never shares a node; a rewrite may (R7 uses its x twice).
     A tree that calls RAND() shares none: each of its draws must be made."""
+    nodes, shared = operator_nodes(expr)
+    return [] if shared and any(isinstance(n, Call) and n.func == "RAND" for n in nodes) else shared
+
+
+def operator_nodes(expr: Expr) -> tuple[list[Expr], list[int]]:
+    """The distinct operator and call nodes of *expr*, each visited once
+    (by id) however many parents share it, and the ids met more than once."""
     seen: dict[int, Expr] = {}
     shared = []
     nodes = [expr]
@@ -143,9 +150,7 @@ def _shared_nodes(expr: Expr) -> list[int]:
         else:
             seen[id(node)] = node
             nodes.extend(operands(node))
-    if shared and any(isinstance(n, Call) and n.func == "RAND" for n in seen.values()):
-        return []
-    return shared
+    return list(seen.values()), shared
 
 
 # the operands of each operator and call node type; other nodes have none

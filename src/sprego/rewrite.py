@@ -25,7 +25,7 @@ import enum
 from dataclasses import dataclass
 
 from .criteria import UnsupportedCriteria, criteria_expr
-from .evaluator import BASELINE_FUNCTIONS, SPREGO_FUNCTIONS
+from .evaluator import BASELINE_FUNCTIONS, SPREGO_FUNCTIONS, operator_nodes
 from .formula import (
     Binary,
     BoolLit,
@@ -113,7 +113,8 @@ def _len_is_zero(rng: Expr) -> Expr:
 
 
 def _contains_rand(expr: Expr) -> bool:
-    return any(isinstance(n, Call) and n.func == "RAND" for n in walk(expr))
+    # once per node: R7 shares x, and walk() would follow each path to it
+    return any(isinstance(n, Call) and n.func == "RAND" for n in operator_nodes(expr)[0])
 
 
 @dataclass(frozen=True)

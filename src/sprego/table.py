@@ -1,16 +1,23 @@
 """Tables of typed columns loaded from CSV, plus range and name resolution.
 
 CSV input follows RFC 4180: UTF-8, ``,`` separator, ``"`` quoting with
-``""`` escapes. The reader is strict about quoting and is hand-rolled so
-that an unquoted empty field (blank) can be told apart from a quoted
-empty string ``""`` (empty text) -- the stdlib csv module collapses the
-two.
+``""`` escapes, records ended by CRLF, CR or LF. One leading U+FEFF (the
+byte order mark of Excel's "CSV UTF-8") is dropped; CsvError lines and
+byte offsets still count it. Text with no ``"`` is split by ``str``
+methods; text with one takes a compiled field pattern per field, and
+lines are counted only to report a quoting error. Cells are typed a
+column at a time. The stdlib csv module cannot tell an unquoted empty
+field (blank) from a quoted ``""`` (empty text) before Python 3.12.
 """
 
 from __future__ import annotations
 
+import re
+from collections.abc import Sequence
+from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
+from math import isfinite
 
 from .formula import CellRef, Expr, NameRef, RangeRef, index_to_col_letters
 from .values import ErrorKind, Value, is_number, parse_number, value_type
@@ -140,130 +147,127 @@ def load_csv(data: bytes | str, *, has_header: bool = True, table_name: str = "t
             raise CsvError(line, f"invalid UTF-8 at byte {exc.start}") from exc
     else:
         text = data
+    if text.startswith("\ufeff"):
+        text = text[1:]
 
-    records = _read_records(text)
-    if not records:
+    record, columns, quoted_empty = _split_quoted(text) if '"' in text else _split_plain(text)
+    if not columns:
         return Table(table_name, (), ())
 
-    width = max(len(fields) for fields, _ in records)
-    if has_header:
-        header_fields, header_line = records[0]
-        data_records = records[1:]
-        headers = [raw for raw, _quoted in header_fields]
-        for i in range(len(headers), width):
-            headers.append(f"C{i + 1}")
+    width = len(columns)
+    if has_header:  # the first record, which starts on line 1
+        headers = record + [f"C{i + 1}" for i in range(len(record), width)]
         seen: set[str] = set()
         for h in headers:
             if not h:
-                raise CsvError(header_line, "empty header")
+                raise CsvError(1, "empty header")
             if h.lower() in seen:
-                raise CsvError(header_line, f"duplicate header {h!r}")
+                raise CsvError(1, f"duplicate header {h!r}")
             seen.add(h.lower())
     else:
         headers = [f"C{i + 1}" for i in range(width)]
-        data_records = records
-
-    columns: list[list[Value]] = [[] for _ in range(width)]
-    for fields, _line in data_records:
-        for c in range(width):
-            if c < len(fields):
-                raw, quoted = fields[c]
-                columns[c].append(_type_cell(raw, quoted))
-            else:
-                columns[c].append(None)
-
-    return Table(table_name, tuple(headers), tuple(tuple(col) for col in columns))
+    first = 1 if has_header else 0
+    typed = [_type_column(col[first:]) for col in columns]
+    for r, c in quoted_empty:
+        if r >= first:
+            typed[c][r - first] = ""
+    return Table(table_name, tuple(headers), tuple(map(tuple, typed)))
 
 
-def _type_cell(raw: str, quoted: bool) -> Value:
-    if raw == "":
-        return "" if quoted else None
-    upper = raw.upper()
-    if upper == "TRUE":
-        return True
-    if upper == "FALSE":
-        return False
-    x = parse_number(raw)
-    if x is not None:
-        return x
-    return raw
+# one field, quoted (with "" escapes) or not, and the separator after it
+_FIELD = re.compile(r'(?:"([^"]*(?:""[^"]*)*)"|([^,"\r\n]*))(,|\r\n|\r|\n|\Z)')
+_QUOTED = re.compile(r'"[^"]*(?:""[^"]*)*"(?!")')
+# characters of numerals and of the "," that joins a column's fields, and
+# a point with no digit after it, as in "1." or "1.e5"
+_NUMERAL_CHARS = re.compile(r"[0-9.eE+,-]*\Z")
+_BARE_POINT = re.compile(r"\.(?![0-9])")
 
 
-_Field = tuple[str, bool]  # (text, was quoted)
+def _split_plain(text: str) -> tuple[list[str], list[Sequence[str]], tuple]:
+    """Fields of text that holds no quote: the first record, the columns
+    and no quoted fields. Not str.splitlines, which also breaks at \\v,
+    \\f, \\x1c-\\x1e, \\x85 and U+2028/9. When every line has as many
+    fields, a column is a stride of one split of all fields."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    commas = set(map(str.count, lines, repeat(",")))
+    if len(commas) != 1:
+        return (*_transpose([line.split(",") for line in lines]), ())
+    width = commas.pop() + 1
+    fields = ",".join(lines).split(",")
+    return fields[:width], [fields[c::width] for c in range(width)], ()
 
 
-def _read_records(text: str) -> list[tuple[list[_Field], int]]:
-    """Strict RFC-4180 splitter; returns (fields, starting line) per record."""
-    records: list[tuple[list[_Field], int]] = []
-    fields: list[_Field] = []
-    buf: list[str] = []
-    quoted = False
-    saw_any = False  # current record has content or separators
-    line = 1
-    record_line = 1
-    i = 0
-    n = len(text)
+def _transpose(rows: list[list[str]]) -> tuple[list[str], list[Sequence[str]]]:
+    """The first record and the columns of *rows*, padded with unquoted
+    empty fields (blanks)."""
+    record = rows[0][:] if rows else []
+    width = max(map(len, rows), default=0)
+    for row in rows:
+        if len(row) < width:
+            row.extend([""] * (width - len(row)))
+    return record, list(zip(*rows))
 
-    def end_field():
-        nonlocal buf, quoted
-        fields.append(("".join(buf), quoted))
-        buf = []
-        quoted = False
 
-    def end_record():
-        nonlocal fields, saw_any, record_line
-        end_field()
-        records.append((fields, record_line))
-        fields = []
-        saw_any = False
-        record_line = line
+def _split_quoted(text: str) -> tuple[list[str], list[Sequence[str]], list[tuple[int, int]]]:
+    """Fields of text that holds a quote: the first record, the columns
+    and the (record, field) positions of the quoted empty fields, which
+    are empty text."""
+    rows: list[list[str]] = []
+    row: list[str] = []
+    quoted_empty = []
+    pos, end = 0, len(text)
+    while pos < end or row:
+        m = _FIELD.match(text, pos)
+        if m is None:
+            raise _quote_error(text, pos)
+        quoted, plain, sep = m.groups()
+        if quoted == "":
+            quoted_empty.append((len(rows), len(row)))
+        row.append(plain if quoted is None else quoted.replace('""', '"'))
+        pos = m.end()
+        if sep != ",":
+            rows.append(row)
+            row = []
+    return (*_transpose(rows), quoted_empty)
 
-    while i < n:
-        ch = text[i]
-        if ch == '"':
-            if buf or quoted:
-                raise CsvError(line, "unexpected quote inside field")
-            quoted = True
-            saw_any = True
-            i += 1
-            open_line = line
-            while True:
-                if i >= n:
-                    raise CsvError(open_line, "unterminated quoted field")
-                ch = text[i]
-                if ch == '"':
-                    if i + 1 < n and text[i + 1] == '"':
-                        buf.append('"')
-                        i += 2
-                        continue
-                    i += 1
-                    break
-                if ch == "\n":
-                    line += 1
-                buf.append(ch)
-                i += 1
-            if i < n and text[i] not in ',\r\n':
-                raise CsvError(line, "data after closing quote")
-            continue
-        if ch == ",":
-            end_field()
-            saw_any = True
-            i += 1
-            continue
-        if ch == "\r" or ch == "\n":
-            if ch == "\r" and i + 1 < n and text[i + 1] == "\n":
-                i += 1
-            line += 1
-            end_record()
-            i += 1
-            continue
-        buf.append(ch)
-        saw_any = True
-        i += 1
 
-    if saw_any or buf or fields:
-        end_record()
-    return records
+def _quote_error(text: str, pos: int) -> CsvError:
+    """The error for the field at *pos*, which _FIELD rejects. Lines are
+    counted up to it as records end, plus each LF inside a quoted field."""
+    line, at = 1, 0
+    while at < pos:
+        m = _FIELD.match(text, at)
+        line += (m[1] or "").count("\n") + (m[3] != ",")
+        at = m.end()
+    if text[pos] != '"':
+        return CsvError(line, "unexpected quote inside field")
+    m = _QUOTED.match(text, pos)
+    if m is None:
+        return CsvError(line, "unterminated quoted field")
+    return CsvError(line + m[0].count("\n"), "data after closing quote")
+
+
+def _type_column(cells: Sequence[str]) -> list[Value]:
+    """Type one column's fields, testing for a numeral first. Over the
+    characters of _NUMERAL_CHARS, float() takes exactly the numerals and
+    forms with a bare point, so a column with neither other characters
+    nor a bare point is all numerals if float() takes every field."""
+    joined = ",".join(cells)
+    if _NUMERAL_CHARS.match(joined) and not _BARE_POINT.search(joined):
+        with suppress(ValueError):  # "", "1e", "1-2", or a quoted "1,2"
+            numbers = list(map(float, cells))
+            if all(map(isfinite, numbers)):
+                return numbers
+    typed: list[Value] = []
+    for raw in cells:
+        x = parse_number(raw)
+        if x is None:
+            upper = raw.upper()
+            x = True if upper == "TRUE" else False if upper == "FALSE" else raw or None
+        typed.append(x)
+    return typed
 
 
 # ---------------------------------------------------------------------------

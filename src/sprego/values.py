@@ -45,8 +45,10 @@ _NUMERAL_RE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)(?:[eE][+-]?[0-9
 
 
 def parse_number(text: str) -> float | None:
-    """Parse a decimal numeral, returning None if *text* is not one."""
-    if not _NUMERAL_RE.match(text.strip()):
+    """Parse a decimal numeral, returning None if *text* is not one.
+    float() gets the stripped text: it rejects U+001C-U+001F, which strip drops."""
+    text = text.strip()
+    if not _NUMERAL_RE.match(text):
         return None
     x = float(text)
     if not math.isfinite(x):
@@ -56,22 +58,6 @@ def parse_number(text: str) -> float | None:
 
 def is_number(v: Value) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def is_text(v: Value) -> bool:
-    return isinstance(v, str)
-
-
-def is_logical(v: Value) -> bool:
-    return isinstance(v, bool)
-
-
-def is_error(v: Value) -> bool:
-    return isinstance(v, ErrorKind)
-
-
-def is_blank(v: Value) -> bool:
-    return v is None
 
 
 def value_type(v: Value) -> str:

@@ -5,7 +5,8 @@ from __future__ import annotations
 import random
 
 from sprego import Table
-from sprego.values import ErrorKind
+from sprego.table import CsvError
+from sprego.values import ErrorKind, Value, parse_number
 
 
 def make_table(name="t", /, **columns) -> Table:
@@ -236,3 +237,129 @@ def deep_formulas(depth: int) -> dict[str, tuple[str, int]]:
         "percent-chain": (percents, percents.rindex("%")),
         "calls-around-chain": (nested, 1),
     }
+
+
+# ---------------------------------------------------------------------------
+# CSV oracle: the character-at-a-time RFC-4180 reader and per-cell typing
+# ---------------------------------------------------------------------------
+
+
+def oracle_load_csv(text: str, has_header: bool = True) -> tuple[tuple[str, ...], list[list[Value]]]:
+    """(headers, columns) as load_csv must build them from *text*, or the
+    CsvError it must raise."""
+    if text.startswith("\ufeff"):
+        text = text[1:]
+    records = _read_records(text)
+    if not records:
+        return (), []
+    width = max(len(fields) for fields, _ in records)
+    if has_header:
+        header_fields, header_line = records[0]
+        headers = [raw for raw, _quoted in header_fields]
+        headers += [f"C{i + 1}" for i in range(len(headers), width)]
+        seen: set[str] = set()
+        for h in headers:
+            if not h:
+                raise CsvError(header_line, "empty header")
+            if h.lower() in seen:
+                raise CsvError(header_line, f"duplicate header {h!r}")
+            seen.add(h.lower())
+        records = records[1:]
+    else:
+        headers = [f"C{i + 1}" for i in range(width)]
+    columns: list[list[Value]] = [[] for _ in range(width)]
+    for fields, _line in records:
+        for c in range(width):
+            columns[c].append(_type_cell(*fields[c]) if c < len(fields) else None)
+    return tuple(headers), columns
+
+
+def _type_cell(raw: str, quoted: bool) -> Value:
+    if raw == "":
+        return "" if quoted else None
+    upper = raw.upper()
+    if upper == "TRUE":
+        return True
+    if upper == "FALSE":
+        return False
+    x = parse_number(raw)
+    if x is not None:
+        return x
+    return raw
+
+
+_Field = tuple[str, bool]  # (text, was quoted)
+
+
+def _read_records(text: str) -> list[tuple[list[_Field], int]]:
+    """Strict RFC-4180 splitter; returns (fields, starting line) per record."""
+    records: list[tuple[list[_Field], int]] = []
+    fields: list[_Field] = []
+    buf: list[str] = []
+    quoted = False
+    saw_any = False  # current record has content or separators
+    line = 1
+    record_line = 1
+    i = 0
+    n = len(text)
+
+    def end_field():
+        nonlocal buf, quoted
+        fields.append(("".join(buf), quoted))
+        buf = []
+        quoted = False
+
+    def end_record():
+        nonlocal fields, saw_any, record_line
+        end_field()
+        records.append((fields, record_line))
+        fields = []
+        saw_any = False
+        record_line = line
+
+    while i < n:
+        ch = text[i]
+        if ch == '"':
+            if buf or quoted:
+                raise CsvError(line, "unexpected quote inside field")
+            quoted = True
+            saw_any = True
+            i += 1
+            open_line = line
+            while True:
+                if i >= n:
+                    raise CsvError(open_line, "unterminated quoted field")
+                ch = text[i]
+                if ch == '"':
+                    if i + 1 < n and text[i + 1] == '"':
+                        buf.append('"')
+                        i += 2
+                        continue
+                    i += 1
+                    break
+                if ch == "\n":
+                    line += 1
+                buf.append(ch)
+                i += 1
+            if i < n and text[i] not in ',\r\n':
+                raise CsvError(line, "data after closing quote")
+            continue
+        if ch == ",":
+            end_field()
+            saw_any = True
+            i += 1
+            continue
+        if ch == "\r" or ch == "\n":
+            if ch == "\r" and i + 1 < n and text[i + 1] == "\n":
+                i += 1
+            line += 1
+            end_record()
+            i += 1
+            continue
+        buf.append(ch)
+        saw_any = True
+        i += 1
+
+    if saw_any or buf or fields:
+        end_record()
+    return records

@@ -1140,3 +1140,10 @@ def test_reimport_frees_the_old_modules():
     out = subprocess.run([sys.executable, "-c", _REIMPORT.format(src=src)], capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "1"
+
+
+def test_numeral_text_padded_with_information_separators_coerces():
+    # str.strip drops U+001C-U+001F, float() alone rejects them
+    t = make_table(v=(1,))
+    for src in ['="1\x1c"+0', '="\x1f1"*1', '=COUNTIF(v,"\x1e1")']:
+        assert evaluate(parse(src), EvalContext(t)) == 1.0, src

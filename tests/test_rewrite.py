@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from sprego import evaluator
 from sprego.evaluator import BASELINE_FUNCTIONS, EvalContext, evaluate, precedents
 from sprego.formula import NameRef, format, parse
-from sprego.rewrite import DiagnosticCode, lint, non_sprego_calls, rewrite
+from sprego.rewrite import DiagnosticCode, _contains_rand, lint, non_sprego_calls, rewrite
 
 from helpers import make_table
 
@@ -312,3 +313,44 @@ def test_random_baseline_mixes_close_under_rewrite():
         out, plans = rewrite(parse(src))
         assert plans
         assert non_sprego_calls(out) == []
+
+
+# ---------------------------------------------------------------------------
+# nested IFERRORs share their x: each shared node is visited once
+# ---------------------------------------------------------------------------
+
+
+def _nested_iferror(levels, inner="1/0"):
+    return "=" + "IFERROR(" * levels + inner + ",0)" * levels
+
+
+@pytest.fixture
+def visits(monkeypatch):
+    """The operator and call nodes the id-keyed walk visits, in order."""
+    seen = []
+    counting = {
+        kind: (lambda operands: lambda node: seen.append(node) or operands(node))(operands)
+        for kind, operands in evaluator._OPERANDS.items()
+    }
+    monkeypatch.setattr(evaluator, "_OPERANDS", counting)
+    return seen
+
+
+def test_nested_iferror_rewrite_visits_each_node_once(visits):
+    for levels in (12, 30):  # 12 first: a walk by paths fails there, in time
+        visits.clear()
+        out, plans = rewrite(parse(_nested_iferror(levels)))
+        assert [p.rule_id for p in plans] == ["R7"] * levels
+        # level k checks its x for RAND(): the 2k - 1 distinct nodes of the
+        # k - 1 levels below it, where walk() would take 2**k - 1 paths
+        assert len(visits) == sum(2 * k - 1 for k in range(1, levels + 1))
+        visits.clear()
+        assert not _contains_rand(out.body)
+        assert len(visits) == len({id(n) for n in visits}) == 2 * levels + 1
+
+
+def test_rand_inside_a_shared_x_is_found():
+    out, plans = rewrite(parse(_nested_iferror(30, "RAND()/0")))
+    assert all(any("RAND" in note for note in p.notes) for p in plans)
+    assert _contains_rand(out.body)
+    assert any(d.code is DiagnosticCode.VOLATILE_IN_REWRITE for d in lint(parse(_nested_iferror(2, "RAND()"))))
