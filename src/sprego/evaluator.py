@@ -18,6 +18,9 @@ over anything. Other arguments take the per-cell path, where a function
 pays for the first-error-wins check only when a scan of each range, one
 per range, finds an error. IF over a condition of logicals (or 1 and 0)
 copies the branch taken more often and overwrites the other's cells.
+The baselines do the same by type: a number criteria over a range of
+floats, and a number looked up in a vector of floats (MATCH, VLOOKUP,
+HLOOKUP), compare a range at a time; COUNT and COUNTA count cell types.
 
 A subtree that occurs more than once in the tree (the parser never shares
 nodes, a rewrite may) is evaluated once per evaluate() call and its value
@@ -44,8 +47,9 @@ import functools
 import math
 import operator
 import random
+from collections import Counter
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import chain, compress, islice, repeat
 from typing import Callable, NamedTuple
 
 from .criteria import Criteria, criteria_from_value
@@ -136,12 +140,14 @@ def _shared_nodes(expr: Expr) -> list[int]:
 
 
 def operator_nodes(expr: Expr) -> tuple[list[Expr], list[int]]:
-    """The distinct operator and call nodes of *expr*, each visited once
-    (by id) however many parents share it, and the ids met more than once."""
+    """The distinct operator and call nodes of *expr* in pre-order (source
+    order), each visited once (by id) however many parents share it, and
+    the ids met more than once."""
     seen: dict[int, Expr] = {}
     shared = []
-    nodes = [expr]
-    for node in nodes:  # grows as operands are appended
+    stack = [expr]
+    while stack:
+        node = stack.pop()
         operands = _OPERANDS.get(type(node))
         if operands is None:
             continue
@@ -149,7 +155,7 @@ def operator_nodes(expr: Expr) -> tuple[list[Expr], list[int]]:
             shared.append(id(node))
         else:
             seen[id(node)] = node
-            nodes.extend(operands(node))
+            stack.extend(reversed(operands(node)))
     return list(seen.values()), shared
 
 
@@ -218,8 +224,7 @@ def _call(expr: Call, st: _EvalState):
     spec = FUNCTION_SPECS.get(expr.func)
     if spec is None:
         return ErrorKind.NAME
-    n = len(expr.args)
-    if n < spec.min_args or (spec.max_args is not None and n > spec.max_args):
+    if not spec.takes(len(expr.args)):
         return ErrorKind.VALUE
 
     if spec.call == "raw":
@@ -507,6 +512,16 @@ def match_position(lookup: Value, vec, match_type: int) -> Value:
         return lookup
 
     exact = match_type == 0
+    if type(lookup) is float and _all_floats(view):
+        # the scan below, over floats: stop at the first cell equal to the
+        # lookup (type 0) or past it (types 1 and -1)
+        stop = COMPARISONS["=" if exact else ">" if match_type > 0 else "<"]
+        try:
+            i = operator.indexOf(map(stop, view.cells, repeat(lookup)), True)
+        except ValueError:  # no cell stops the scan
+            return ErrorKind.NA if exact else len(view) or ErrorKind.NA
+        return i + 1 if exact else i or ErrorKind.NA
+
     keep = COMPARISONS["=" if exact else "<=" if match_type > 0 else ">="]
     best: int | None = None
     for i, v in enumerate(view.cells, 1):
@@ -766,11 +781,7 @@ def _if_cell(c, then_cell, else_cell):
 
 
 def _iter_cells(args):
-    for a in args:
-        if isinstance(a, RangeView):
-            yield from a.cells
-        else:
-            yield a
+    return chain.from_iterable(a.cells if isinstance(a, RangeView) else (a,) for a in args)
 
 
 def _fn_sum(args, st):
@@ -866,17 +877,15 @@ def _fn_small_large(reverse):
 def _fn_count(args, st):
     # error cells are ignored, not propagated: the SUM(IF(ISERROR(r+0),...))
     # replacement swallows them the same way
-    return float(sum(1 for v in _iter_cells(args) if is_number(v)))
+    types = Counter(map(type, _iter_cells(args)))
+    return float(sum(n for t, n in types.items() if issubclass(t, (int, float)) and t is not bool))
 
 
 def _fn_counta(args, st):
-    count = 0
-    for v in _iter_cells(args):
-        if isinstance(v, ErrorKind):
-            return v
-        if v is not None:
-            count += 1
-    return float(count)
+    types = Counter(map(type, _iter_cells(args)))
+    if ErrorKind in types:
+        return next(v for v in _iter_cells(args) if type(v) is ErrorKind)
+    return float(types.total() - types[type(None)])
 
 
 def _scalar_arg(v, st: _EvalState):
@@ -899,9 +908,9 @@ def _criteria_arg(v, st: _EvalState) -> Criteria | ErrorKind:
 
 def _criteria_reduce(sums, pair_args, st):
     """The one loop behind COUNTIF(S), SUMIF(S) and AVERAGEIF: over
-    (range, criteria) argument pairs and an optional sum range, return
-    (rows matched, sum of the numbers in *sums* on those rows) or the
-    first error met.
+    (range, criteria) argument pairs and a sum range, return (rows
+    matched, sum of the numbers in *sums* on those rows) or the first
+    error met. With *sums* None it only counts, and the sum is 0.0.
 
     Each criteria argument is read before its range's size is checked,
     pair by pair, then the sum range's size. Rows are walked in order;
@@ -918,23 +927,35 @@ def _criteria_reduce(sums, pair_args, st):
         if pairs and len(view) != len(pairs[0][0]):
             return ErrorKind.VALUE
         pairs.append((view, crit))
-    (view, crit), *rest = pairs
-    if sums is None:
-        sums = view
-    elif len(sums) != len(view):
+    if sums is not None and len(sums) != len(pairs[0][0]):
         return ErrorKind.VALUE
 
     # per row, the first criteria result that is not True: False on a
-    # miss, the error of an error cell, True when every criteria matched
-    matches = crit.matches
-    hits = [matches(v) for v in view.cells]
-    for view, crit in rest:
+    # miss, the error of an error cell, True when every criteria matched.
+    # A number criteria over a range of floats is the plain comparison,
+    # made per range; its hits AND into hits that are all logicals.
+    hits = None
+    logicals = True  # every hit so far is TRUE or FALSE
+    for view, crit in pairs:
+        if logicals and type(crit.operand) is float and _all_floats(view):
+            found = map(crit.test, view.cells, repeat(crit.operand))
+            hits = list(found if hits is None else map(operator.and_, hits, found))
+            continue
         matches = crit.matches
-        hits = [h if h is not True else matches(v) for h, v in zip(hits, view.cells)]
+        if hits is None:
+            hits = [matches(v) for v in view.cells]
+        else:
+            hits = [h if h is not True else matches(v) for h, v in zip(hits, view.cells)]
+        logicals = ErrorKind not in map(type, hits)
+
+    if logicals and (sums is None or _all_floats(sums)):
+        # the loop below when no hit is an error and the sum cells are floats
+        total = 0.0 if sums is None else functools.reduce(operator.add, compress(sums.cells, hits), 0.0)
+        return hits.count(True), total
 
     matched = 0
     total = 0.0
-    for h, s in zip(hits, sums.cells):
+    for h, s in zip(hits, repeat(None) if sums is None else sums.cells):
         if h is True:
             if isinstance(s, ErrorKind):
                 return s
@@ -966,7 +987,7 @@ def _fn_sumif(args, st):
 
 
 def _fn_averageif(args, st):
-    reduced = _criteria_reduce(_as_view(args[2]) if len(args) > 2 else None, args[:2], st)
+    reduced = _criteria_reduce(_as_view(args[2] if len(args) > 2 else args[0]), args[:2], st)
     if isinstance(reduced, ErrorKind):
         return reduced
     matched, total = reduced
@@ -1159,6 +1180,11 @@ class FunctionSpec:
     kernel: Kernel | None
     shape: str
     competency: str | None
+
+    def takes(self, n: int) -> bool:
+        """Whether *n* arguments fit the arity; a call with any other
+        number is a VALUE error."""
+        return self.min_args <= n and (self.max_args is None or n <= self.max_args)
 
 
 def _spec(name, lo, hi, group, call, impl, *, propagate=True, kernel=None, shape=None, competency=None):

@@ -25,7 +25,7 @@ import enum
 from dataclasses import dataclass
 
 from .criteria import UnsupportedCriteria, criteria_expr
-from .evaluator import BASELINE_FUNCTIONS, SPREGO_FUNCTIONS, operator_nodes
+from .evaluator import BASELINE_FUNCTIONS, FUNCTION_SPECS, SPREGO_FUNCTIONS, operator_nodes
 from .formula import (
     Binary,
     BoolLit,
@@ -145,6 +145,8 @@ def _plan_for_call(call: Call, table: Table | None) -> tuple[_Plan | None, str |
     rewritable. Raises UnsupportedCriteria on wildcards."""
     name = call.func
     args = call.args
+    if not FUNCTION_SPECS[name].takes(len(args)):
+        return None, f"{name}() with {len(args)} arguments is a #VALUE! error"
 
     if name == "COUNTIF":
         crit = criteria_expr(args[1])
@@ -443,6 +445,8 @@ def _transform(expr: Expr, table: Table | None, plans: list[RewritePlan]) -> tup
 
 
 def non_sprego_calls(formula: Formula | Expr) -> list[Call]:
-    """Calls outside the core and extended sets, in source order."""
+    """Calls outside the core and extended sets, in source order; a call
+    that a rewrite shares between parents is listed once."""
     expr = formula.body if isinstance(formula, Formula) else formula
-    return [n for n in walk(expr) if isinstance(n, Call) and n.func not in SPREGO_FUNCTIONS]
+    nodes, _shared = operator_nodes(expr)
+    return [n for n in nodes if isinstance(n, Call) and n.func not in SPREGO_FUNCTIONS]

@@ -111,12 +111,11 @@ class RangeView:
         return self.cells[i - 1]
 
     def column(self, col: int) -> "RangeView":
-        cells = tuple(self.at(r, col) for r in range(1, self.rows + 1))
-        return RangeView(self.rows, 1, cells)
+        return RangeView(self.rows, 1, self.cells[col - 1 :: self.cols])
 
     def row(self, row: int) -> "RangeView":
-        cells = tuple(self.at(row, c) for c in range(1, self.cols + 1))
-        return RangeView(1, self.cols, cells)
+        start = (row - 1) * self.cols
+        return RangeView(1, self.cols, self.cells[start : start + self.cols])
 
 
 def vector(values) -> RangeView:

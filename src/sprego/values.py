@@ -75,6 +75,10 @@ def value_type(v: Value) -> str:
 
 def number_to_text(x: float) -> str:
     """Canonical text form of a number: no trailing .0 on integral values."""
+    if type(x) is float:
+        # repr writes an integral float below 1e16 as digits and ".0", and
+        # any other float without that ending
+        return "0" if x == 0 else repr(x).removesuffix(".0")
     if x == int(x) and abs(x) < 1e16:
         return str(int(x))
     return repr(float(x))

@@ -5,8 +5,9 @@ from __future__ import annotations
 import random
 
 from sprego import Table
-from sprego.table import CsvError
-from sprego.values import ErrorKind, Value, parse_number
+from sprego.evaluator import _as_view, _criteria_arg
+from sprego.table import CsvError, RangeView
+from sprego.values import COMPARISONS, ErrorKind, Value, compare_values, is_number, parse_number
 
 
 def make_table(name="t", /, **columns) -> Table:
@@ -363,3 +364,113 @@ def _read_records(text: str) -> list[tuple[list[_Field], int]]:
     if saw_any or buf or fields:
         end_record()
     return records
+
+
+# ---------------------------------------------------------------------------
+# Per-cell references for the baselines' per-range paths: the loops the
+# evaluator ran on every input before, which it still runs on inputs the
+# per-range paths do not take
+# ---------------------------------------------------------------------------
+
+
+def reference_match_position(lookup: Value, vec, match_type: int) -> Value:
+    """evaluator.match_position as a scan of compare_values, cell by cell."""
+    view = _as_view(vec)
+    if not view.is_vector:
+        return ErrorKind.VALUE
+    if isinstance(lookup, ErrorKind):
+        return lookup
+
+    exact = match_type == 0
+    keep = COMPARISONS["=" if exact else "<=" if match_type > 0 else ">="]
+    best: int | None = None
+    for i, v in enumerate(view.cells, 1):
+        c = compare_values(v, lookup)
+        if isinstance(c, ErrorKind):
+            continue
+        if keep(c, 0):
+            best = i
+            if exact:
+                break
+        elif not exact:
+            break
+    return best if best is not None else ErrorKind.NA
+
+
+def reference_criteria_reduce(sums, pair_args, st):
+    """evaluator._criteria_reduce with Criteria.matches per cell; *sums*
+    None means the first range."""
+    pairs = []
+    for j in range(0, len(pair_args), 2):
+        view = _as_view(pair_args[j])
+        crit = _criteria_arg(pair_args[j + 1], st)
+        if isinstance(crit, ErrorKind):
+            return crit
+        if pairs and len(view) != len(pairs[0][0]):
+            return ErrorKind.VALUE
+        pairs.append((view, crit))
+    (view, crit), *rest = pairs
+    if sums is None:
+        sums = view
+    elif len(sums) != len(view):
+        return ErrorKind.VALUE
+
+    # per row, the first criteria result that is not True: False on a
+    # miss, the error of an error cell, True when every criteria matched
+    matches = crit.matches
+    hits = [matches(v) for v in view.cells]
+    for view, crit in rest:
+        matches = crit.matches
+        hits = [h if h is not True else matches(v) for h, v in zip(hits, view.cells)]
+
+    matched = 0
+    total = 0.0
+    for h, s in zip(hits, sums.cells):
+        if h is True:
+            if isinstance(s, ErrorKind):
+                return s
+            matched += 1
+            if is_number(s):
+                total += s
+        elif h is not False:
+            return h
+    return matched, total
+
+
+def _reference_iter_cells(args):
+    for a in args:
+        if isinstance(a, RangeView):
+            yield from a.cells
+        else:
+            yield a
+
+
+def reference_count(args, st):
+    return float(sum(1 for v in _reference_iter_cells(args) if is_number(v)))
+
+
+def reference_counta(args, st):
+    count = 0
+    for v in _reference_iter_cells(args):
+        if isinstance(v, ErrorKind):
+            return v
+        if v is not None:
+            count += 1
+    return float(count)
+
+
+def reference_column(self: RangeView, col: int) -> RangeView:
+    cells = tuple(self.at(r, col) for r in range(1, self.rows + 1))
+    return RangeView(self.rows, 1, cells)
+
+
+def reference_row(self: RangeView, row: int) -> RangeView:
+    cells = tuple(self.at(row, c) for c in range(1, self.cols + 1))
+    return RangeView(1, self.cols, cells)
+
+
+def oracle_number_to_text(x: float) -> str:
+    """values.number_to_text through int(): the form for every number."""
+    if x == int(x) and abs(x) < 1e16:
+        return str(int(x))
+    return repr(float(x))

@@ -382,3 +382,11 @@ def test_identical_invocations_identical_bytes(capsys, csv_path):
     _, a, _ = run(capsys, *args)
     _, b, _ = run(capsys, *args)
     assert a == b
+
+
+def test_rewrite_reports_a_shared_leftover_once(capsys):
+    code, _, err = run(capsys, "rewrite", "--formula", '=IFERROR(COUNTIF(a,"*x"),0)')
+    assert code == 1
+    assert err.count("not rewritten: COUNTIF()") == 1
+    _, out, _ = run(capsys, "rewrite", "--formula", '=IFERROR(COUNTIF(a,"*x"),0)', "--format", "json")
+    assert json.loads(out)["unrewritten_calls"] == ["COUNTIF"]

@@ -354,3 +354,31 @@ def test_rand_inside_a_shared_x_is_found():
     assert all(any("RAND" in note for note in p.notes) for p in plans)
     assert _contains_rand(out.body)
     assert any(d.code is DiagnosticCode.VOLATILE_IN_REWRITE for d in lint(parse(_nested_iferror(2, "RAND()"))))
+
+
+def test_shared_leftover_call_is_listed_once_in_source_order():
+    out, _ = rewrite(parse('=IFERROR(COUNTIF(a,"*x"),0)+COUNTIF(b,"*y")'))
+    assert [c.args[0].name for c in non_sprego_calls(out)] == ["a", "b"]
+    # calls that only look alike are distinct calls
+    twice = parse('=COUNTIF(a,"*x")+COUNTIF(a,"*x")')
+    assert [c.func for c in non_sprego_calls(twice)] == ["COUNTIF", "COUNTIF"]
+
+
+def test_leftover_calls_of_30_shared_levels_visit_each_node_once(visits):
+    out, _ = rewrite(parse(_nested_iferror(30, 'COUNTIF(a,"*x")')))
+    visits.clear()
+    assert [c.func for c in non_sprego_calls(out)] == ["COUNTIF"]
+    assert len(visits) == 2 * 30 + 1
+
+
+@pytest.mark.parametrize("name", sorted(BASELINE_FUNCTIONS))
+def test_baseline_call_with_wrong_arity_is_left_alone(name):
+    spec = evaluator.FUNCTION_SPECS[name]
+    counts = [spec.min_args - 1] + ([spec.max_args + 1] if spec.max_args is not None else [])
+    for count in counts:
+        src = f"={name}({','.join(['A1'] * count)})+0"
+        out, plans = rewrite(parse(src))
+        assert plans == [] and format(out) == src
+        [diag] = lint(parse(src))
+        assert diag.code is DiagnosticCode.NON_SPREGO_FUNCTION and not diag.rewrite_available
+        assert "#VALUE!" in diag.message
