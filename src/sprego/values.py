@@ -75,13 +75,9 @@ def value_type(v: Value) -> str:
 
 def number_to_text(x: float) -> str:
     """Canonical text form of a number: no trailing .0 on integral values."""
-    if type(x) is float:
-        # repr writes an integral float below 1e16 as digits and ".0", and
-        # any other float without that ending
-        return "0" if x == 0 else repr(x).removesuffix(".0")
-    if x == int(x) and abs(x) < 1e16:
-        return str(int(x))
-    return repr(float(x))
+    # repr writes an integral float below 1e16 as digits and ".0", and any
+    # other float without that ending; x == 0 covers -0.0
+    return "0" if x == 0 else repr(float(x)).removesuffix(".0")
 
 
 def format_value(v: Value) -> str:
