@@ -54,6 +54,8 @@ from typing import Callable, NamedTuple
 
 from .criteria import Criteria, criteria_from_value
 from .formula import (
+    MAX_COLUMNS,
+    MAX_ROWS,
     Binary,
     BoolLit,
     Call,
@@ -936,10 +938,12 @@ def _criteria_reduce(sums, pair_args, st):
     # made per range; its hits AND into hits that are all logicals.
     hits = None
     logicals = True  # every hit so far is TRUE or FALSE
+    sums_floats = sums is None  # or found all floats by a pair below
     for view, crit in pairs:
         if logicals and type(crit.operand) is float and _all_floats(view):
             found = map(crit.test, view.cells, repeat(crit.operand))
             hits = list(found if hits is None else map(operator.and_, hits, found))
+            sums_floats = sums_floats or view is sums
             continue
         matches = crit.matches
         if hits is None:
@@ -948,7 +952,7 @@ def _criteria_reduce(sums, pair_args, st):
             hits = [h if h is not True else matches(v) for h, v in zip(hits, view.cells)]
         logicals = ErrorKind not in map(type, hits)
 
-    if logicals and (sums is None or _all_floats(sums)):
+    if logicals and (sums_floats or _all_floats(sums)):
         # the loop below when no hit is an error and the sum cells are floats
         total = 0.0 if sums is None else functools.reduce(operator.add, compress(sums.cells, hits), 0.0)
         return hits.count(True), total
@@ -1065,16 +1069,13 @@ def _lookup(args, st, *, by_row: bool):
 
 
 def _ref_rect(ref: Expr, table: Table):
-    """(row, col, rows, cols) of a reference argument, unchecked."""
-    if isinstance(ref, CellRef):
-        return ref.row, ref.col, 1, 1
-    if isinstance(ref, RangeRef):
-        return (
-            ref.start.row,
-            ref.start.col,
-            ref.end.row - ref.start.row + 1,
-            ref.end.col - ref.start.col + 1,
-        )
+    """(row, col, rows, cols) of a reference argument; #REF! when it
+    reaches past the sheet's last row or column and the table's too."""
+    if isinstance(ref, (CellRef, RangeRef)):
+        start, end = (ref, ref) if isinstance(ref, CellRef) else (ref.start, ref.end)
+        if end.row > max(MAX_ROWS, table.row_count) or end.col > max(MAX_COLUMNS, table.column_count):
+            return ErrorKind.REF
+        return start.row, start.col, end.row - start.row + 1, end.col - start.col + 1
     if isinstance(ref, NameRef):
         idx = table.column_index(ref.name)
         if idx is None:

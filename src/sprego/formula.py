@@ -1,6 +1,7 @@
-"""Formula language: tokenizer, recursive-descent parser, and printer.
+"""Formula language: tokenizer, precedence-climbing parser, and printer.
 
-Operator precedence, highest to lowest:
+Operator precedence, highest to lowest (the binary levels are the one
+table ``_BINARY_PREC``, which both the parser and the printer read):
 
     range         :                    (between cell references only)
     unary         -  +                 (unary minus binds tighter than ^,
@@ -85,16 +86,38 @@ class Token:
 
 
 _CELLREF_RE = re.compile(r"(\$?)([A-Za-z]+)(\$?)([1-9][0-9]*)")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(r"(?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
-_WS_RE = re.compile(r"[ \t\r\n]+")
 
-_TWO_CHAR_OPS = ("<=", ">=", "<>")
-_ONE_CHAR_OPS = "+-*/^&%:=<>"
-_PUNCT = "(),{}"
+# One alternative per token kind, tried in order; each group is named after
+# its TokenKind. A number or cell ref must not run straight into more word
+# characters, and a string ends at the first quote that is not doubled.
+# re.ASCII keeps the case-blind TRUE/FALSE from matching letters such as
+# U+017F, which case-fold to ASCII ones.
+_TOKEN_RE = re.compile(
+    r"""
+      (?P<SPACE>[ \t\r\n]+)
+    | (?P<STRING>"(?:[^"]|"")*"(?!"))
+    | (?P<NUMBER>(?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?(?![A-Za-z0-9_$.]))
+    | (?P<CELLREF>\$?[A-Za-z]+\$?[1-9][0-9]*(?![A-Za-z0-9_$.]))
+    | (?P<BOOL>(?i:TRUE|FALSE)(?![A-Za-z0-9_]))
+    | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<OP><=|>=|<>|[-+*/^&%:=<>])
+    | (?P<PUNCT>[(),{}])
+    """,
+    re.VERBOSE | re.ASCII,
+)
+_KINDS = {kind.name: kind for kind in TokenKind}
 
-# A cell ref or number must not run straight into more word characters.
-_WORD_CHAR = re.compile(r"[A-Za-z0-9_$.]")
+
+def _lex_error(source: str, pos: int) -> LexError:
+    """The error for a token that cannot start at *pos*, by its first character."""
+    ch = source[pos]
+    if ch == '"':
+        return LexError(pos, "unterminated string literal")
+    if ch.isdigit() or ch == ".":
+        return LexError(pos, "malformed number")
+    if ch == "$":
+        return LexError(pos, "expected cell reference after '$'")
+    return LexError(pos, f"unexpected character {ch!r}")
 
 
 def tokenize(source: str) -> list[Token]:
@@ -103,68 +126,13 @@ def tokenize(source: str) -> list[Token]:
     reproduces the source."""
     tokens: list[Token] = []
     pos = 0
-    n = len(source)
-    while pos < n:
-        m = _WS_RE.match(source, pos)
-        if m:
-            pos = m.end()
-            continue
-        ch = source[pos]
-
-        if ch == '"':
-            end = pos + 1
-            while True:
-                if end >= n:
-                    raise LexError(pos, "unterminated string literal")
-                if source[end] == '"':
-                    if end + 1 < n and source[end + 1] == '"':
-                        end += 2  # escaped quote
-                        continue
-                    end += 1
-                    break
-                end += 1
-            tokens.append(Token(TokenKind.STRING, source[pos:end], (pos, end)))
-            pos = end
-            continue
-
-        if ch.isdigit() or ch == ".":
-            m = _NUMBER_RE.match(source, pos)
-            if not m or (m.end() < n and _WORD_CHAR.match(source[m.end()])):
-                raise LexError(pos, "malformed number")
-            tokens.append(Token(TokenKind.NUMBER, m.group(), (pos, m.end())))
-            pos = m.end()
-            continue
-
-        if ch == "$" or ch.isalpha() or ch == "_":
-            m = _CELLREF_RE.match(source, pos)
-            if m and not (m.end() < n and _WORD_CHAR.match(source[m.end()])):
-                tokens.append(Token(TokenKind.CELLREF, m.group(), (pos, m.end())))
-                pos = m.end()
-                continue
-            if ch == "$":
-                raise LexError(pos, "expected cell reference after '$'")
-            m = _IDENT_RE.match(source, pos)
-            assert m is not None
-            kind = TokenKind.BOOL if m.group().upper() in ("TRUE", "FALSE") else TokenKind.IDENT
-            tokens.append(Token(kind, m.group(), (pos, m.end())))
-            pos = m.end()
-            continue
-
-        two = source[pos : pos + 2]
-        if two in _TWO_CHAR_OPS:
-            tokens.append(Token(TokenKind.OP, two, (pos, pos + 2)))
-            pos += 2
-            continue
-        if ch in _ONE_CHAR_OPS:
-            tokens.append(Token(TokenKind.OP, ch, (pos, pos + 1)))
-            pos += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(TokenKind.PUNCT, ch, (pos, pos + 1)))
-            pos += 1
-            continue
-
-        raise LexError(pos, f"unexpected character {ch!r}")
+    while pos < len(source):
+        m = _TOKEN_RE.match(source, pos)
+        if m is None:
+            raise _lex_error(source, pos)
+        if m.lastgroup != "SPACE":
+            tokens.append(Token(_KINDS[m.lastgroup], m.group(), m.span()))
+        pos = m.end()
     return tokens
 
 
@@ -268,7 +236,25 @@ def index_to_col_letters(index: int) -> str:
 # Parser
 # ---------------------------------------------------------------------------
 
-_COMPARE_OPS = tuple(COMPARISONS)
+# Binding strength, lowest first. The parser takes the level of each binary
+# operator from _BINARY_PREC, every one left-associative; the printer reads
+# every level to decide where parentheses go. Atoms never need them.
+_PREC_COMPARE = 1
+_PREC_CONCAT = 2
+_PREC_ADD = 3
+_PREC_MUL = 4
+_PREC_POW = 5
+_PREC_PERCENT = 6
+_PREC_UNARY = 7
+_PREC_ATOM = 9
+
+_BINARY_PREC = {
+    **dict.fromkeys(COMPARISONS, _PREC_COMPARE),
+    "&": _PREC_CONCAT,
+    "+": _PREC_ADD, "-": _PREC_ADD,
+    "*": _PREC_MUL, "/": _PREC_MUL,
+    "^": _PREC_POW,
+}
 
 # Excel's limit. Each parenthesis, call and prefix sign opens a level, so
 # the recursive descent never nears Python's recursion limit.
@@ -280,6 +266,12 @@ MAX_NESTING = 64
 # frames per level, so a tree this deep stays well inside Python's default
 # recursion limit of 1000.
 MAX_DEPTH = 256
+
+# Excel's last row and last column (XFD). The evaluator gives #REF! for a
+# reference that reaches past them, unless the table itself is larger, so
+# that ROW, COLUMN and OFFSET never build a range no sheet can hold.
+MAX_ROWS = 1_048_576
+MAX_COLUMNS = 16_384
 
 
 class _Parser:
@@ -313,12 +305,6 @@ class _Parser:
     def peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def next(self) -> Token | None:
-        tok = self.peek()
-        if tok is not None:
-            self.pos += 1
-        return tok
-
     def error(self, expected: str) -> ParseError:
         tok = self.peek()
         if tok is None:
@@ -339,40 +325,13 @@ class _Parser:
             return tok
         return None
 
-    # precedence ladder, lowest first
-
-    def comparison(self) -> Expr:
-        left = self.concat()
-        while (tok := self.match(*_COMPARE_OPS)) is not None:
-            right = self.concat()
-            left = self.grow(tok, Binary(tok.lexeme, left, right, span=_join(left, right)), left, right)
-        return left
-
-    def concat(self) -> Expr:
-        left = self.additive()
-        while (tok := self.match("&")) is not None:
-            right = self.additive()
-            left = self.grow(tok, Binary(tok.lexeme, left, right, span=_join(left, right)), left, right)
-        return left
-
-    def additive(self) -> Expr:
-        left = self.multiplicative()
-        while (tok := self.match("+", "-")) is not None:
-            right = self.multiplicative()
-            left = self.grow(tok, Binary(tok.lexeme, left, right, span=_join(left, right)), left, right)
-        return left
-
-    def multiplicative(self) -> Expr:
-        left = self.power()
-        while (tok := self.match("*", "/")) is not None:
-            right = self.power()
-            left = self.grow(tok, Binary(tok.lexeme, left, right, span=_join(left, right)), left, right)
-        return left
-
-    def power(self) -> Expr:
+    def binary(self, min_prec: int = _PREC_COMPARE) -> Expr:
+        """Precedence climbing: the operand, then every binary operator of
+        at least *min_prec* with its right side, grouped to the left."""
         left = self.postfix()
-        while (tok := self.match("^")) is not None:
-            right = self.postfix()
+        while (tok := self.peek()) is not None and (prec := _BINARY_PREC.get(tok.lexeme, 0)) >= min_prec:
+            self.pos += 1
+            right = self.binary(prec + 1)
             left = self.grow(tok, Binary(tok.lexeme, left, right, span=_join(left, right)), left, right)
         return left
 
@@ -438,7 +397,7 @@ class _Parser:
         if tok.lexeme == "(":
             self.nest(tok)
             self.pos += 1
-            expr = self.comparison()
+            expr = self.binary()
             self.expect(")")
             self.depth -= 1
             return expr
@@ -450,9 +409,9 @@ class _Parser:
         self.expect("(")
         args: list[Expr] = []
         if self.peek() is not None and self.peek().lexeme != ")":
-            args.append(self.comparison())
+            args.append(self.binary())
             while self.match(",") is not None:
-                args.append(self.comparison())
+                args.append(self.binary())
         close = self.expect(")")
         self.depth -= 1
         call = Call(name_tok.lexeme.upper(), tuple(args), span=(name_tok.span[0], close.span[1]))
@@ -502,7 +461,7 @@ def parse(source: str) -> Formula:
     elif tok is not None and tok.lexeme == "=":
         parser.pos += 1
 
-    body = parser.comparison()
+    body = parser.binary()
     if array_entered:
         parser.expect("}")
     if parser.peek() is not None:
@@ -513,25 +472,6 @@ def parse(source: str) -> Formula:
 # ---------------------------------------------------------------------------
 # Printer
 # ---------------------------------------------------------------------------
-
-# Node precedence for parenthesization; atoms never need parens.
-_PREC_COMPARE = 1
-_PREC_CONCAT = 2
-_PREC_ADD = 3
-_PREC_MUL = 4
-_PREC_POW = 5
-_PREC_PERCENT = 6
-_PREC_UNARY = 7
-_PREC_ATOM = 9
-
-_BINARY_PREC = {
-    **dict.fromkeys(COMPARISONS, _PREC_COMPARE),
-    "&": _PREC_CONCAT,
-    "+": _PREC_ADD, "-": _PREC_ADD,
-    "*": _PREC_MUL, "/": _PREC_MUL,
-    "^": _PREC_POW,
-}
-
 
 def _prec(expr: Expr) -> int:
     if isinstance(expr, Binary):

@@ -3,9 +3,33 @@
 from __future__ import annotations
 
 import random
+import re
+from itertools import repeat
 
 from sprego import Table
 from sprego.evaluator import _as_view, _criteria_arg
+from sprego.formula import (
+    _CELLREF_RE,
+    MAX_DEPTH,
+    MAX_NESTING,
+    Binary,
+    BoolLit,
+    Call,
+    Expr,
+    Formula,
+    LexError,
+    NameRef,
+    NumberLit,
+    ParseError,
+    RangeRef,
+    TextLit,
+    Token,
+    TokenKind,
+    Unary,
+    _cellref_from_token,
+    _join,
+    _normalize_range,
+)
 from sprego.table import CsvError, RangeView
 from sprego.values import COMPARISONS, ErrorKind, Value, compare_values, is_number, parse_number
 
@@ -474,3 +498,289 @@ def oracle_number_to_text(x: float) -> str:
     if x == int(x) and abs(x) < 1e16:
         return str(int(x))
     return repr(float(x))
+
+
+# ---------------------------------------------------------------------------
+# Reference lexer and parser: the per-character tokenizer and the
+# recursive-descent precedence ladder that formula.tokenize and
+# formula.parse replaced, kept to compare them against
+# ---------------------------------------------------------------------------
+
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_NUMBER_RE = re.compile(r"(?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+_WS_RE = re.compile(r"[ \t\r\n]+")
+
+_TWO_CHAR_OPS = ("<=", ">=", "<>")
+_ONE_CHAR_OPS = "+-*/^&%:=<>"
+_PUNCT = "(),{}"
+
+# A cell ref or number must not run straight into more word characters.
+_WORD_CHAR = re.compile(r"[A-Za-z0-9_$.]")
+
+
+def reference_tokenize(source: str) -> list[Token]:
+    """formula.tokenize as a per-character `if` chain; raises
+    AssertionError on a letter outside ASCII."""
+    tokens: list[Token] = []
+    pos = 0
+    n = len(source)
+    while pos < n:
+        m = _WS_RE.match(source, pos)
+        if m:
+            pos = m.end()
+            continue
+        ch = source[pos]
+
+        if ch == '"':
+            end = pos + 1
+            while True:
+                if end >= n:
+                    raise LexError(pos, "unterminated string literal")
+                if source[end] == '"':
+                    if end + 1 < n and source[end + 1] == '"':
+                        end += 2  # escaped quote
+                        continue
+                    end += 1
+                    break
+                end += 1
+            tokens.append(Token(TokenKind.STRING, source[pos:end], (pos, end)))
+            pos = end
+            continue
+
+        if ch.isdigit() or ch == ".":
+            m = _NUMBER_RE.match(source, pos)
+            if not m or (m.end() < n and _WORD_CHAR.match(source[m.end()])):
+                raise LexError(pos, "malformed number")
+            tokens.append(Token(TokenKind.NUMBER, m.group(), (pos, m.end())))
+            pos = m.end()
+            continue
+
+        if ch == "$" or ch.isalpha() or ch == "_":
+            m = _CELLREF_RE.match(source, pos)
+            if m and not (m.end() < n and _WORD_CHAR.match(source[m.end()])):
+                tokens.append(Token(TokenKind.CELLREF, m.group(), (pos, m.end())))
+                pos = m.end()
+                continue
+            if ch == "$":
+                raise LexError(pos, "expected cell reference after '$'")
+            m = _IDENT_RE.match(source, pos)
+            assert m is not None
+            kind = TokenKind.BOOL if m.group().upper() in ("TRUE", "FALSE") else TokenKind.IDENT
+            tokens.append(Token(kind, m.group(), (pos, m.end())))
+            pos = m.end()
+            continue
+
+        two = source[pos : pos + 2]
+        if two in _TWO_CHAR_OPS:
+            tokens.append(Token(TokenKind.OP, two, (pos, pos + 2)))
+            pos += 2
+            continue
+        if ch in _ONE_CHAR_OPS:
+            tokens.append(Token(TokenKind.OP, ch, (pos, pos + 1)))
+            pos += 1
+            continue
+        if ch in _PUNCT:
+            tokens.append(Token(TokenKind.PUNCT, ch, (pos, pos + 1)))
+            pos += 1
+            continue
+
+        raise LexError(pos, f"unexpected character {ch!r}")
+    return tokens
+
+
+_COMPARE_OPS = tuple(COMPARISONS)
+
+
+class ReferenceParser:
+    """formula._Parser with one method per precedence level."""
+
+    def __init__(self, tokens: list[Token], source_len: int):
+        self.tokens = tokens
+        self.pos = 0
+        self.source_len = source_len
+        self.depth = 0
+        # id of each operator and call node -> its depth. Each such node is
+        # built at a token of its own, so a formula of at most MAX_DEPTH
+        # tokens cannot pass the limit and is not counted.
+        self.levels: dict[int, int] | None = {} if len(tokens) > MAX_DEPTH else None
+
+    def nest(self, tok: Token) -> None:
+        """Open one nesting level at *tok*; close it with ``depth -= 1``."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(tok.span[0], f"at most {MAX_NESTING} nesting levels", repr(tok.lexeme))
+        self.depth += 1
+
+    def grow(self, tok: Token, node: Expr, *children: Expr) -> Expr:
+        """*node*, built at *tok* over *children*, one level deeper than the
+        deepest of them; past MAX_DEPTH levels a ParseError at *tok*."""
+        if self.levels is None:
+            return node
+        level = 1 + max(map(self.levels.get, map(id, children), repeat(0)), default=0)
+        if level > MAX_DEPTH:
+            raise ParseError(tok.span[0], f"at most {MAX_DEPTH} operator and call levels", repr(tok.lexeme))
+        self.levels[id(node)] = level
+        return node
+
+    def peek(self) -> Token | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def error(self, expected: str) -> ParseError:
+        tok = self.peek()
+        if tok is None:
+            return ParseError(self.source_len, expected, "end of input")
+        return ParseError(tok.span[0], expected, repr(tok.lexeme))
+
+    def expect(self, lexeme: str) -> Token:
+        tok = self.peek()
+        if tok is None or tok.lexeme != lexeme:
+            raise self.error(repr(lexeme))
+        self.pos += 1
+        return tok
+
+    def match(self, *lexemes: str) -> Token | None:
+        tok = self.peek()
+        if tok is not None and tok.kind in (TokenKind.OP, TokenKind.PUNCT) and tok.lexeme in lexemes:
+            self.pos += 1
+            return tok
+        return None
+
+    # precedence ladder, lowest first
+
+    def comparison(self) -> Expr:
+        left = self.concat()
+        while (tok := self.match(*_COMPARE_OPS)) is not None:
+            right = self.concat()
+            left = self.grow(tok, Binary(tok.lexeme, left, right, span=_join(left, right)), left, right)
+        return left
+
+    def concat(self) -> Expr:
+        left = self.additive()
+        while (tok := self.match("&")) is not None:
+            right = self.additive()
+            left = self.grow(tok, Binary(tok.lexeme, left, right, span=_join(left, right)), left, right)
+        return left
+
+    def additive(self) -> Expr:
+        left = self.multiplicative()
+        while (tok := self.match("+", "-")) is not None:
+            right = self.multiplicative()
+            left = self.grow(tok, Binary(tok.lexeme, left, right, span=_join(left, right)), left, right)
+        return left
+
+    def multiplicative(self) -> Expr:
+        left = self.power()
+        while (tok := self.match("*", "/")) is not None:
+            right = self.power()
+            left = self.grow(tok, Binary(tok.lexeme, left, right, span=_join(left, right)), left, right)
+        return left
+
+    def power(self) -> Expr:
+        left = self.postfix()
+        while (tok := self.match("^")) is not None:
+            right = self.postfix()
+            left = self.grow(tok, Binary(tok.lexeme, left, right, span=_join(left, right)), left, right)
+        return left
+
+    def postfix(self) -> Expr:
+        expr = self.unary()
+        while (tok := self.match("%")) is not None:
+            span = (expr.span[0] if expr.span else tok.span[0], tok.span[1])
+            expr = self.grow(tok, Unary("%", expr, span=span), expr)
+        return expr
+
+    def unary(self) -> Expr:
+        tok = self.peek()
+        if tok is not None and tok.kind is TokenKind.OP and tok.lexeme in ("-", "+"):
+            self.nest(tok)
+            self.pos += 1
+            operand = self.unary()
+            self.depth -= 1
+            end = operand.span[1] if operand.span else tok.span[1]
+            return self.grow(tok, Unary(tok.lexeme, operand, span=(tok.span[0], end)), operand)
+        return self.primary()
+
+    def primary(self) -> Expr:
+        tok = self.peek()
+        if tok is None:
+            raise self.error("expression")
+
+        if tok.kind is TokenKind.NUMBER:
+            self.pos += 1
+            return NumberLit(float(tok.lexeme), span=tok.span)
+
+        if tok.kind is TokenKind.STRING:
+            self.pos += 1
+            inner = tok.lexeme[1:-1].replace('""', '"')
+            return TextLit(inner, span=tok.span)
+
+        if tok.kind is TokenKind.BOOL:
+            self.pos += 1
+            return BoolLit(tok.lexeme.upper() == "TRUE", span=tok.span)
+
+        if tok.kind is TokenKind.CELLREF:
+            self.pos += 1
+            nxt = self.peek()
+            if nxt is not None and nxt.lexeme == "(":
+                # a cell-ref-shaped word used as a function name
+                return self.call(tok)
+            ref = _cellref_from_token(tok)
+            if self.match(":") is not None:
+                end_tok = self.peek()
+                if end_tok is None or end_tok.kind is not TokenKind.CELLREF:
+                    raise self.error("cell reference after ':'")
+                self.pos += 1
+                start, end = _normalize_range(ref, _cellref_from_token(end_tok))
+                return RangeRef(start, end, span=(tok.span[0], end_tok.span[1]))
+            return ref
+
+        if tok.kind is TokenKind.IDENT:
+            self.pos += 1
+            nxt = self.peek()
+            if nxt is not None and nxt.lexeme == "(":
+                return self.call(tok)
+            return NameRef(tok.lexeme, span=tok.span)
+
+        if tok.lexeme == "(":
+            self.nest(tok)
+            self.pos += 1
+            expr = self.comparison()
+            self.expect(")")
+            self.depth -= 1
+            return expr
+
+        raise self.error("expression")
+
+    def call(self, name_tok: Token) -> Expr:
+        self.nest(name_tok)
+        self.expect("(")
+        args: list[Expr] = []
+        if self.peek() is not None and self.peek().lexeme != ")":
+            args.append(self.comparison())
+            while self.match(",") is not None:
+                args.append(self.comparison())
+        close = self.expect(")")
+        self.depth -= 1
+        call = Call(name_tok.lexeme.upper(), tuple(args), span=(name_tok.span[0], close.span[1]))
+        return self.grow(name_tok, call, *args)
+
+
+def reference_parse(source: str) -> Formula:
+    """formula.parse over reference_tokenize and ReferenceParser."""
+    tokens = reference_tokenize(source)
+    parser = ReferenceParser(tokens, len(source))
+    array_entered = False
+
+    tok = parser.peek()
+    if tok is not None and tok.lexeme == "{":
+        parser.pos += 1
+        parser.expect("=")
+        array_entered = True
+    elif tok is not None and tok.lexeme == "=":
+        parser.pos += 1
+
+    body = parser.comparison()
+    if array_entered:
+        parser.expect("}")
+    if parser.peek() is not None:
+        raise parser.error("end of formula")
+    return Formula(body, array_entered)

@@ -215,3 +215,13 @@ def test_per_range_paths_run_on_float_columns(monkeypatch):
     for src in formulas:
         ev(src, blank)
     assert calls["matches"] > 0 and calls["compare"] > 0
+
+
+@pytest.mark.parametrize("src, want", [('=SUMIF(a,"<=3")', 2.0), ('=AVERAGEIF(a,"<>2")', (1e308 + 5.0) / 5)])
+def test_criteria_range_as_sum_range_is_scanned_once(monkeypatch, src, want):
+    scanned = []
+    all_floats = evaluator._all_floats
+    monkeypatch.setattr(evaluator, "_all_floats", lambda a: scanned.append(a) or all_floats(a))
+    table = make_table(a=(0.0, -0.0, 2.0, 5.0, 1e308, 5e-324))
+    assert ev(src, table) == want
+    assert [a.cells for a in scanned] == [table.columns[0]]

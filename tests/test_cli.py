@@ -354,6 +354,18 @@ def test_undecodable_formula_file_exit_2(capsys, tmp_path):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_non_ascii_letter_exit_2(capsys):
+    code, out, err = run(capsys, "parse", "--formula", "=café")
+    assert (code, out) == (2, "")
+    assert err == "error: lex error at offset 4: unexpected character 'é'\n"
+
+
+def test_row_past_the_sheet_edge(capsys):
+    # one number per row of this range would exhaust memory
+    code, out, err = run(capsys, "eval", "--formula", "{=SUM(ROW(A1:A99999999999))}")
+    assert (code, out, err) == (0, "#REF!\n", "")
+
+
 def test_bad_env_seed_exit_2(monkeypatch, capsys):
     monkeypatch.setenv("SPREGO_SEED", "abc")
     code, out, err = run(capsys, "eval", "--formula", "=RAND()")

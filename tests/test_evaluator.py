@@ -762,6 +762,22 @@ def test_row_column(nums):
     assert ev("=COLUMN()", nums) is ErrorKind.VALUE
 
 
+def test_references_past_the_sheet_edge(nums):
+    # past Excel's last row or column a reference names no cell; ROW and
+    # COLUMN would otherwise build one number per row or column of it
+    assert ev("{=SUM(ROW(A1:A99999999999))}", nums) is ErrorKind.REF
+    assert ev("=COLUMN(A1:ZZZZ1)", nums) is ErrorKind.REF
+    assert ev("=ROW(A1048576)", nums) == 1048576.0
+    assert ev("=ROW(A1048577)", nums) is ErrorKind.REF
+    assert ev("=COLUMN(XFD1)", nums) == 16384.0
+    assert ev("=COLUMN(XFE1)", nums) is ErrorKind.REF
+    assert ev("=OFFSET(A1:A99999999999,0,0,1,1)", nums) is ErrorKind.REF
+    # a table larger than the sheet moves the edge to its own
+    wide = make_table(**{f"c{i}": (1,) for i in range(16385)})
+    assert ev("=COLUMN(XFE1)", wide) == 16385.0
+    assert ev("=COLUMN(XFF1)", wide) is ErrorKind.REF
+
+
 def test_iserror_and_iferror():
     assert ev("=ISERROR(1/0)") is True
     assert ev("=ISERROR(1)") is False

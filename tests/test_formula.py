@@ -91,6 +91,23 @@ def test_tokenize_unterminated_string():
         tokenize('="abc')
 
 
+@pytest.mark.parametrize(
+    "src, offset, message",
+    [
+        ("=SUM(ñ)", 5, "unexpected character 'ñ'"),
+        ("=café", 4, "unexpected character 'é'"),
+        ("=A1é", 3, "unexpected character 'é'"),
+        ("=١", 1, "malformed number"),
+    ],
+)
+def test_tokenize_non_ascii(src, offset, message):
+    # a letter outside ASCII is no identifier character, and a digit
+    # outside ASCII no number
+    with pytest.raises(LexError) as exc:
+        tokenize(src)
+    assert (exc.value.offset, exc.value.message) == (offset, message)
+
+
 def test_cellref_token_pattern():
     import re
 
