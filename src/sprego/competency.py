@@ -14,9 +14,10 @@ marked non-evaluable and reported as not assessed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .evaluator import FUNCTION_SPECS
-from .formula import Binary, Call, Expr, Formula, NameRef, RangeRef, Span, Unary, walk
+from .formula import Binary, Call, Expr, Formula, NameRef, RangeRef, Span, Unary, children, walk
 from .table import Table
 
 BU = "BU"
@@ -132,13 +133,23 @@ class CompetencyProfile:
 def nesting_depth(expr: Expr) -> int:
     """Longest function-call-inside-function-call chain; a bare call is 1.
     Operators do not add depth."""
-    if isinstance(expr, Call):
-        return 1 + max((nesting_depth(a) for a in expr.args), default=0)
-    if isinstance(expr, Unary):
-        return nesting_depth(expr.operand)
-    if isinstance(expr, Binary):
-        return max(nesting_depth(expr.left), nesting_depth(expr.right))
-    return 0
+    return _depth(expr, {})
+
+
+def _depth(node: Expr, memo: dict[int, int]) -> int:
+    # memo holds each node with children by id, so a shared node is done once
+    own = 1 if isinstance(node, Call) else 0
+    kids = children(node)
+    if not kids:
+        return own
+    if (depth := memo.get(id(node))) is None:
+        # a loop, not max(map(...)): this runs on every REPL line
+        depth = 0
+        for kid in kids:
+            if (kid_depth := _depth(kid, memo)) > depth:
+                depth = kid_depth
+        depth = memo[id(node)] = depth + own
+    return depth
 
 
 # functions whose result is one value even over ranged arguments, and those
@@ -150,23 +161,23 @@ _RANGE_SHAPED = frozenset(n for n, s in FUNCTION_SPECS.items() if s.shape == "ra
 def static_shape(expr: Expr) -> str:
     """"vector" or "scalar": a conservative syntactic guess at the result
     shape, used to tell vector-output from one-value array formulas."""
-    if isinstance(expr, (RangeRef, NameRef)):
-        return "vector"
-    if isinstance(expr, Unary):
-        return static_shape(expr.operand)
-    if isinstance(expr, Binary):
-        if static_shape(expr.left) == "vector" or static_shape(expr.right) == "vector":
-            return "vector"
-        return "scalar"
-    if isinstance(expr, Call):
-        if expr.func in _RANGE_SHAPED:
-            return "vector" if any(isinstance(a, RangeRef) for a in expr.args) else "scalar"
-        if expr.func in _COLLAPSING:
-            return "scalar"
-        if any(static_shape(a) == "vector" for a in expr.args):
-            return "vector"
-        return "scalar"
-    return "scalar"
+    return "vector" if _vector(expr, {}) else "scalar"
+
+
+def _vector(node: Expr, memo: dict[int, bool]) -> bool:
+    if isinstance(node, (RangeRef, NameRef)):
+        return True
+    if isinstance(node, Call):
+        if node.func in _RANGE_SHAPED:
+            return any(isinstance(a, RangeRef) for a in children(node))
+        if node.func in _COLLAPSING:
+            return False
+    kids = children(node)
+    if not kids:
+        return False
+    if (vector := memo.get(id(node))) is None:
+        vector = memo[id(node)] = any(map(_vector, kids, repeat(memo)))
+    return vector
 
 
 def classify(formula: Formula | Expr) -> CompetencyProfile:

@@ -14,9 +14,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .evaluator import EvalContext, evaluate, precedents
+from .evaluator import EvalContext, contains_rand, evaluate, precedents
 from .formula import CellRef, Formula, NameRef, RangeRef, parse
-from .rewrite import _contains_rand, rewrite
+from .rewrite import rewrite
 from .table import RangeView, Table
 from .values import ErrorKind, Value, format_value, value_type
 
@@ -36,7 +36,7 @@ class ColumnSpec:
     text       strings over *alphabet*, lengths 1..maxlen
     logical    coin flips
     mixed      draws a type from *mixed_types* per cell
-    with-blanks / with-errors   numeric with injected blanks / errors
+    with-blanks / with-errors   numeric with BLANK_RATE blanks / ERROR_RATE errors
     """
 
     name: str
@@ -46,8 +46,6 @@ class ColumnSpec:
     integers: bool = False
     alphabet: tuple[str, ...] = ("a", "b", "c", "d")
     maxlen: int = 6
-    blank_rate: float = 0.25
-    error_rate: float = 0.2
     mixed_types: tuple[str, ...] = ("number", "text", "logical", "blank")
 
 
@@ -56,6 +54,9 @@ _KINDS = frozenset(
 )
 
 _ERROR_KINDS = tuple(ErrorKind)
+
+BLANK_RATE = 0.25
+ERROR_RATE = 0.2
 
 
 @dataclass(frozen=True)
@@ -104,10 +105,10 @@ def _gen_column(spec: ColumnSpec, rows: int, rng: random.Random) -> list[Value]:
     if spec.kind == "logical":
         return [rng.random() < 0.5 for _ in range(rows)]
     if spec.kind == "with-blanks":
-        return [None if rng.random() < spec.blank_rate else _draw_number(spec, rng) for _ in range(rows)]
+        return [None if rng.random() < BLANK_RATE else _draw_number(spec, rng) for _ in range(rows)]
     if spec.kind == "with-errors":
         return [
-            rng.choice(_ERROR_KINDS) if rng.random() < spec.error_rate else _draw_number(spec, rng)
+            rng.choice(_ERROR_KINDS) if rng.random() < ERROR_RATE else _draw_number(spec, rng)
             for _ in range(rows)
         ]
     # mixed
@@ -236,7 +237,7 @@ def check_equivalence(
     rewr = parse(rewritten) if isinstance(rewritten, str) else rewritten
 
     verdict = Verdict(rule_id=rule_id, name=name, trials=0)
-    if _contains_rand(orig.body) or _contains_rand(rewr.body):
+    if contains_rand(orig.body) or contains_rand(rewr.body):
         verdict.notes.append("skipped: formula contains RAND(); the pair cannot be compared value-for-value")
         return verdict
 

@@ -67,6 +67,8 @@ from .formula import (
     RangeRef,
     TextLit,
     Unary,
+    children,
+    walk,
 )
 from .table import RangeView, Table, resolve
 from .values import (
@@ -137,36 +139,24 @@ def _shared_nodes(expr: Expr) -> list[int]:
     """Ids of the operator and call nodes met more than once in the tree.
     The parser never shares a node; a rewrite may (R7 uses its x twice).
     A tree that calls RAND() shares none: each of its draws must be made."""
-    nodes, shared = operator_nodes(expr)
-    return [] if shared and any(isinstance(n, Call) and n.func == "RAND" for n in nodes) else shared
-
-
-def operator_nodes(expr: Expr) -> tuple[list[Expr], list[int]]:
-    """The distinct operator and call nodes of *expr* in pre-order (source
-    order), each visited once (by id) however many parents share it, and
-    the ids met more than once."""
-    seen: dict[int, Expr] = {}
+    seen: set[int] = set()
     shared = []
     stack = [expr]
     while stack:
         node = stack.pop()
-        operands = _OPERANDS.get(type(node))
-        if operands is None:
-            continue
-        if id(node) in seen:
-            shared.append(id(node))
-        else:
-            seen[id(node)] = node
-            stack.extend(reversed(operands(node)))
-    return list(seen.values()), shared
+        # not ranges: R1-R4 share theirs, and each evaluate would run the RAND test
+        if isinstance(node, (Unary, Binary, Call)):
+            if id(node) in seen:
+                shared.append(id(node))
+            else:
+                seen.add(id(node))
+                stack += children(node)
+    return [] if shared and contains_rand(expr) else shared
 
 
-# the operands of each operator and call node type; other nodes have none
-_OPERANDS = {
-    Binary: operator.attrgetter("left", "right"),
-    Unary: lambda node: (node.operand,),
-    Call: operator.attrgetter("args"),
-}
+def contains_rand(expr: Expr) -> bool:
+    """Whether *expr* calls RAND() anywhere."""
+    return any(isinstance(node, Call) and node.func == "RAND" for node in walk(expr))
 
 
 def _scalarize(v, st: _EvalState) -> Value:
@@ -370,8 +360,9 @@ def _div(x, y):
 
 
 def _pow(x, y):
-    if x == 0 and y == 0:
-        return ErrorKind.NUM
+    if x == 0 and y <= 0:
+        # Excel: 0^0 is #NUM!, zero to a negative power #DIV/0!
+        return ErrorKind.NUM if y == 0 else ErrorKind.DIV0
     try:
         return finite_or_error(math.pow(x, y))
     except (ValueError, OverflowError):
@@ -1267,22 +1258,7 @@ SPREGO_FUNCTIONS = CORE_FUNCTIONS | EXTENDED_FUNCTIONS
 def precedents(formula: Formula | Expr) -> list[Expr]:
     """The references syntactically present in a formula, deduplicated in
     first-appearance order. Range endpoints are not listed separately."""
-    expr = formula.body if isinstance(formula, Formula) else formula
-    out: list[Expr] = []
-
-    def visit(node: Expr):
-        if isinstance(node, (CellRef, RangeRef, NameRef)):
-            if node not in out:
-                out.append(node)
-            return
-        if isinstance(node, Unary):
-            visit(node.operand)
-        elif isinstance(node, Binary):
-            visit(node.left)
-            visit(node.right)
-        elif isinstance(node, Call):
-            for arg in node.args:
-                visit(arg)
-
-    visit(expr)
-    return out
+    nodes = walk(formula.body if isinstance(formula, Formula) else formula)
+    corners = {id(corner) for node in nodes if isinstance(node, RangeRef) for corner in children(node)}
+    refs = (n for n in nodes if isinstance(n, (CellRef, RangeRef, NameRef)) and id(n) not in corners)
+    return list(dict.fromkeys(refs))

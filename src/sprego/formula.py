@@ -18,11 +18,14 @@ which sets the array-entered flag. String literals use ``"`` with ``""``
 as the escape for an embedded quote. The argument separator is ``,`` and
 the decimal point is ``.`` (no locale variants).
 
-Two limits keep every recursive walk of a parsed tree inside Python's
-default recursion limit: at most MAX_NESTING (64) parentheses, calls and
-prefix signs open at once, and a tree at most MAX_DEPTH (256) operator and
-call nodes deep. Past either, parse raises ParseError at the token that
-goes past it.
+A node's children are given by one table, ``_CHILDREN``. ``walk`` is
+iterative and lists a node that a rewrite shares once, by ``id``. The walks
+that build or print a node by its type are recursive: the parser,
+``evaluator._eval``, ``_fmt``, ``expr_to_json`` and ``rewrite._transform``.
+Two limits keep them inside Python's default recursion limit: at most
+MAX_NESTING (64) parentheses, calls and prefix signs open at once, and a
+tree at most MAX_DEPTH (256) operator and call nodes deep. Past either,
+parse raises ParseError at the token that goes past it.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import enum
 import re
 from dataclasses import dataclass, field
 from itertools import repeat
+from operator import attrgetter
 
 from .values import COMPARISONS, number_to_text
 
@@ -291,12 +295,12 @@ class _Parser:
             raise ParseError(tok.span[0], f"at most {MAX_NESTING} nesting levels", repr(tok.lexeme))
         self.depth += 1
 
-    def grow(self, tok: Token, node: Expr, *children: Expr) -> Expr:
-        """*node*, built at *tok* over *children*, one level deeper than the
-        deepest of them; past MAX_DEPTH levels a ParseError at *tok*."""
+    def grow(self, tok: Token, node: Expr) -> Expr:
+        """*node*, built at *tok*, one level deeper than the deepest of its
+        children; past MAX_DEPTH levels a ParseError at *tok*."""
         if self.levels is None:
             return node
-        level = 1 + max(map(self.levels.get, map(id, children), repeat(0)), default=0)
+        level = 1 + max(map(self.levels.get, map(id, children(node)), repeat(0)), default=0)
         if level > MAX_DEPTH:
             raise ParseError(tok.span[0], f"at most {MAX_DEPTH} operator and call levels", repr(tok.lexeme))
         self.levels[id(node)] = level
@@ -332,14 +336,14 @@ class _Parser:
         while (tok := self.peek()) is not None and (prec := _BINARY_PREC.get(tok.lexeme, 0)) >= min_prec:
             self.pos += 1
             right = self.binary(prec + 1)
-            left = self.grow(tok, Binary(tok.lexeme, left, right, span=_join(left, right)), left, right)
+            left = self.grow(tok, Binary(tok.lexeme, left, right, span=_join(left, right)))
         return left
 
     def postfix(self) -> Expr:
         expr = self.unary()
         while (tok := self.match("%")) is not None:
             span = (expr.span[0] if expr.span else tok.span[0], tok.span[1])
-            expr = self.grow(tok, Unary("%", expr, span=span), expr)
+            expr = self.grow(tok, Unary("%", expr, span=span))
         return expr
 
     def unary(self) -> Expr:
@@ -350,7 +354,7 @@ class _Parser:
             operand = self.unary()
             self.depth -= 1
             end = operand.span[1] if operand.span else tok.span[1]
-            return self.grow(tok, Unary(tok.lexeme, operand, span=(tok.span[0], end)), operand)
+            return self.grow(tok, Unary(tok.lexeme, operand, span=(tok.span[0], end)))
         return self.primary()
 
     def primary(self) -> Expr:
@@ -415,7 +419,7 @@ class _Parser:
         close = self.expect(")")
         self.depth -= 1
         call = Call(name_tok.lexeme.upper(), tuple(args), span=(name_tok.span[0], close.span[1]))
-        return self.grow(name_tok, call, *args)
+        return self.grow(name_tok, call)
 
 
 def _cellref_from_token(tok: Token) -> CellRef:
@@ -525,20 +529,33 @@ def format(formula: Formula | Expr) -> str:
     return "=" + _fmt(formula)
 
 
-def walk(expr: Expr):
-    """Yield *expr* and every descendant, pre-order."""
-    yield expr
-    if isinstance(expr, Unary):
-        yield from walk(expr.operand)
-    elif isinstance(expr, Binary):
-        yield from walk(expr.left)
-        yield from walk(expr.right)
-    elif isinstance(expr, Call):
-        for arg in expr.args:
-            yield from walk(arg)
-    elif isinstance(expr, RangeRef):
-        yield expr.start
-        yield expr.end
+# the children of each node type, in source order; other nodes have none
+_CHILDREN = {
+    Unary: lambda node: (node.operand,),
+    Binary: attrgetter("left", "right"),
+    Call: attrgetter("args"),
+    RangeRef: attrgetter("start", "end"),
+}
+
+
+def children(expr: Expr) -> tuple[Expr, ...]:
+    """The child nodes of *expr* in source order; () for a leaf."""
+    kids = _CHILDREN.get(type(expr))
+    return () if kids is None else kids(expr)
+
+
+def walk(expr: Expr) -> list[Expr]:
+    """*expr* and every node under it, in pre-order (source order). A node
+    that a rewrite shares between parents is listed once, by id."""
+    seen: dict[int, Expr] = {}
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if (key := id(node)) not in seen:
+            seen[key] = node
+            if (kids := _CHILDREN.get(type(node))) is not None:
+                stack += kids(node)[::-1]
+    return [*seen.values()]
 
 
 def expr_to_json(expr: Expr) -> object:

@@ -25,7 +25,7 @@ import enum
 from dataclasses import dataclass
 
 from .criteria import UnsupportedCriteria, criteria_expr
-from .evaluator import BASELINE_FUNCTIONS, FUNCTION_SPECS, SPREGO_FUNCTIONS, operator_nodes
+from .evaluator import BASELINE_FUNCTIONS, FUNCTION_SPECS, SPREGO_FUNCTIONS, contains_rand as _contains_rand
 from .formula import (
     Binary,
     BoolLit,
@@ -110,11 +110,6 @@ def _predicate(rng: Expr, op: str, operand: Expr) -> Expr:
 def _len_is_zero(rng: Expr) -> Expr:
     empty = Call("LEN", (Binary("&", rng, TextLit("")),))
     return Binary("=", empty, _ZERO)
-
-
-def _contains_rand(expr: Expr) -> bool:
-    # once per node: R7 shares x, and walk() would follow each path to it
-    return any(isinstance(n, Call) and n.func == "RAND" for n in operator_nodes(expr)[0])
 
 
 @dataclass(frozen=True)
@@ -448,5 +443,4 @@ def non_sprego_calls(formula: Formula | Expr) -> list[Call]:
     """Calls outside the core and extended sets, in source order; a call
     that a rewrite shares between parents is listed once."""
     expr = formula.body if isinstance(formula, Formula) else formula
-    nodes, _shared = operator_nodes(expr)
-    return [n for n in nodes if isinstance(n, Call) and n.func not in SPREGO_FUNCTIONS]
+    return [n for n in walk(expr) if isinstance(n, Call) and n.func not in SPREGO_FUNCTIONS]

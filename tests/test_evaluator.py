@@ -140,6 +140,13 @@ def test_power_and_unary():
     assert ev("=(0-8)^0.5") is ErrorKind.NUM
 
 
+def test_zero_to_a_negative_power_is_div0():
+    # Excel: 0^-1 is #DIV/0!, while 0^0 stays #NUM!
+    assert ev("=0^-1") is ErrorKind.DIV0
+    assert ev("=0^-0.5") is ErrorKind.DIV0
+    assert ev("{=x^-1}", make_table(x=(2, 0, -4))).cells == (0.5, ErrorKind.DIV0, -0.25)
+
+
 def test_overflow_is_error_not_inf():
     assert ev("=1e308*10") is ErrorKind.NUM
 

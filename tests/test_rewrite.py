@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sprego import evaluator
+from sprego import evaluator, formula
 from sprego.evaluator import BASELINE_FUNCTIONS, EvalContext, evaluate, precedents
 from sprego.formula import NameRef, format, parse
 from sprego.rewrite import DiagnosticCode, _contains_rand, lint, non_sprego_calls, rewrite
@@ -330,9 +330,9 @@ def visits(monkeypatch):
     seen = []
     counting = {
         kind: (lambda operands: lambda node: seen.append(node) or operands(node))(operands)
-        for kind, operands in evaluator._OPERANDS.items()
+        for kind, operands in formula._CHILDREN.items()
     }
-    monkeypatch.setattr(evaluator, "_OPERANDS", counting)
+    monkeypatch.setattr(formula, "_CHILDREN", counting)
     return seen
 
 
