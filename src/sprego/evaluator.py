@@ -14,13 +14,22 @@ Whole ranges run through kernels instead of a per-cell loop where the
 argument types allow, chosen by those types alone and giving the same
 cells bit for bit: a binary arithmetic or comparison operator over floats
 or ranges of floats, & over cells without errors, LEN over text, ISERROR
-over anything. Other arguments take the per-cell path, where a function
-pays for the first-error-wins check only when a scan of each range, one
-per range, finds an error. IF over a condition of logicals (or 1 and 0)
-copies the branch taken more often and overwrites the other's cells.
-The baselines do the same by type: a number criteria over a range of
-floats, and a number looked up in a vector of floats (MATCH, VLOOKUP,
+and IFERROR over anything. Other arguments take the per-cell path, where a
+function pays for the first-error-wins check only when a scan of each
+range, one per range, finds an error. IF over a condition of logicals (or
+1 and 0) copies the branch taken more often and overwrites the other's
+cells. The baselines do the same by type: a number criteria over a range
+of floats, and a number looked up in a vector of floats (MATCH, VLOOKUP,
 HLOOKUP), compare a range at a time; COUNT and COUNTA count cell types.
+
+A view's kind, when set, is the one type of its cells, and the tests
+above read it before they scan: float for a slice of a table column of
+floats and for the numbers of LEN, of an arithmetic kernel that made no
+#NUM! and of an IF over logicals whose branches both give floats; bool for
+the comparison kernels and ISERROR; str for &. SUM takes its arguments
+unevaluated, so that an IF(cond, x, 0) or IF(cond, 0, x) that no other
+node shares, over a condition of logicals and with floats for x, is added
+up as the floats of x where cond takes them, without building its cells.
 
 A subtree that occurs more than once in the tree (the parser never shares
 nodes, a rewrite may) is evaluated once per evaluate() call and its value
@@ -246,8 +255,9 @@ def _propagating(fn):
 
 class Kernel(NamedTuple):
     """A whole-range stand-in for an elementwise function. *run* takes one
-    stream per argument (a view's cells, a scalar repeated) and gives the
-    cells the per-cell function would; it is used when every argument
+    stream per argument (a view, which iterates its cells, or a scalar
+    repeated) and gives the cells the per-cell function would, with their
+    one type when it knows it (else None); it is used when every argument
     passes *accepts*."""
 
     accepts: Callable[[object], bool]
@@ -273,53 +283,60 @@ def _lift(fn, args, st: _EvalState, propagate: bool = True, kernel: Kernel | Non
         lengths = {len(v) for v in views}
         if len(lengths) == 1:
             size = lengths.pop()
-            cells = _map_cells(fn, args, propagate, kernel)
+            cells, kind = _map_cells(fn, args, propagate, kernel)
         else:
             size = max(lengths)
-            cells = (ErrorKind.VALUE,) * size
+            cells, kind = (ErrorKind.VALUE,) * size, None
         rows, cols = (1, size) if first.rows == 1 and first.cols != 1 else (size, 1)
-        return RangeView(rows, cols, cells)
+        return RangeView(rows, cols, cells, kind=kind)
 
     shapes = {(v.rows, v.cols) for v in views}
     if len(shapes) == 1:
-        cells = _map_cells(fn, args, propagate, kernel)
+        cells, kind = _map_cells(fn, args, propagate, kernel)
     else:
-        cells = (ErrorKind.VALUE,) * len(first)
-    return RangeView(first.rows, first.cols, cells)
+        cells, kind = (ErrorKind.VALUE,) * len(first), None
+    return RangeView(first.rows, first.cols, cells, kind=kind)
 
 
 def _map_cells(fn, args, propagate, kernel):
-    """*fn* over the cells of same-sized views taken in step, scalar
-    arguments repeated; or *kernel* over the same streams when every
-    argument passes its test. With *propagate*, *fn* is wrapped to return
-    its first error argument only when some argument holds an error."""
-    streams = [a.cells if isinstance(a, RangeView) else repeat(a) for a in args]
+    """(cells, their kind or None): *fn* over the cells of same-sized views
+    taken in step, scalar arguments repeated; or *kernel* over the same
+    streams when every argument passes its test. With *propagate*, *fn* is
+    wrapped to return its first error argument only when some argument
+    holds an error."""
+    streams = list(map(_stream, args))
     if kernel is not None and all(map(kernel.accepts, args)):
         return kernel.run(*streams)
     if propagate and not all(map(_no_errors, args)):
         fn = _propagating(fn)
-    return tuple(map(fn, *streams))
+    return tuple(map(fn, *streams)), None
+
+
+def _stream(a):
+    """A view, which iterates its cells, or a scalar repeated."""
+    return a if isinstance(a, RangeView) else repeat(a)
 
 
 # The argument tests a kernel can state. A view passes when every cell does;
-# the scans run in C and stop at the first cell that fails.
+# a view's kind answers first, and otherwise a scan runs in C and stops at
+# the first cell that fails.
 
 
 def _all_floats(a) -> bool:
     if isinstance(a, RangeView):
-        return all(map(operator.is_, map(type, a.cells), repeat(float)))
+        return a.kind is float or a.kind is None and all(map(operator.is_, map(type, a.cells), repeat(float)))
     return type(a) is float
 
 
 def _no_errors(a) -> bool:
     if isinstance(a, RangeView):
-        return ErrorKind not in map(type, a.cells)
+        return a.kind is not None or ErrorKind not in map(type, a.cells)
     return type(a) is not ErrorKind
 
 
 def _all_text(a) -> bool:
     if isinstance(a, RangeView):
-        return all(map(operator.is_, map(type, a.cells), repeat(str)))
+        return a.kind is str or a.kind is None and all(map(operator.is_, map(type, a.cells), repeat(str)))
     return type(a) is str
 
 
@@ -408,8 +425,8 @@ _BINARY_OPS = {
 
 def _finite_cells(cells: tuple) -> tuple:
     if all(map(math.isfinite, cells)):
-        return cells
-    return tuple(x if math.isfinite(x) else ErrorKind.NUM for x in cells)
+        return cells, float
+    return tuple(x if math.isfinite(x) else ErrorKind.NUM for x in cells), None
 
 
 def _arith_kernel(op):
@@ -420,12 +437,12 @@ def _div_kernel(xs, ys):
     try:
         return _finite_cells(tuple(map(operator.truediv, xs, ys)))
     except ZeroDivisionError:
-        # the streams are tuples or repeat(), so they can be read again
-        return tuple(map(_div, xs, ys))
+        # the streams are views or repeat(), so they can be read again
+        return tuple(map(_div, xs, ys)), None
 
 
 def _compare_kernel(op):
-    return lambda xs, ys: tuple(map(op, xs, ys))
+    return lambda xs, ys: (tuple(map(op, xs, ys)), bool)
 
 
 _BINARY_KERNELS = {
@@ -438,7 +455,7 @@ _BINARY_KERNELS = {
 
 
 def _concat_kernel(xs, ys):
-    return tuple(map(operator.add, _texts(xs), _texts(ys)))
+    return tuple(map(operator.add, _texts(xs), _texts(ys))), str
 
 
 def _texts(stream):
@@ -582,7 +599,7 @@ def _fn_len(t):
 
 
 def _len_kernel(ts):
-    return tuple(map(float, map(len, ts)))
+    return tuple(map(float, map(len, ts))), float
 
 
 def _count_arg(v, *, minimum=0):
@@ -667,13 +684,17 @@ def _fn_round(x, digits=0.0):
     d = coerce_number(digits)
     if isinstance(d, ErrorKind):
         return d
+    # when 10**d or x * 10**d overflows, x is already coarser than 10**-d;
+    # when 10**-d underflows to 0, x rounds to 0
     try:
         scale = 10.0 ** int(d)
     except OverflowError:
-        return ErrorKind.NUM
+        return v
     scaled = v * scale
-    if not math.isfinite(scaled) or scale == 0:
-        return ErrorKind.NUM
+    if not math.isfinite(scaled):
+        return v
+    if scale == 0:
+        return 0.0
     # half away from zero
     rounded = math.copysign(math.floor(abs(scaled) + 0.5), v) / scale
     return finite_or_error(rounded)
@@ -691,11 +712,20 @@ def _fn_iserror(v):
 
 
 def _iserror_kernel(vs):
-    return tuple(map(operator.is_, map(type, vs), repeat(ErrorKind)))
+    return tuple(map(operator.is_, map(type, vs), repeat(ErrorKind))), bool
 
 
 def _fn_iferror(x, fallback):
     return fallback if isinstance(x, ErrorKind) else x
+
+
+def _iferror_kernel(xs, fallbacks):
+    """IFERROR over whole streams: each (x, fallback) pair indexed in C by
+    whether x is an error; x's own view when its kind rules errors out."""
+    if isinstance(xs, RangeView) and xs.kind is not None:
+        return xs.cells, xs.kind
+    is_error = map(operator.is_, map(type, xs), repeat(ErrorKind))
+    return tuple(map(operator.getitem, zip(xs, fallbacks), is_error)), None
 
 
 # ---------------------------------------------------------------------------
@@ -703,24 +733,17 @@ def _fn_iferror(x, fallback):
 # ---------------------------------------------------------------------------
 
 
-def _fn_if(args: tuple[Expr, ...], st: _EvalState):
+def _fn_if(args: tuple[Expr, ...], st: _EvalState, over_range=None):
+    """IF; over a vector condition, (over_range or _if_range) of the
+    condition and both branches, evaluated in that order."""
     cond = _eval(args[0], st)
     if st.scalar:
         cond = _scalarize(cond, st)
 
     if isinstance(cond, RangeView):
-        size = len(cond)
-        then_s = _branch_cells(_eval(args[1], st), size)
-        else_s = _branch_cells(_eval(args[2], st) if len(args) > 2 else False, size)
-        trues = cond.cells.count(True)
-        if trues + cond.cells.count(False) == size:
-            cells = _pick(cond.cells, trues, then_s, else_s)
-        else:
-            cells = tuple(
-                (t if c else e) if type(c) is bool else _if_cell(c, t, e)
-                for c, t, e in zip(cond.cells, then_s, else_s)
-            )
-        return RangeView(cond.rows, cond.cols, cells)
+        then_v = _eval(args[1], st)
+        else_v = _eval(args[2], st) if len(args) > 2 else False
+        return (over_range or _if_range)(cond, then_v, else_v)
 
     c = coerce_logical(cond)
     if isinstance(c, ErrorKind):
@@ -730,6 +753,31 @@ def _fn_if(args: tuple[Expr, ...], st: _EvalState):
     if len(args) > 2:
         return _eval(args[2], st)
     return False
+
+
+def _if_range(cond: RangeView, then_v, else_v) -> RangeView:
+    """IF's cells over a vector condition, from its evaluated branches."""
+    size = len(cond)
+    then_s = _branch_cells(then_v, size)
+    else_s = _branch_cells(else_v, size)
+    trues = cond.cells.count(True)
+    if cond.kind is bool or trues + cond.cells.count(False) == size:
+        cells = _pick(cond.cells, trues, then_s, else_s)
+        kind = float if _floats_of_size(then_v, size) and _floats_of_size(else_v, size) else None
+    else:
+        cells = tuple(
+            (t if c else e) if type(c) is bool else _if_cell(c, t, e)
+            for c, t, e in zip(cond.cells, then_s, else_s)
+        )
+        kind = None
+    return RangeView(cond.rows, cond.cols, cells, kind=kind)
+
+
+def _floats_of_size(branch, size: int) -> bool:
+    """Whether an IF branch gives a float at each of *size* positions."""
+    if isinstance(branch, RangeView):
+        return branch.kind is float and len(branch) == size
+    return type(branch) is float
 
 
 def _branch_cells(branch, size: int):
@@ -777,17 +825,49 @@ def _iter_cells(args):
     return chain.from_iterable(a.cells if isinstance(a, RangeView) else (a,) for a in args)
 
 
-def _fn_sum(args, st):
-    # explicit left-to-right +=: sum() on floats is compensated from
+def _sum_arg(arg: Expr, st: _EvalState):
+    """A SUM argument evaluated, or, for an IF that no other node shares,
+    perhaps the compress() of the cells that SUM would add (only over a
+    vector condition, so never in scalar mode)."""
+    if type(arg) is Call and arg.func == "IF" and len(arg.args) == 3 and id(arg) not in st.reuse:
+        return _fn_if(arg.args, st, _masked_if)
+    return _eval(arg, st)
+
+
+def _masked_if(cond: RangeView, then_v, else_v):
+    """_if_range, or the floats of one branch where the condition takes
+    it, when the condition holds only logicals, that branch gives floats
+    and the other is the number 0: a left-to-right float sum that starts
+    at +0.0 is never -0.0, so adding a zero of either sign changes nothing
+    and the zero cells need not be made."""
+    if cond.kind is bool:
+        size = len(cond)
+        if type(else_v) is float and else_v == 0 and _floats_of_size(then_v, size):
+            return compress(_stream(then_v), cond.cells)
+        if type(then_v) is float and then_v == 0 and _floats_of_size(else_v, size):
+            return compress(_stream(else_v), map(operator.not_, cond.cells))
+    return _if_range(cond, then_v, else_v)
+
+
+def _fn_sum(args: tuple[Expr, ...], st):
+    # the arguments are all evaluated, in order, before any is added up.
+    # Explicit left-to-right adds: sum() on floats is compensated from
     # Python 3.12 on and would change the last bits
     total = 0.0
-    for v in _iter_cells(args):
-        if type(v) is float:
-            total += v
-        elif isinstance(v, ErrorKind):
-            return v
-        elif is_number(v):
-            total += v
+    for v in [_sum_arg(a, st) for a in args]:
+        if type(v) is compress:
+            total = functools.reduce(operator.add, v, total)
+        elif isinstance(v, RangeView) and v.kind is not None:
+            if v.kind is float:  # logical and text cells add nothing
+                total = functools.reduce(operator.add, v.cells, total)
+        else:
+            for c in v.cells if isinstance(v, RangeView) else (v,):
+                if type(c) is float:
+                    total += c
+                elif isinstance(c, ErrorKind):
+                    return c
+                elif is_number(c):
+                    total += c
     return finite_or_error(total)
 
 
@@ -1200,7 +1280,7 @@ FUNCTION_SPECS: dict[str, FunctionSpec] = {
         _spec("LEFT", 1, 2, "core", "elementwise", _fn_left, competency=_NON_ARRAY),
         _spec("RIGHT", 1, 2, "core", "elementwise", _fn_right, competency=_NON_ARRAY),
         _spec("SEARCH", 2, 3, "core", "elementwise", _fn_search, competency=_NON_ARRAY),
-        _spec("SUM", 1, None, "core", "evaluated", _fn_sum, competency=_NON_ARRAY),
+        _spec("SUM", 1, None, "core", "raw", _fn_sum, shape="scalar", competency=_NON_ARRAY),
         _spec("AVERAGE", 1, None, "core", "evaluated", _fn_average, competency=_NON_ARRAY),
         _spec("MIN", 1, None, "core", "evaluated", _fn_minmax(min), competency=_NON_ARRAY),
         _spec("MAX", 1, None, "core", "evaluated", _fn_minmax(max), competency=_NON_ARRAY),
@@ -1235,7 +1315,10 @@ FUNCTION_SPECS: dict[str, FunctionSpec] = {
         _spec("AVERAGEIF", 2, 3, "baseline", "evaluated", _fn_averageif),
         _spec("VLOOKUP", 3, 4, "baseline", "evaluated", _fn_vlookup),
         _spec("HLOOKUP", 3, 4, "baseline", "evaluated", _fn_hlookup),
-        _spec("IFERROR", 2, 2, "baseline", "elementwise", _fn_iferror, propagate=False),
+        _spec(
+            "IFERROR", 2, 2, "baseline", "elementwise", _fn_iferror,
+            propagate=False, kernel=Kernel(_any, _iferror_kernel),
+        ),
     )
 }
 

@@ -12,6 +12,7 @@ field (blank) from a quoted ``""`` (empty text) before Python 3.12.
 
 from __future__ import annotations
 
+import operator
 import re
 from collections.abc import Sequence
 from contextlib import suppress
@@ -37,6 +38,9 @@ class Table:
     name: str
     headers: tuple[str, ...]
     columns: tuple[tuple[Value, ...], ...]
+    # 1-based column index -> float when every cell is a float, else None:
+    # given by load_csv or found at the column's first column_kind()
+    kinds: dict[int, type | None] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.headers) != len(self.columns):
@@ -64,6 +68,14 @@ class Table:
     def cell(self, row: int, col: int) -> Value:
         return self.columns[col - 1][row - 1]
 
+    def column_kind(self, col: int) -> type | None:
+        """float when every cell of column *col* (1-based) is a float, else
+        None; the column is scanned at most once."""
+        kinds = self.kinds
+        if col not in kinds:
+            kinds[col] = float if all(map(operator.is_, map(type, self.columns[col - 1]), repeat(float))) else None
+        return kinds[col]
+
     def to_json(self) -> dict:
         rows = [
             [_cell_to_json(self.columns[c][r]) for c in range(self.column_count)]
@@ -81,12 +93,15 @@ def _cell_to_json(v: Value) -> object:
 @dataclass(frozen=True)
 class RangeView:
     """A rectangular window of values, row-major. A vector is a view with
-    one row or one column."""
+    one row or one column. *kind*, when not None, is the one type of every
+    cell (float, bool or str), set only by a producer that knows it, so
+    that consumers need not scan the cells for it."""
 
     rows: int
     cols: int
     cells: tuple[Value, ...]
     origin: CellRef | None = field(default=None, compare=False)
+    kind: type | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.rows * self.cols != len(self.cells):
@@ -111,11 +126,11 @@ class RangeView:
         return self.cells[i - 1]
 
     def column(self, col: int) -> "RangeView":
-        return RangeView(self.rows, 1, self.cells[col - 1 :: self.cols])
+        return RangeView(self.rows, 1, self.cells[col - 1 :: self.cols], kind=self.kind)
 
     def row(self, row: int) -> "RangeView":
         start = (row - 1) * self.cols
-        return RangeView(1, self.cols, self.cells[start : start + self.cols])
+        return RangeView(1, self.cols, self.cells[start : start + self.cols], kind=self.kind)
 
 
 def vector(values) -> RangeView:
@@ -166,11 +181,13 @@ def load_csv(data: bytes | str, *, has_header: bool = True, table_name: str = "t
     else:
         headers = [f"C{i + 1}" for i in range(width)]
     first = 1 if has_header else 0
-    typed = [_type_column(col[first:]) for col in columns]
-    for r, c in quoted_empty:
+    typed, kinds = zip(*(_type_column(col[first:]) for col in columns))
+    for r, c in quoted_empty:  # never in a column of numbers, as "" is no numeral
         if r >= first:
             typed[c][r - first] = ""
-    return Table(table_name, tuple(headers), tuple(map(tuple, typed)))
+    table = Table(table_name, tuple(headers), tuple(map(tuple, typed)))
+    table.kinds.update((c, float) for c, kind in enumerate(kinds, 1) if kind)
+    return table
 
 
 # one field, quoted (with "" escapes) or not, and the separator after it
@@ -248,8 +265,9 @@ def _quote_error(text: str, pos: int) -> CsvError:
     return CsvError(line + m[0].count("\n"), "data after closing quote")
 
 
-def _type_column(cells: Sequence[str]) -> list[Value]:
-    """Type one column's fields, testing for a numeral first. Over the
+def _type_column(cells: Sequence[str]) -> tuple[list[Value], type | None]:
+    """Type one column's fields, testing for a numeral first, and give
+    float as the second item when they are all numerals. Over the
     characters of _NUMERAL_CHARS, float() takes exactly the numerals and
     forms with a bare point, so a column with neither other characters
     nor a bare point is all numerals if float() takes every field."""
@@ -258,7 +276,7 @@ def _type_column(cells: Sequence[str]) -> list[Value]:
         with suppress(ValueError):  # "", "1e", "1-2", or a quoted "1,2"
             numbers = list(map(float, cells))
             if all(map(isfinite, numbers)):
-                return numbers
+                return numbers, float
     typed: list[Value] = []
     for raw in cells:
         x = parse_number(raw)
@@ -266,7 +284,7 @@ def _type_column(cells: Sequence[str]) -> list[Value]:
             upper = raw.upper()
             x = True if upper == "TRUE" else False if upper == "FALSE" else raw or None
         typed.append(x)
-    return typed
+    return typed, None
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +305,7 @@ def resolve(table: Table, ref: Expr) -> Value | RangeView:
         if idx is None:
             return ErrorKind.NAME
         cells = table.columns[idx - 1]
-        return RangeView(len(cells), 1, cells, origin=CellRef(index_to_col_letters(idx), 1))
+        return RangeView(len(cells), 1, cells, CellRef(index_to_col_letters(idx), 1), table.column_kind(idx))
 
     if isinstance(ref, CellRef):
         if not _in_table(table, ref.row, ref.col):
@@ -302,7 +320,8 @@ def resolve(table: Table, ref: Expr) -> Value | RangeView:
         # one tuple slice per column; several columns interleave row-major
         slices = [column[r0 - 1 : r1] for column in table.columns[c0 - 1 : c1]]
         cells = slices[0] if len(slices) == 1 else tuple(chain.from_iterable(zip(*slices)))
-        return RangeView(r1 - r0 + 1, c1 - c0 + 1, cells, origin=start)
+        kind = float if all(table.column_kind(c) for c in range(c0, c1 + 1)) else None
+        return RangeView(r1 - r0 + 1, c1 - c0 + 1, cells, start, kind)
 
     raise TypeError(f"not a reference: {ref!r}")
 

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import random
 import re
-from itertools import repeat
+from itertools import islice, repeat
 
 from sprego import Table
-from sprego.evaluator import _as_view, _criteria_arg
+from sprego.evaluator import _as_view, _branch_cells, _criteria_arg, _eval, _if_cell, _scalarize
 from sprego.formula import (
     _CELLREF_RE,
     MAX_DEPTH,
@@ -31,7 +31,16 @@ from sprego.formula import (
     _normalize_range,
 )
 from sprego.table import CsvError, RangeView
-from sprego.values import COMPARISONS, ErrorKind, Value, compare_values, is_number, parse_number
+from sprego.values import (
+    COMPARISONS,
+    ErrorKind,
+    Value,
+    coerce_logical,
+    compare_values,
+    finite_or_error,
+    is_number,
+    parse_number,
+)
 
 
 def make_table(name="t", /, **columns) -> Table:
@@ -481,6 +490,73 @@ def reference_counta(args, st):
         if v is not None:
             count += 1
     return float(count)
+
+
+# SUM and IF as they were before SUM added up IF(cond, x, 0) as a masked
+# sum: the reference for that path
+
+
+def reference_sum(args, st):
+    """evaluator._fn_sum over evaluated arguments: one left-to-right +=
+    over every cell of every argument."""
+    total = 0.0
+    for v in _reference_iter_cells(args):
+        if type(v) is float:
+            total += v
+        elif isinstance(v, ErrorKind):
+            return v
+        elif is_number(v):
+            total += v
+    return finite_or_error(total)
+
+
+def reference_if(args, st):
+    """evaluator._fn_if building every vector IF's cells, with _pick over a
+    condition of logicals; its views carry no kind."""
+    cond = _eval(args[0], st)
+    if st.scalar:
+        cond = _scalarize(cond, st)
+
+    if isinstance(cond, RangeView):
+        size = len(cond)
+        then_s = _branch_cells(_eval(args[1], st), size)
+        else_s = _branch_cells(_eval(args[2], st) if len(args) > 2 else False, size)
+        trues = cond.cells.count(True)
+        if trues + cond.cells.count(False) == size:
+            cells = reference_pick(cond.cells, trues, then_s, else_s)
+        else:
+            cells = tuple(
+                (t if c else e) if type(c) is bool else _if_cell(c, t, e)
+                for c, t, e in zip(cond.cells, then_s, else_s)
+            )
+        return RangeView(cond.rows, cond.cols, cells)
+
+    c = coerce_logical(cond)
+    if isinstance(c, ErrorKind):
+        return c
+    if c:
+        return _eval(args[1], st)
+    if len(args) > 2:
+        return _eval(args[2], st)
+    return False
+
+
+def reference_pick(cond: tuple, trues: int, then_s, else_s) -> tuple:
+    """evaluator._pick: the branch taken more often, copied, with the other
+    branch's cells written over it where the condition says."""
+    size = len(cond)
+    if trues * 2 > size:
+        target, count, base, other = False, size - trues, then_s, else_s
+    else:
+        target, count, base, other = True, trues, else_s, then_s
+    cells = list(islice(base, size))
+    if not isinstance(other, tuple):
+        other = tuple(islice(other, size))
+    i = -1
+    for _ in range(count):
+        i = cond.index(target, i + 1)
+        cells[i] = other[i]
+    return tuple(cells)
 
 
 def reference_column(self: RangeView, col: int) -> RangeView:

@@ -718,10 +718,30 @@ def test_round_half_away_from_zero():
     assert ev("=ROUND(15,0-1)") == 20.0
 
 
-def test_round_extreme_digits_error_not_crash():
-    assert ev("=ROUND(1,0-400)") is ErrorKind.NUM
-    assert ev("=ROUND(1,400)") is ErrorKind.NUM
-    assert ev("=ROUND(1,1e9)") is ErrorKind.NUM
+def test_round_halves_away_from_zero_at_any_digit():
+    for src, want in (
+        ("=ROUND(0.5)", 1.0), ("=ROUND(-0.5)", -1.0), ("=ROUND(0.49)", 0.0),
+        ("=ROUND(1.25,1)", 1.3), ("=ROUND(-1.25,1)", -1.3), ("=ROUND(0.125,2)", 0.13),
+        ("=ROUND(125,-1)", 130.0), ("=ROUND(-125,-1)", -130.0), ("=ROUND(-149,-2)", -100.0),
+        ("=ROUND(2.5,0.9)", 3.0), ("=ROUND(1e15+0.5)", 1e15 + 1),
+    ):
+        assert ev(src) == want, src
+
+
+def test_round_extreme_digits_follow_excel():
+    # 10**d or x * 10**d overflows: x has no digit past the d-th to round
+    assert ev("=ROUND(1e300,10)") == 1e300
+    assert ev("=ROUND(-1e300,10)") == -1e300
+    assert ev("=ROUND(1.5,309)") == 1.5
+    assert ev("=ROUND(1,400)") == 1.0
+    assert ev("=ROUND(1,1e9)") == 1.0
+    # 10**-d underflows to 0: every x rounds to 0
+    assert ev("=ROUND(123,-400)") == 0.0
+    assert ev("=ROUND(-1e308,0-400)") == 0.0
+    assert ev("=ROUND(1,-1e9)") == 0.0
+    # at the edges that still scale, the rounding itself
+    assert ev("=ROUND(9.99e307,-307)") == 1e308
+    assert ev("=ROUND(1.7e308,-308)") is ErrorKind.NUM
 
 
 def test_small_large():
