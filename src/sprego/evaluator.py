@@ -22,6 +22,20 @@ cells. The baselines do the same by type: a number criteria over a range
 of floats, and a number looked up in a vector of floats (MATCH, VLOOKUP,
 HLOOKUP), compare a range at a time; COUNT and COUNTA count cell types.
 
+A dirty column, neither all floats nor shorter than
+table.PARTITION_MIN_ROWS, has a Partition, built when resolve first
+makes a view of the whole column and kept on its Table: the float cells,
+the other cells as codes into their distinct values, and the order that
+merges the two back. resolve attaches it to every such view. An
+elementwise function over such a view, with every other view on the same
+partition or a float view of its length, takes the split path unless its
+kernel takes any cells: the kernel on the floats (each zero divisor
+alone gives #DIV/0!, and & writes floats as text in C), the function
+once per distinct other value (per cell, after one coercion per value,
+beside a float view), and the two parts merged. The first use on a table
+pays for the build, so below the floor, where a single use would not
+repay it, the per-cell path serves.
+
 A view's kind, when set, is the one type of its cells, and the tests
 above read it before they scan: float for a slice of a table column of
 floats and for the numbers of LEN, of an arithmetic kernel that made no
@@ -29,7 +43,8 @@ floats and for the numbers of LEN, of an arithmetic kernel that made no
 the comparison kernels and ISERROR; str for &. SUM takes its arguments
 unevaluated, so that an IF(cond, x, 0) or IF(cond, 0, x) that no other
 node shares, over a condition of logicals and with floats for x, is added
-up as the floats of x where cond takes them, without building its cells.
+up as the floats of x where cond takes them, without building its cells;
+an x that is itself such an IF ANDs its condition in.
 
 A subtree that occurs more than once in the tree (the parser never shares
 nodes, a rewrite may) is evaluated once per evaluate() call and its value
@@ -58,6 +73,7 @@ import operator
 import random
 from collections import Counter
 from dataclasses import dataclass
+from decimal import ROUND_HALF_UP, Context, Decimal
 from itertools import chain, compress, islice, repeat
 from typing import Callable, NamedTuple
 
@@ -79,7 +95,7 @@ from .formula import (
     children,
     walk,
 )
-from .table import RangeView, Table, resolve
+from .table import FLIP, Partition, RangeView, Table, resolve, vector
 from .values import (
     COMPARISONS,
     ErrorKind,
@@ -301,15 +317,81 @@ def _lift(fn, args, st: _EvalState, propagate: bool = True, kernel: Kernel | Non
 def _map_cells(fn, args, propagate, kernel):
     """(cells, their kind or None): *fn* over the cells of same-sized views
     taken in step, scalar arguments repeated; or *kernel* over the same
-    streams when every argument passes its test. With *propagate*, *fn* is
-    wrapped to return its first error argument only when some argument
+    streams when every argument passes its test; or, for views of a table
+    column that carries a Partition, the split path. With *propagate*, *fn*
+    is wrapped to return its first error argument only when some argument
     holds an error."""
-    streams = list(map(_stream, args))
-    if kernel is not None and all(map(kernel.accepts, args)):
-        return kernel.run(*streams)
+    part = _split_partition(args)
+    # over a partitioned column, a kernel that takes any cells (ISERROR,
+    # IFERROR) reads the whole column faster than the split path does. Of
+    # the others only &'s takes such a column, and it coerces cell by cell
+    if kernel is not None and (part is None or kernel.accepts is _any) and all(map(kernel.accepts, args)):
+        return kernel.run(*map(_stream, args))
+    if part is not None:
+        return _split_cells(part, fn, args, propagate, kernel)
     if propagate and not all(map(_no_errors, args)):
         fn = _propagating(fn)
-    return tuple(map(fn, *streams)), None
+    return tuple(map(fn, *map(_stream, args))), None
+
+
+def _split_partition(args) -> Partition | None:
+    """The partition that some view argument carries, when every other view
+    carries the same one or is a float view of its column's length."""
+    for a in args:
+        if isinstance(a, RangeView) and a.partition is not None:
+            part = a.partition
+            break
+    else:
+        return None
+    size = len(part.mask)
+    for a in args:
+        if isinstance(a, RangeView) and a.partition is not part and not (a.kind is float and len(a) == size):
+            return None
+    return part
+
+
+def _split_cells(part: Partition, fn, args, propagate, kernel):
+    """_map_cells over a partitioned column, as two parts merged back into
+    column order. On the float cells, and the cells of float views at their
+    positions, *kernel* runs when it takes them. On the other cells *fn*
+    runs once per distinct value when every view carries the partition;
+    otherwise per cell, the partitioned arguments coerced to numbers once
+    per distinct value first when *fn* is arithmetic, which coerces them
+    anyway. The result has a kind when every cell has that type."""
+    mask = part.mask
+    float_args = [
+        RangeView(len(part.floats), 1, part.floats if a.partition is part else tuple(compress(a.cells, mask)), kind=float)
+        if isinstance(a, RangeView) else a
+        for a in args
+    ]
+    float_cells, float_kind = _map_cells(fn, float_args, propagate, kernel)
+
+    shared = all(a.partition is part for a in args if isinstance(a, RangeView))
+    if shared:
+        value_args = [vector(part.values) if isinstance(a, RangeView) else a for a in args]
+        by_value, _ = _map_cells(fn, value_args, propagate, None)
+        other = tuple(map(by_value.__getitem__, part.codes))
+    else:
+        # arithmetic returns the first error among the operands it coerced,
+        # and a float view's cells coerce to themselves: no wrap is needed
+        arith = fn in _ARITH_OPS
+        values = tuple(map(coerce_number, part.values)) if arith else part.values
+        others = mask.translate(FLIP)
+        other_args = [
+            (vector(map(values.__getitem__, part.codes)) if a.partition is part else vector(compress(a.cells, others)))
+            if isinstance(a, RangeView) else a
+            for a in args
+        ]
+        other, _ = _map_cells(fn, other_args, propagate and not arith, None)
+    kinds = set(map(type, other))
+    if part.floats:
+        kinds.add(float_kind)
+    kind = kinds.pop() if len(kinds) == 1 and kinds <= _KINDS else None
+    return part.merge(float_cells + other), kind
+
+
+# the types a view's kind can name
+_KINDS = {float, bool, str}
 
 
 def _stream(a):
@@ -415,6 +497,8 @@ _BINARY_OPS = {
     "&": _concat,
     **{op: _compare(fn) for op, fn in COMPARISONS.items()},
 }
+# the operators that coerce both operands with coerce_number first
+_ARITH_OPS = frozenset(_BINARY_OPS[op] for op in "+-*/^")
 
 
 # Number kernels: the binary operators over two streams of floats, giving
@@ -437,8 +521,30 @@ def _div_kernel(xs, ys):
     try:
         return _finite_cells(tuple(map(operator.truediv, xs, ys)))
     except ZeroDivisionError:
-        # the streams are views or repeat(), so they can be read again
-        return tuple(map(_div, xs, ys)), None
+        pass
+    # #DIV/0! at the zero divisors, of either sign, and the quotient
+    # elsewhere: 1.0 stands in for each zero, which leaves x finite. The
+    # streams are views or repeat(), so they can be read again
+    if isinstance(ys, repeat):
+        return (ErrorKind.DIV0,) * len(xs), None
+    divisors = list(ys)
+    zeros = _positions(divisors, 0.0)
+    for i in zeros:
+        divisors[i] = 1.0
+    cells = list(_finite_cells(tuple(map(operator.truediv, xs, divisors)))[0])
+    for i in zeros:
+        cells[i] = ErrorKind.DIV0
+    return tuple(cells), None
+
+
+def _positions(cells, value) -> list[int]:
+    """The positions of the cells equal to *value*, by index scans in C."""
+    found = []
+    i = -1
+    for _ in range(cells.count(value)):
+        i = cells.index(value, i + 1)
+        found.append(i)
+    return found
 
 
 def _compare_kernel(op):
@@ -455,6 +561,8 @@ _BINARY_KERNELS = {
 
 
 def _concat_kernel(xs, ys):
+    if isinstance(ys, repeat) and coerce_text(next(ys)) == "":
+        return tuple(_texts(xs)), str  # x&"", the text of x
     return tuple(map(operator.add, _texts(xs), _texts(ys))), str
 
 
@@ -463,6 +571,10 @@ def _texts(stream):
     if isinstance(stream, repeat):
         # a scalar argument: coerce it once
         return repeat(coerce_text(next(stream)))
+    if stream.kind is float:
+        # number_to_text in C: adding 0.0 makes -0.0 0.0, and repr ends an
+        # integral float below 1e16, and no other, in ".0"
+        return map(str.removesuffix, map(repr, map(operator.add, stream.cells, repeat(0.0))), repeat(".0"))
     return map(coerce_text, stream)
 
 
@@ -684,20 +796,20 @@ def _fn_round(x, digits=0.0):
     d = coerce_number(digits)
     if isinstance(d, ErrorKind):
         return d
-    # when 10**d or x * 10**d overflows, x is already coarser than 10**-d;
-    # when 10**-d underflows to 0, x rounds to 0
-    try:
-        scale = 10.0 ** int(d)
-    except OverflowError:
-        return v
-    scaled = v * scale
-    if not math.isfinite(scaled):
-        return v
-    if scale == 0:
-        return 0.0
-    # half away from zero
-    rounded = math.copysign(math.floor(abs(scaled) + 0.5), v) / scale
-    return finite_or_error(rounded)
+    places = int(d)
+    # the shortest decimal that reads back as v: the 15 digits Excel shows
+    # wherever those read back as v, more only when they cannot (1e15+0.5)
+    exact = Decimal(repr(v))
+    if exact.as_tuple().exponent >= -places:
+        return v  # no digit past the place to round (also for any larger d)
+    if places < -308:
+        return 0.0  # the place is above every float: 10**-d overflows
+    # half away from zero; its digits are at most v's 17, plus a carry
+    rounded = exact.quantize(Decimal((0, (1,), -places)), context=_ROUND_CONTEXT)
+    return finite_or_error(float(rounded))
+
+
+_ROUND_CONTEXT = Context(prec=40, rounding=ROUND_HALF_UP)
 
 
 def _fn_not(v):
@@ -733,17 +845,20 @@ def _iferror_kernel(xs, fallbacks):
 # ---------------------------------------------------------------------------
 
 
-def _fn_if(args: tuple[Expr, ...], st: _EvalState, over_range=None):
-    """IF; over a vector condition, (over_range or _if_range) of the
-    condition and both branches, evaluated in that order."""
+def _fn_if(args: tuple[Expr, ...], st: _EvalState, defer: bool = False):
+    """IF; over a vector condition, _if_range of the condition and both
+    branches, evaluated in that order, or with *defer* a _Deferred of them,
+    its branches _deferred in turn."""
     cond = _eval(args[0], st)
     if st.scalar:
         cond = _scalarize(cond, st)
 
     if isinstance(cond, RangeView):
+        if defer:
+            return _Deferred(cond, _deferred(args[1], st), _deferred(args[2], st))
         then_v = _eval(args[1], st)
         else_v = _eval(args[2], st) if len(args) > 2 else False
-        return (over_range or _if_range)(cond, then_v, else_v)
+        return _if_range(cond, then_v, else_v)
 
     c = coerce_logical(cond)
     if isinstance(c, ErrorKind):
@@ -829,24 +944,76 @@ def _sum_arg(arg: Expr, st: _EvalState):
     """A SUM argument evaluated, or, for an IF that no other node shares,
     perhaps the compress() of the cells that SUM would add (only over a
     vector condition, so never in scalar mode)."""
+    v = _deferred(arg, st)
+    return _masked_if(*v) if type(v) is _Deferred else v
+
+
+class _Deferred(NamedTuple):
+    """A vector IF that SUM adds up, with its cells not yet built: the
+    condition and branches they would be built from."""
+
+    cond: RangeView
+    then_v: object
+    else_v: object
+
+
+def _deferred(arg: Expr, st: _EvalState):
+    """*arg* evaluated, except that an IF no other node shares, over a
+    vector condition, is a _Deferred, its branches _deferred in turn."""
     if type(arg) is Call and arg.func == "IF" and len(arg.args) == 3 and id(arg) not in st.reuse:
-        return _fn_if(arg.args, st, _masked_if)
+        return _fn_if(arg.args, st, defer=True)
     return _eval(arg, st)
 
 
+def _built(v):
+    """A branch as _if_range takes it: a _Deferred IF built."""
+    if type(v) is _Deferred:
+        return _if_range(v.cond, _built(v.then_v), _built(v.else_v))
+    return v
+
+
 def _masked_if(cond: RangeView, then_v, else_v):
-    """_if_range, or the floats of one branch where the condition takes
-    it, when the condition holds only logicals, that branch gives floats
-    and the other is the number 0: a left-to-right float sum that starts
-    at +0.0 is never -0.0, so adding a zero of either sign changes nothing
-    and the zero cells need not be made."""
-    if cond.kind is bool:
-        size = len(cond)
-        if type(else_v) is float and else_v == 0 and _floats_of_size(then_v, size):
-            return compress(_stream(then_v), cond.cells)
-        if type(then_v) is float and then_v == 0 and _floats_of_size(else_v, size):
-            return compress(_stream(else_v), map(operator.not_, cond.cells))
-    return _if_range(cond, then_v, else_v)
+    """_if_range, or the compress() of the floats SUM adds: one branch's
+    where the condition takes it, when the condition holds only logicals,
+    that branch gives floats and the other is the number 0. A left-to-right
+    float sum that starts at +0.0 is never -0.0, so adding a zero of either
+    sign changes nothing and the zero cells need not be made. A branch
+    that is itself such an IF (a _Deferred) ANDs its condition in."""
+    parts = _masked_parts(cond, then_v, else_v)
+    if parts is None:
+        return _if_range(cond, _built(then_v), _built(else_v))
+    floats, (mask, *inner) = parts
+    if not inner:
+        return compress(floats, mask)
+    # the floats where the inner IFs take them (a number's are all one),
+    # and this IF's mask there
+    taken = functools.reduce(_and, inner)
+    return compress(floats if type(floats) is repeat else compress(floats, taken), compress(mask, taken))
+
+
+def _masked_parts(cond: RangeView, then_v, else_v):
+    """(floats, masks) for _masked_if, or None: the floats of the branch
+    that is not the number 0, and the mask of where each IF, from the
+    outermost in, takes it."""
+    if cond.kind is not bool:
+        return None
+    if type(else_v) is float and else_v == 0:
+        branch, mask = then_v, cond.cells
+    elif type(then_v) is float and then_v == 0:
+        branch, mask = else_v, bytes(cond.cells).translate(FLIP)
+    else:
+        return None
+    if type(branch) is not _Deferred:
+        return (_stream(branch), [mask]) if _floats_of_size(branch, len(cond)) else None
+    inner = _masked_parts(*branch) if len(branch.cond) == len(cond) else None
+    if inner is None:
+        return None
+    floats, masks = inner
+    return floats, [mask, *masks]
+
+
+def _and(a, b) -> bytes:
+    return bytes(map(operator.and_, a, b))
 
 
 def _fn_sum(args: tuple[Expr, ...], st):

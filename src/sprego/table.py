@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import operator
 import re
-from collections.abc import Sequence
+from array import array
+from collections.abc import Callable, Sequence
 from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, compress, count, repeat
 from math import isfinite
+from typing import NamedTuple
 
 from .formula import CellRef, Expr, NameRef, RangeRef, index_to_col_letters
 from .values import ErrorKind, Value, is_number, parse_number, value_type
@@ -41,6 +43,9 @@ class Table:
     # 1-based column index -> float when every cell is a float, else None:
     # given by load_csv or found at the column's first column_kind()
     kinds: dict[int, type | None] = field(default_factory=dict, init=False, compare=False, repr=False)
+    # 1-based column index -> its Partition, or None: found at the column's
+    # first partition()
+    partitions: dict[int, Partition | None] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.headers) != len(self.columns):
@@ -76,6 +81,17 @@ class Table:
             kinds[col] = float if all(map(operator.is_, map(type, self.columns[col - 1]), repeat(float))) else None
         return kinds[col]
 
+    def partition(self, col: int) -> Partition | None:
+        """The type partition of column *col* (1-based), or None when the
+        column holds only floats, is shorter than PARTITION_MIN_ROWS or holds
+        a cell outside the engine's value types; built at most once."""
+        partitions = self.partitions
+        if col not in partitions:
+            cells = self.columns[col - 1]
+            odd = len(cells) >= PARTITION_MIN_ROWS and self.column_kind(col) is None
+            partitions[col] = _partition(cells) if odd else None
+        return partitions[col]
+
     def to_json(self) -> dict:
         rows = [
             [_cell_to_json(self.columns[c][r]) for c in range(self.column_count)]
@@ -95,13 +111,16 @@ class RangeView:
     """A rectangular window of values, row-major. A vector is a view with
     one row or one column. *kind*, when not None, is the one type of every
     cell (float, bool or str), set only by a producer that knows it, so
-    that consumers need not scan the cells for it."""
+    that consumers need not scan the cells for it. *partition*, set by
+    resolve on a view of a whole table column, splits its cells by type."""
 
     rows: int
     cols: int
     cells: tuple[Value, ...]
     origin: CellRef | None = field(default=None, compare=False)
     kind: type | None = field(default=None, compare=False, repr=False)
+    # the Partition of the table column a whole-column view shows
+    partition: Partition | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.rows * self.cols != len(self.cells):
@@ -131,6 +150,64 @@ class RangeView:
     def row(self, row: int) -> "RangeView":
         start = (row - 1) * self.cols
         return RangeView(1, self.cols, self.cells[start : start + self.cols], kind=self.kind)
+
+
+# The shortest column that gets a partition: the length from which one use
+# of the split path on a fresh table, partition build included, is no
+# slower than the per-cell path. Measured over perfbench's dirty mix (one
+# cell in six not a float; f a float column), the median of 7 x 4096/rows
+# paired tries of split/per-cell, on a shared 2-core machine, Python 3.11:
+#    rows                          128   192   256   384   512  1024  2048
+#    {=c+0}                       1.18  1.06  0.96  0.79  0.74  0.72  0.67
+#    {=f/c}                       1.21  1.09  1.07  0.85  0.96  0.81  0.86
+#    R4's COUNT over c            1.03  0.97  0.93  0.82  0.89  0.78  0.76
+#    {=c&""}                      1.31  1.21  1.26  0.99  1.20  1.01  0.99
+#    R4's COUNTA over c           1.22  1.16  1.04  1.01  1.05  1.00  1.02
+# & stays about even at any length: the text of each float is the cost of
+# both paths. Once a column is partitioned, later uses cost 0.20 ({=c+0}),
+# 0.34 ({=f/c}), 0.55 (COUNT), 0.66 (&) and 0.71 (COUNTA) of the per-cell
+# path at 20,000 rows.
+PARTITION_MIN_ROWS = 384
+
+
+class Partition(NamedTuple):
+    """A table column split by cell type, so that an elementwise function
+    can run a kernel on its floats and once per distinct value on the
+    rest. Built once per column by Table.partition."""
+
+    floats: tuple[float, ...]  # the float cells, in column order
+    mask: bytes  # 1 where the column holds a float, else 0
+    values: tuple[Value, ...]  # the other cells' distinct values, in order of first appearance
+    codes: array  # each other cell's index into values, in column order
+    # (results on the float cells + results on the other cells) -> the
+    # results in column order
+    merge: Callable[[tuple], tuple]
+
+
+# bytes.translate table that swaps 0 and 1
+FLIP = bytes((1, 0)) + bytes(254)
+# the types of the cells a partition puts in values: no two of them hold
+# equal values, as bool and int would, so a dict can key on the value alone
+_ODD_TYPES = frozenset((str, bool, type(None), ErrorKind))
+
+
+def _partition(cells: tuple[Value, ...]) -> Partition | None:
+    """The Partition of a column that is not all floats, or None when a cell
+    is of a type outside the engine's values (an int, say). Every pass but
+    the merge order runs in C."""
+    mask = bytes(map(operator.is_, map(type, cells), repeat(float)))
+    others = tuple(compress(cells, mask.translate(FLIP)))
+    if not set(map(type, others)) <= _ODD_TYPES:
+        return None
+    code_of = dict(zip(dict.fromkeys(others), count()))
+    floats = tuple(compress(cells, mask))
+    # each cell's index in (floats + others): the next float's or the next
+    # other cell's
+    next_index = (count(len(floats)).__next__, count().__next__)
+    order = [next_index[m]() for m in mask]
+    return Partition(
+        floats, mask, tuple(code_of), array("i", map(code_of.__getitem__, others)), operator.itemgetter(*order)
+    )
 
 
 def vector(values) -> RangeView:
@@ -305,7 +382,8 @@ def resolve(table: Table, ref: Expr) -> Value | RangeView:
         if idx is None:
             return ErrorKind.NAME
         cells = table.columns[idx - 1]
-        return RangeView(len(cells), 1, cells, CellRef(index_to_col_letters(idx), 1), table.column_kind(idx))
+        origin = CellRef(index_to_col_letters(idx), 1)
+        return RangeView(len(cells), 1, cells, origin, table.column_kind(idx), table.partition(idx))
 
     if isinstance(ref, CellRef):
         if not _in_table(table, ref.row, ref.col):
@@ -321,7 +399,8 @@ def resolve(table: Table, ref: Expr) -> Value | RangeView:
         slices = [column[r0 - 1 : r1] for column in table.columns[c0 - 1 : c1]]
         cells = slices[0] if len(slices) == 1 else tuple(chain.from_iterable(zip(*slices)))
         kind = float if all(table.column_kind(c) for c in range(c0, c1 + 1)) else None
-        return RangeView(r1 - r0 + 1, c1 - c0 + 1, cells, start, kind)
+        whole = c0 == c1 and r0 == 1 and r1 == table.row_count
+        return RangeView(r1 - r0 + 1, c1 - c0 + 1, cells, start, kind, table.partition(c0) if whole else None)
 
     raise TypeError(f"not a reference: {ref!r}")
 

@@ -744,6 +744,28 @@ def test_round_extreme_digits_follow_excel():
     assert ev("=ROUND(1.7e308,-308)") is ErrorKind.NUM
 
 
+def test_round_reads_the_decimal_excel_shows():
+    # 1.005 and 0.285 are stored just below their halves; Excel rounds the
+    # decimal it shows
+    assert ev("=ROUND(1.005,2)") == 1.01
+    assert ev("=ROUND(0.285,2)") == 0.29
+    assert ev("=ROUND(-1.005,2)") == -1.01
+
+
+def test_round_is_exact_at_tiny_magnitudes():
+    # dividing by 10.0**302 gave 2.3499999999999997e-300
+    assert repr(ev("=ROUND(2.345e-300,302)")) == "2.35e-300"
+    assert repr(ev("=ROUND(2.345e-307,309)")) == "2.35e-307"
+
+
+def test_round_never_raises_at_high_precision():
+    # 1e300 to 2 places needs 303 digits, past any decimal context's
+    # precision: nothing to round, so x itself
+    assert ev("=ROUND(1e300,2)") == 1e300
+    assert ev("=ROUND(-1.7e308,300)") == -1.7e308
+    assert ev("=ROUND(5e-324,400)") == 5e-324
+
+
 def test_small_large():
     t = make_table(x=(5, 1, 4, 1))
     assert ev("=SMALL(x,1)", t) == 1.0
