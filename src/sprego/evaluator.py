@@ -17,24 +17,27 @@ or ranges of floats, & over cells without errors, LEN over text, ISERROR
 and IFERROR over anything. Other arguments take the per-cell path, where a
 function pays for the first-error-wins check only when a scan of each
 range, one per range, finds an error. IF over a condition of logicals (or
-1 and 0) copies the branch taken more often and overwrites the other's
-cells. The baselines do the same by type: a number criteria over a range
-of floats, and a number looked up in a vector of floats (MATCH, VLOOKUP,
-HLOOKUP), compare a range at a time; COUNT and COUNTA count cell types.
+1 and 0) selects each cell from the pair of branch cells in C, as
+IFERROR's kernel does by whether a cell is an error. The baselines do the
+same by type: a number criteria over a range of floats, and a number
+looked up in a vector of floats (MATCH, VLOOKUP, HLOOKUP), compare a range
+at a time; COUNT and COUNTA count cell types.
 
 A dirty column, neither all floats nor shorter than
-table.PARTITION_MIN_ROWS, has a Partition, built when resolve first
-makes a view of the whole column and kept on its Table: the float cells,
-the other cells as codes into their distinct values, and the order that
-merges the two back. resolve attaches it to every such view. An
-elementwise function over such a view, with every other view on the same
-partition or a float view of its length, takes the split path unless its
+table.PARTITION_MIN_ROWS, has a Partition: the float cells, the other
+cells as codes into their distinct values, and the order that merges the
+two back. An elementwise function over a view of the whole column (told
+by the origin resolve sets), with every other view showing the same
+column or a float view of its length, takes the split path unless its
 kernel takes any cells: the kernel on the floats (each zero divisor
 alone gives #DIV/0!, and & writes floats as text in C), the function
 once per distinct other value (per cell, after one coercion per value,
-beside a float view), and the two parts merged. The first use on a table
-pays for the build, so below the floor, where a single use would not
-repay it, the per-cell path serves.
+beside a float view), and the two parts merged. The Table builds the
+partition at the column's first split and keeps it, so a formula that
+reads the column whole only through a baseline, an aggregator, ISERROR or
+IFERROR builds none. The first split on a table pays for the build, so
+below the floor, where a single use would not repay it, the per-cell path
+serves.
 
 A view's kind, when set, is the one type of its cells, and the tests
 above read it before they scan: float for a slice of a table column of
@@ -55,7 +58,8 @@ Error values propagate through every operator and elementwise function
 IF (only the condition and the taken branch matter), ISERROR, and
 IFERROR. Aggregators propagate the first error they meet in their input,
 with one deliberate exception: COUNT ignores error cells, mirroring the
-ISERROR guard in its SUM(IF()) replacement.
+ISERROR guard in its SUM(IF()) replacement. SUM, AVERAGE, MIN, MAX, SMALL
+and LARGE take their numbers, or that first error, from one walk.
 
 All failures come back as error values; evaluate never raises for data
 reasons.
@@ -74,7 +78,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, repeat
 from typing import Callable, NamedTuple
 
 from .criteria import Criteria, criteria_from_value
@@ -95,7 +99,7 @@ from .formula import (
     children,
     walk,
 )
-from .table import FLIP, Partition, RangeView, Table, resolve, vector
+from .table import FLIP, PARTITION_MIN_ROWS, Partition, RangeView, Table, resolve, vector
 from .values import (
     COMPARISONS,
     ErrorKind,
@@ -221,7 +225,7 @@ def _eval(expr: Expr, st: _EvalState):
     if isinstance(expr, Binary):
         left = _eval(expr.left, st)
         right = _eval(expr.right, st)
-        return _lift(_BINARY_OPS[expr.op], [left, right], st, kernel=_binary_kernel(expr.op))
+        return _lift(_BINARY_OPS[expr.op], [left, right], st, kernel=_BINARY_KERNELS.get(expr.op))
     if isinstance(expr, Call):
         return _call(expr, st)
     raise TypeError(f"not an Expr: {expr!r}")
@@ -294,79 +298,76 @@ def _lift(fn, args, st: _EvalState, propagate: bool = True, kernel: Kernel | Non
                     return a
         return fn(*args)
 
+    # vectors combine by length whatever their orientation, other views by
+    # shape; on a mismatch every cell is VALUE
     first = views[0]
-    if all(v.is_vector for v in views):
-        lengths = {len(v) for v in views}
-        if len(lengths) == 1:
-            size = lengths.pop()
-            cells, kind = _map_cells(fn, args, propagate, kernel)
-        else:
-            size = max(lengths)
-            cells, kind = (ErrorKind.VALUE,) * size, None
-        rows, cols = (1, size) if first.rows == 1 and first.cols != 1 else (size, 1)
-        return RangeView(rows, cols, cells, kind=kind)
-
-    shapes = {(v.rows, v.cols) for v in views}
-    if len(shapes) == 1:
-        cells, kind = _map_cells(fn, args, propagate, kernel)
-    else:
-        cells, kind = (ErrorKind.VALUE,) * len(first), None
-    return RangeView(first.rows, first.cols, cells, kind=kind)
+    if len({len(v) if v.is_vector else (v.rows, v.cols) for v in views}) == 1:
+        cells, kind = _map_cells(fn, args, propagate, kernel, st.ctx.table)
+        return RangeView(first.rows, first.cols, cells, kind=kind)
+    if not all(v.is_vector for v in views):
+        return RangeView(first.rows, first.cols, (ErrorKind.VALUE,) * len(first))
+    size = max(map(len, views))  # as long as the longest, running as the first
+    rows, cols = (1, size) if first.rows == 1 and first.cols != 1 else (size, 1)
+    return RangeView(rows, cols, (ErrorKind.VALUE,) * size)
 
 
-def _map_cells(fn, args, propagate, kernel):
+def _map_cells(fn, args, propagate, kernel, table: Table | None = None):
     """(cells, their kind or None): *fn* over the cells of same-sized views
-    taken in step, scalar arguments repeated; or *kernel* over the same
-    streams when every argument passes its test; or, for views of a table
-    column that carries a Partition, the split path. With *propagate*, *fn*
-    is wrapped to return its first error argument only when some argument
+    taken in step, scalar arguments repeated; or, over a column of *table*
+    that _split_partition splits, the split path; or *kernel* over the same
+    streams when every argument passes its test. With *propagate*, *fn* is
+    wrapped to return its first error argument only when some argument
     holds an error."""
-    part = _split_partition(args)
-    # over a partitioned column, a kernel that takes any cells (ISERROR,
-    # IFERROR) reads the whole column faster than the split path does. Of
-    # the others only &'s takes such a column, and it coerces cell by cell
-    if kernel is not None and (part is None or kernel.accepts is _any) and all(map(kernel.accepts, args)):
+    # a kernel that takes any cells (ISERROR, IFERROR) reads a dirty column
+    # faster than the split path does, and needs no partition built. Of the
+    # others only &'s takes such a column, cell by cell: the split goes first
+    if table is not None and (kernel is None or kernel.accepts is not _any):
+        part = _split_partition(args, table)
+        if part is not None:
+            return _split_cells(part, fn, args, propagate, kernel)
+    if kernel is not None and all(map(kernel.accepts, args)):
         return kernel.run(*map(_stream, args))
-    if part is not None:
-        return _split_cells(part, fn, args, propagate, kernel)
     if propagate and not all(map(_no_errors, args)):
         fn = _propagating(fn)
     return tuple(map(fn, *map(_stream, args))), None
 
 
-def _split_partition(args) -> Partition | None:
-    """The partition that some view argument carries, when every other view
-    carries the same one or is a float view of its column's length."""
-    for a in args:
-        if isinstance(a, RangeView) and a.partition is not None:
-            part = a.partition
-            break
-    else:
+def _split_partition(args, table: Table) -> Partition | None:
+    """The partition of the table column that the view arguments show whole,
+    when every view but a float view of the column's length shows that one
+    column. Only then is the table asked for it, which builds it at most
+    once; it has none below PARTITION_MIN_ROWS."""
+    rows = table.row_count
+    if rows < PARTITION_MIN_ROWS:
         return None
-    size = len(part.mask)
+    cols = set()
     for a in args:
-        if isinstance(a, RangeView) and a.partition is not part and not (a.kind is float and len(a) == size):
-            return None
-    return part
+        if isinstance(a, RangeView) and not (a.kind is float and len(a) == rows):
+            # resolve sets origin, the top-left cell, on the views it makes
+            if a.origin is None or a.origin.row != 1 or a.cols != 1 or len(a) != rows:
+                return None
+            cols.add(a.origin.col)
+    return table.partition(cols.pop()) if len(cols) == 1 else None
 
 
 def _split_cells(part: Partition, fn, args, propagate, kernel):
     """_map_cells over a partitioned column, as two parts merged back into
-    column order. On the float cells, and the cells of float views at their
-    positions, *kernel* runs when it takes them. On the other cells *fn*
-    runs once per distinct value when every view carries the partition;
-    otherwise per cell, the partitioned arguments coerced to numbers once
-    per distinct value first when *fn* is arithmetic, which coerces them
+    column order. Each view shows the column or is a float view
+    (_split_partition). On the float cells, and the cells of float views at
+    their positions, *kernel* runs when it takes them. On the other cells
+    *fn* runs once per distinct value when every view shows the column;
+    otherwise per cell, the column's cells coerced to numbers once per
+    distinct value first when *fn* is arithmetic, which coerces them
     anyway. The result has a kind when every cell has that type."""
     mask = part.mask
     float_args = [
-        RangeView(len(part.floats), 1, part.floats if a.partition is part else tuple(compress(a.cells, mask)), kind=float)
+        RangeView(len(part.floats), 1, tuple(compress(a.cells, mask)) if a.kind is float else part.floats, kind=float)
         if isinstance(a, RangeView) else a
         for a in args
     ]
     float_cells, float_kind = _map_cells(fn, float_args, propagate, kernel)
 
-    shared = all(a.partition is part for a in args if isinstance(a, RangeView))
+    shared = all(a.kind is not float for a in args if isinstance(a, RangeView))
     if shared:
         value_args = [vector(part.values) if isinstance(a, RangeView) else a for a in args]
         by_value, _ = _map_cells(fn, value_args, propagate, None)
@@ -378,7 +379,7 @@ def _split_cells(part: Partition, fn, args, propagate, kernel):
         values = tuple(map(coerce_number, part.values)) if arith else part.values
         others = mask.translate(FLIP)
         other_args = [
-            (vector(map(values.__getitem__, part.codes)) if a.partition is part else vector(compress(a.cells, others)))
+            (vector(compress(a.cells, others)) if a.kind is float else vector(map(values.__getitem__, part.codes)))
             if isinstance(a, RangeView) else a
             for a in args
         ]
@@ -513,8 +514,8 @@ def _finite_cells(cells: tuple) -> tuple:
     return tuple(x if math.isfinite(x) else ErrorKind.NUM for x in cells), None
 
 
-def _arith_kernel(op):
-    return lambda xs, ys: _finite_cells(tuple(map(op, xs, ys)))
+def _arith_kernel(op) -> Kernel:
+    return Kernel(_all_floats, lambda xs, ys: _finite_cells(tuple(map(op, xs, ys))))
 
 
 def _div_kernel(xs, ys):
@@ -547,17 +548,8 @@ def _positions(cells, value) -> list[int]:
     return found
 
 
-def _compare_kernel(op):
-    return lambda xs, ys: (tuple(map(op, xs, ys)), bool)
-
-
-_BINARY_KERNELS = {
-    "+": _arith_kernel(operator.add),
-    "-": _arith_kernel(operator.sub),
-    "*": _arith_kernel(operator.mul),
-    "/": _div_kernel,
-    **{op: _compare_kernel(fn) for op, fn in COMPARISONS.items()},
-}
+def _compare_kernel(op) -> Kernel:
+    return Kernel(_all_floats, lambda xs, ys: (tuple(map(op, xs, ys)), bool))
 
 
 def _concat_kernel(xs, ys):
@@ -578,20 +570,16 @@ def _texts(stream):
     return map(coerce_text, stream)
 
 
-_CONCAT_KERNEL = Kernel(_no_errors, _concat_kernel)
-
-
-def _binary_kernel(op: str) -> Kernel | None:
-    """& over cells without errors; the number kernels over floats."""
-    if op == "&":
-        return _CONCAT_KERNEL
-    run = _BINARY_KERNELS.get(op)
-    return None if run is None else _number_kernel(run)
-
-
-@functools.cache
-def _number_kernel(run) -> Kernel:
-    return Kernel(_all_floats, run)
+# the kernel of each binary operator that has one: the number kernels over
+# floats, & over cells without errors
+_BINARY_KERNELS = {
+    "+": _arith_kernel(operator.add),
+    "-": _arith_kernel(operator.sub),
+    "*": _arith_kernel(operator.mul),
+    "/": Kernel(_all_floats, _div_kernel),
+    **{op: _compare_kernel(fn) for op, fn in COMPARISONS.items()},
+    "&": Kernel(_no_errors, _concat_kernel),
+}
 
 
 def _unary_num(fn):
@@ -699,12 +687,8 @@ def _as_view(v) -> RangeView:
 # ---------------------------------------------------------------------------
 
 
-def _text_arg(v):
-    return coerce_text(v)
-
-
 def _fn_len(t):
-    s = _text_arg(t)
+    s = coerce_text(t)
     if isinstance(s, ErrorKind):
         return s
     return float(len(s))
@@ -725,7 +709,7 @@ def _count_arg(v, *, minimum=0):
 
 
 def _fn_left(t, n=1.0):
-    s = _text_arg(t)
+    s = coerce_text(t)
     if isinstance(s, ErrorKind):
         return s
     k = _count_arg(n)
@@ -735,7 +719,7 @@ def _fn_left(t, n=1.0):
 
 
 def _fn_right(t, n=1.0):
-    s = _text_arg(t)
+    s = coerce_text(t)
     if isinstance(s, ErrorKind):
         return s
     k = _count_arg(n)
@@ -745,10 +729,10 @@ def _fn_right(t, n=1.0):
 
 
 def _fn_search(needle, haystack, start=1.0):
-    sn = _text_arg(needle)
+    sn = coerce_text(needle)
     if isinstance(sn, ErrorKind):
         return sn
-    sh = _text_arg(haystack)
+    sh = coerce_text(haystack)
     if isinstance(sh, ErrorKind):
         return sh
     k = _count_arg(start, minimum=1)
@@ -758,13 +742,13 @@ def _fn_search(needle, haystack, start=1.0):
 
 
 def _fn_substitute(t, old, new, instance=None):
-    s = _text_arg(t)
+    s = coerce_text(t)
     if isinstance(s, ErrorKind):
         return s
-    so = _text_arg(old)
+    so = coerce_text(old)
     if isinstance(so, ErrorKind):
         return so
-    sn = _text_arg(new)
+    sn = coerce_text(new)
     if isinstance(sn, ErrorKind):
         return sn
     if so == "":
@@ -836,8 +820,14 @@ def _iferror_kernel(xs, fallbacks):
     whether x is an error; x's own view when its kind rules errors out."""
     if isinstance(xs, RangeView) and xs.kind is not None:
         return xs.cells, xs.kind
-    is_error = map(operator.is_, map(type, xs), repeat(ErrorKind))
-    return tuple(map(operator.getitem, zip(xs, fallbacks), is_error)), None
+    return _select(map(operator.is_, map(type, xs), repeat(ErrorKind)), xs, fallbacks), None
+
+
+def _select(mask, when_false, when_true) -> tuple:
+    """when_true's cell where *mask* holds True (or 1), when_false's where it
+    holds False (or 0), each pair indexed in C. Either stream may be a
+    repeat(); the mask sets the length."""
+    return tuple(map(operator.getitem, zip(when_false, when_true), mask))
 
 
 # ---------------------------------------------------------------------------
@@ -875,9 +865,9 @@ def _if_range(cond: RangeView, then_v, else_v) -> RangeView:
     size = len(cond)
     then_s = _branch_cells(then_v, size)
     else_s = _branch_cells(else_v, size)
-    trues = cond.cells.count(True)
-    if cond.kind is bool or trues + cond.cells.count(False) == size:
-        cells = _pick(cond.cells, trues, then_s, else_s)
+    # a logical, or the number 1 or 0, which IF reads the same way
+    if cond.kind is bool or cond.cells.count(True) + cond.cells.count(False) == size:
+        cells = _select(cond.cells if cond.kind is bool else map(operator.truth, cond.cells), else_s, then_s)
         kind = float if _floats_of_size(then_v, size) and _floats_of_size(else_v, size) else None
     else:
         cells = tuple(
@@ -902,26 +892,6 @@ def _branch_cells(branch, size: int):
     if isinstance(branch, RangeView):
         return branch.cells if len(branch) == size else repeat(ErrorKind.VALUE)
     return repeat(branch)
-
-
-def _pick(cond: tuple, trues: int, then_s, else_s) -> tuple:
-    """IF over a condition whose every cell equals TRUE or FALSE (a logical,
-    or the number 1 or 0, which IF reads the same way), holding *trues*
-    TRUE cells: a copy of the branch taken more often, with the other
-    branch's cells written over it where the condition says."""
-    size = len(cond)
-    if trues * 2 > size:
-        target, count, base, other = False, size - trues, then_s, else_s
-    else:
-        target, count, base, other = True, trues, else_s, then_s
-    cells = list(islice(base, size))
-    if not isinstance(other, tuple):
-        other = tuple(islice(other, size))
-    i = -1
-    for _ in range(count):
-        i = cond.index(target, i + 1)
-        cells[i] = other[i]
-    return tuple(cells)
 
 
 def _if_cell(c, then_cell, else_cell):
@@ -1023,48 +993,46 @@ def _fn_sum(args: tuple[Expr, ...], st):
     total = 0.0
     for v in [_sum_arg(a, st) for a in args]:
         if type(v) is compress:
-            total = functools.reduce(operator.add, v, total)
+            numbers = v
         elif isinstance(v, RangeView) and v.kind is not None:
-            if v.kind is float:  # logical and text cells add nothing
-                total = functools.reduce(operator.add, v.cells, total)
+            numbers = v.cells if v.kind is float else ()  # logical and text cells add nothing
         else:
-            for c in v.cells if isinstance(v, RangeView) else (v,):
-                if type(c) is float:
-                    total += c
-                elif isinstance(c, ErrorKind):
-                    return c
-                elif is_number(c):
-                    total += c
+            numbers = _numbers(v.cells if isinstance(v, RangeView) else (v,))
+            if type(numbers) is ErrorKind:
+                return numbers
+        total = functools.reduce(operator.add, numbers, total)
     return finite_or_error(total)
 
 
+def _numbers(cells):
+    """The numbers among *cells*, in order and to be read once, or the first
+    error cell; logical, text and blank cells are skipped. Each pass over
+    the cells runs in C."""
+    cells = tuple(cells)
+    types = tuple(map(type, cells))
+    present = set(types)
+    if ErrorKind in present:
+        return cells[types.index(ErrorKind)]
+    numeric = {t for t in present if issubclass(t, (int, float)) and t is not bool}
+    return compress(cells, map(numeric.__contains__, types))
+
+
 def _fn_average(args, st):
-    # the same left-to-right += as SUM
-    total = 0.0
-    count = 0
-    for v in _iter_cells(args):
-        if type(v) is float:
-            total += v
-            count += 1
-        elif isinstance(v, ErrorKind):
-            return v
-        elif is_number(v):
-            total += v
-            count += 1
-    if count == 0:
+    # the same left-to-right adds as SUM
+    numbers = _numbers(_iter_cells(args))
+    if type(numbers) is ErrorKind:
+        return numbers
+    numbers = list(numbers)
+    if not numbers:
         return ErrorKind.DIV0
-    return finite_or_error(total / count)
+    return finite_or_error(functools.reduce(operator.add, numbers, 0.0) / len(numbers))
 
 
 def _fn_minmax(pick):
     def fn(args, st):
-        best = None
-        for v in _iter_cells(args):
-            if isinstance(v, ErrorKind):
-                return v
-            if is_number(v):
-                best = v if best is None else pick(best, v)
-        return 0.0 if best is None else float(best)
+        numbers = _numbers(_iter_cells(args))
+        # min and max keep the first of equal values: MIN(0,-0) is 0
+        return numbers if type(numbers) is ErrorKind else float(pick(numbers, default=0.0))
 
     return fn
 
@@ -1097,19 +1065,17 @@ def _fn_small_large(reverse):
         k = _scalar_arg(args[1], st)
         if isinstance(k, ErrorKind):
             return k
-        numbers = []
-        for v in view.cells:
-            if isinstance(v, ErrorKind):
-                return v
-            if is_number(v):
-                numbers.append(v)
+        numbers = _numbers(view.cells)
+        if type(numbers) is ErrorKind:
+            return numbers
         kk = coerce_number(k)
         if isinstance(kk, ErrorKind):
             return kk
         kk = math.floor(kk)
-        if kk < 1 or kk > len(numbers):
+        ordered = sorted(numbers, reverse=reverse)
+        if kk < 1 or kk > len(ordered):
             return ErrorKind.NUM
-        return float(sorted(numbers, reverse=reverse)[kk - 1])
+        return float(ordered[kk - 1])
 
     return fn
 

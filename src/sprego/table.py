@@ -35,7 +35,10 @@ class CsvError(Exception):
 
 @dataclass(frozen=True)
 class Table:
-    """Named, immutable columns of equal length."""
+    """Named, immutable columns of equal length. Two facts about a column are
+    found once and kept: whether it holds only floats, and its Partition,
+    which the evaluator asks for the first time it splits over the whole
+    column."""
 
     name: str
     headers: tuple[str, ...]
@@ -109,18 +112,17 @@ def _cell_to_json(v: Value) -> object:
 @dataclass(frozen=True)
 class RangeView:
     """A rectangular window of values, row-major. A vector is a view with
-    one row or one column. *kind*, when not None, is the one type of every
-    cell (float, bool or str), set only by a producer that knows it, so
-    that consumers need not scan the cells for it. *partition*, set by
-    resolve on a view of a whole table column, splits its cells by type."""
+    one row or one column. *origin*, set by resolve, is the top-left table
+    cell the view shows, so that the evaluator can tell a whole column and
+    ask the table for its Partition. *kind*, when not None, is the one type
+    of every cell (float, bool or str), set only by a producer that knows
+    it, so that consumers need not scan the cells for it."""
 
     rows: int
     cols: int
     cells: tuple[Value, ...]
     origin: CellRef | None = field(default=None, compare=False)
     kind: type | None = field(default=None, compare=False, repr=False)
-    # the Partition of the table column a whole-column view shows
-    partition: Partition | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.rows * self.cols != len(self.cells):
@@ -383,7 +385,7 @@ def resolve(table: Table, ref: Expr) -> Value | RangeView:
             return ErrorKind.NAME
         cells = table.columns[idx - 1]
         origin = CellRef(index_to_col_letters(idx), 1)
-        return RangeView(len(cells), 1, cells, origin, table.column_kind(idx), table.partition(idx))
+        return RangeView(len(cells), 1, cells, origin, table.column_kind(idx))
 
     if isinstance(ref, CellRef):
         if not _in_table(table, ref.row, ref.col):
@@ -399,8 +401,7 @@ def resolve(table: Table, ref: Expr) -> Value | RangeView:
         slices = [column[r0 - 1 : r1] for column in table.columns[c0 - 1 : c1]]
         cells = slices[0] if len(slices) == 1 else tuple(chain.from_iterable(zip(*slices)))
         kind = float if all(table.column_kind(c) for c in range(c0, c1 + 1)) else None
-        whole = c0 == c1 and r0 == 1 and r1 == table.row_count
-        return RangeView(r1 - r0 + 1, c1 - c0 + 1, cells, start, kind, table.partition(c0) if whole else None)
+        return RangeView(r1 - r0 + 1, c1 - c0 + 1, cells, start, kind)
 
     raise TypeError(f"not a reference: {ref!r}")
 

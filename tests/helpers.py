@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from itertools import islice, repeat
 
 from sprego import Table
-from sprego.evaluator import _as_view, _branch_cells, _criteria_arg, _eval, _if_cell, _scalarize
+from sprego.evaluator import _as_view, _branch_cells, _criteria_arg, _eval, _if_cell, _scalar_arg, _scalarize
 from sprego.formula import (
     _CELLREF_RE,
     MAX_DEPTH,
@@ -36,6 +37,7 @@ from sprego.values import (
     ErrorKind,
     Value,
     coerce_logical,
+    coerce_number,
     compare_values,
     finite_or_error,
     is_number,
@@ -510,9 +512,72 @@ def reference_sum(args, st):
     return finite_or_error(total)
 
 
+# AVERAGE, MIN, MAX, SMALL and LARGE as the per-cell loops they were before
+# they shared one number walk
+
+
+def reference_average(args, st):
+    """evaluator._fn_average: the same left-to-right += as SUM, and a count."""
+    total = 0.0
+    count = 0
+    for v in _reference_iter_cells(args):
+        if type(v) is float:
+            total += v
+            count += 1
+        elif isinstance(v, ErrorKind):
+            return v
+        elif is_number(v):
+            total += v
+            count += 1
+    if count == 0:
+        return ErrorKind.DIV0
+    return finite_or_error(total / count)
+
+
+def reference_minmax(pick):
+    """evaluator._fn_minmax: *pick* of the best so far and each number."""
+
+    def fn(args, st):
+        best = None
+        for v in _reference_iter_cells(args):
+            if isinstance(v, ErrorKind):
+                return v
+            if is_number(v):
+                best = v if best is None else pick(best, v)
+        return 0.0 if best is None else float(best)
+
+    return fn
+
+
+def reference_small_large(reverse):
+    """evaluator._fn_small_large: k read first, then the numbers, then k
+    coerced."""
+
+    def fn(args, st):
+        view = _as_view(args[0])
+        k = _scalar_arg(args[1], st)
+        if isinstance(k, ErrorKind):
+            return k
+        numbers = []
+        for v in view.cells:
+            if isinstance(v, ErrorKind):
+                return v
+            if is_number(v):
+                numbers.append(v)
+        kk = coerce_number(k)
+        if isinstance(kk, ErrorKind):
+            return kk
+        kk = math.floor(kk)
+        if kk < 1 or kk > len(numbers):
+            return ErrorKind.NUM
+        return float(sorted(numbers, reverse=reverse)[kk - 1])
+
+    return fn
+
+
 def reference_if(args, st):
-    """evaluator._fn_if building every vector IF's cells, with _pick over a
-    condition of logicals; its views carry no kind."""
+    """evaluator._fn_if building every vector IF's cells, with
+    reference_pick over a condition of logicals; its views carry no kind."""
     cond = _eval(args[0], st)
     if st.scalar:
         cond = _scalarize(cond, st)
@@ -542,8 +607,9 @@ def reference_if(args, st):
 
 
 def reference_pick(cond: tuple, trues: int, then_s, else_s) -> tuple:
-    """evaluator._pick: the branch taken more often, copied, with the other
-    branch's cells written over it where the condition says."""
+    """IF's cells over a condition of logicals as the evaluator built them
+    before its one select: the branch taken more often, copied, with the
+    other branch's cells written over it where the condition says."""
     size = len(cond)
     if trues * 2 > size:
         target, count, base, other = False, size - trues, then_s, else_s

@@ -303,11 +303,11 @@ def kernel_calls(monkeypatch):
     for op in _KERNEL_OPS:
         kernel = evaluator._BINARY_KERNELS[op]
 
-        def counted(xs, ys, op=op, kernel=kernel):
+        def counted(xs, ys, op=op, run=kernel.run):
             calls[op] += 1
-            return kernel(xs, ys)
+            return run(xs, ys)
 
-        monkeypatch.setitem(evaluator._BINARY_KERNELS, op, counted)
+        monkeypatch.setitem(evaluator._BINARY_KERNELS, op, evaluator.Kernel(kernel.accepts, counted))
     return calls
 
 
@@ -471,8 +471,8 @@ def test_mixed_path_matches_per_cell(source, fn, propagate, names):
 
 def test_if_picks_by_truth_on_logical_conditions(monkeypatch):
     picks = []
-    pick = evaluator._pick
-    monkeypatch.setattr(evaluator, "_pick", lambda *a: picks.append(None) or pick(*a))
+    select = evaluator._select
+    monkeypatch.setattr(evaluator, "_select", lambda *a: picks.append(None) or select(*a))
     cols = _mixed_columns()
     conds = _logical_columns()
     for cond, xs in itertools.product(conds, cols[::2]):
@@ -512,7 +512,7 @@ def spies(monkeypatch):
 
         return evaluator.Kernel(kernel.accepts, run)
 
-    monkeypatch.setattr(evaluator, "_CONCAT_KERNEL", counting("&", evaluator._CONCAT_KERNEL))
+    monkeypatch.setitem(evaluator._BINARY_KERNELS, "&", counting("&", evaluator._BINARY_KERNELS["&"]))
     spec = FUNCTION_SPECS["LEN"]
     monkeypatch.setitem(FUNCTION_SPECS, "LEN", dataclasses.replace(spec, kernel=counting("LEN", spec.kernel)))
     wrap = evaluator._propagating

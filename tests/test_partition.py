@@ -1,11 +1,12 @@
 """Type-partitioned columns: the split path of the elementwise lift against
 the per-cell path.
 
-A whole-column view of a table column that is neither all floats nor
-shorter than PARTITION_MIN_ROWS carries the column's Partition. An
-elementwise function over it runs its kernel on the float cells and, on
-the other cells, once per distinct value (or per cell, when a float view
-of another column takes part), and merges the two parts back into column
+A table column that is neither all floats nor shorter than
+PARTITION_MIN_ROWS has a Partition, which the table builds the first
+time an elementwise function splits over a whole-column view of it. The
+split runs the function's kernel on the float cells and, on the other
+cells, once per distinct value (or per cell, when a float view of
+another column takes part), and merges the two parts back into column
 order. Every cell must be the one the per-cell path gives, by type and
 repr, and every kind it sets must hold for every cell. SUM over an IF
 whose taken branch is another such IF ANDs the inner condition into its
@@ -183,12 +184,13 @@ def test_cold_equals_warm_and_each_partition_is_built_once(monkeypatch):
         else:
             cold, warm = (cold,), (warm,)
         assert all(map(_same_cell, cold, warm)), source
-    # one build per column each fresh table read, none for the float column
-    assert len(built) == 1 + 1 + 1 + 2 + 1 + 1
+    # one build per column each fresh table splits, none for the float
+    # column, and none for x+y, which two dirty columns send per cell
+    assert len(built) == 1 + 1 + 1 + 0 + 1 + 1
     t = load_csv(csv)
     for source in sources * 3:
         evaluate(parse(source), EvalContext(t))
-    assert len(built) == 7 + 2
+    assert len(built) == 5 + 2
 
 
 def test_partition_needs_a_whole_column_of_odd_cells_above_the_floor(splits):
@@ -199,10 +201,14 @@ def test_partition_needs_a_whole_column_of_odd_cells_above_the_floor(splits):
     assert part is not None and t.partition(1) is part
     assert len(part.floats) + len(part.codes) == ROWS
     assert set(part.values) == {c for c in x if type(c) is not float}
-    # a range over part of the column carries none, the whole column does
-    assert evaluate(parse(f"{{=A1:A{ROWS}}}"), EvalContext(t)).partition is part
-    assert evaluate(parse(f"{{=A2:A{ROWS}}}"), EvalContext(t)).partition is None
-    assert evaluate(parse(f"{{=A1:B{ROWS}}}"), EvalContext(t)).partition is None
+    # a range over the whole column splits, one over part of it does not
+    before = len(splits)
+    _check(f"A1:A{ROWS}+0", t, _OPS["+"], True, x, (0.0,) * ROWS)
+    assert len(splits) == before + 1
+    _check(f"A2:A{ROWS}+0", t, _OPS["+"], True, x[1:], (0.0,) * ROWS)
+    matrix = evaluate(parse(f"{{=A1:B{ROWS}+0}}"), EvalContext(t))
+    assert matrix.cells[::2] == evaluate(parse("{=x+0}"), EvalContext(t)).cells
+    assert len(splits) == before + 2  # x+0 alone
     # shorter than the floor: no partition
     short = make_table(x=x[: PARTITION_MIN_ROWS - 1])
     assert short.partition(1) is None
@@ -267,3 +273,23 @@ def test_nested_masked_sum_matches_per_cell_sum(reference, fused):  # noqa: F811
     for source in _NESTED_SOURCES[:4]:
         _check_sum(reference, parse("{=" + source + "}"), t)
     assert fused == Counter(masked=4), fused
+
+
+def test_partition_is_built_only_where_a_split_reads_it(monkeypatch):
+    built = []
+    partition = table._partition
+    monkeypatch.setattr(table, "_partition", lambda cells: built.append(cells) or partition(cells))
+    rng = random.Random(11)
+    odd = ("a", "", None, True, "12")
+    dirty, other = (
+        tuple(rng.choice(odd) if rng.random() < 1 / 6 else float(rng.randrange(10)) for _ in range(20_000))
+        for _ in range(2)
+    )
+    # the baselines, SUM and the any-cell kernels read the column whole,
+    # and two dirty columns together take the per-cell path: no split
+    for source in ('=COUNTIF(dirty,">5")', "=COUNTA(dirty)", "=MATCH(1,dirty,0)", "=SUM(dirty)",
+                   "{=ISERROR(dirty)}", "{=IFERROR(dirty,0)}", "{=dirty+other}"):
+        evaluate(parse(source), EvalContext(make_table(dirty=dirty, other=other)))
+    assert built == []
+    evaluate(parse("{=dirty+0}"), EvalContext(make_table(dirty=dirty, other=other)))
+    assert built == [dirty]
