@@ -352,7 +352,7 @@ def _cmd_repl(args) -> int:
                 print(_REPL_HELP, file=sys.stderr)
             elif cmd == ":load":
                 try:
-                    table = load_csv(Path(rest).read_bytes(), table_name=Path(rest).stem)
+                    table = load_csv(Path(rest).read_bytes(), has_header=not args.no_header, table_name=Path(rest).stem)
                     print(f"loaded {table.name!r}: {table.row_count} rows, {table.column_count} columns", file=sys.stderr)
                 except (OSError, CsvError) as exc:
                     print(f"error: {exc}", file=sys.stderr)

@@ -10,11 +10,10 @@ formula. Wildcards (``*``/``?``) are unsupported throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 from .formula import Binary, BoolLit, CellRef, Expr, NameRef, NumberLit, TextLit
-from .values import COMPARISONS, ErrorKind, Value, compare_values, parse_number
+from .values import COMPARISONS, ErrorKind, Value, parse_number
 
 # longest first, so that ">=" is split off before ">"
 _OPS = tuple(sorted(COMPARISONS, key=len, reverse=True))
@@ -22,22 +21,12 @@ _OPS = tuple(sorted(COMPARISONS, key=len, reverse=True))
 
 @dataclass(frozen=True)
 class Criteria:
-    """A reified criteria: comparison operator plus a concrete operand.
-    The operator's function is bound once, as *test*."""
+    """A reified criteria: comparison operator plus a concrete operand. The
+    evaluator runs it as that operator between each cell and the operand,
+    so an error cell gives its error."""
 
     op: str
     operand: Value
-    test: Callable[[int, int], bool] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "test", COMPARISONS[self.op])
-
-    def matches(self, cell: Value) -> bool | ErrorKind:
-        """Apply the criteria to one cell; error cells propagate."""
-        c = compare_values(cell, self.operand)
-        if isinstance(c, ErrorKind):
-            return c
-        return self.test(c, 0)
 
 
 def split_criteria_text(text: str) -> tuple[str, str]:

@@ -18,26 +18,25 @@ and IFERROR over anything. Other arguments take the per-cell path, where a
 function pays for the first-error-wins check only when a scan of each
 range, one per range, finds an error. IF over a condition of logicals (or
 1 and 0) selects each cell from the pair of branch cells in C, as
-IFERROR's kernel does by whether a cell is an error. The baselines do the
-same by type: a number criteria over a range of floats, and a number
-looked up in a vector of floats (MATCH, VLOOKUP, HLOOKUP), compare a range
-at a time; COUNT and COUNTA count cell types.
+IFERROR's kernel does by whether a cell is an error. The criteria
+baselines run each criteria as its comparison operator runs, kernel and
+all; a number looked up in a vector of floats (MATCH, VLOOKUP, HLOOKUP)
+is compared a range at a time; COUNT and COUNTA count cell types.
 
 A dirty column, neither all floats nor shorter than
 table.PARTITION_MIN_ROWS, has a Partition: the float cells, the other
 cells as codes into their distinct values, and the order that merges the
-two back. An elementwise function over a view of the whole column (told
-by the origin resolve sets), with every other view showing the same
-column or a float view of its length, takes the split path unless its
-kernel takes any cells: the kernel on the floats (each zero divisor
-alone gives #DIV/0!, and & writes floats as text in C), the function
-once per distinct other value (per cell, after one coercion per value,
-beside a float view), and the two parts merged. The Table builds the
-partition at the column's first split and keeps it, so a formula that
-reads the column whole only through a baseline, an aggregator, ISERROR or
-IFERROR builds none. The first split on a table pays for the build, so
-below the floor, where a single use would not repay it, the per-cell path
-serves.
+two back. An elementwise function over a view of the whole column (one
+whose cells are the column's own tuple), with every other view showing the
+same column or a float view of its length, takes the split path unless its
+kernel takes any cells: the kernel on the floats (each zero divisor alone
+gives #DIV/0!, and & writes floats as text in C), the function once per
+distinct other value (per cell, after one coercion per value, beside a
+float view), and the two parts merged. The Table builds the partition at
+the column's first split and keeps it, so a formula that reads the column
+whole only through a baseline, an aggregator, ISERROR or IFERROR builds
+none. The first split on a table pays for the build, so below the floor,
+where a single use would not repay it, the per-cell path serves.
 
 A view's kind, when set, is the one type of its cells, and the tests
 above read it before they scan: float for a slice of a table column of
@@ -109,7 +108,6 @@ from .values import (
     coerce_text,
     compare_values,
     finite_or_error,
-    is_number,
 )
 
 # ---------------------------------------------------------------------------
@@ -333,21 +331,21 @@ def _map_cells(fn, args, propagate, kernel, table: Table | None = None):
 
 
 def _split_partition(args, table: Table) -> Partition | None:
-    """The partition of the table column that the view arguments show whole,
-    when every view but a float view of the column's length shows that one
-    column. Only then is the table asked for it, which builds it at most
+    """The partition of the table column whose own tuple is the cells of
+    every view argument but float views of the column's length. resolve
+    hands out that tuple for a column's name and for a range over all its
+    rows. Only then is the table asked for it, which builds it at most
     once; it has none below PARTITION_MIN_ROWS."""
     rows = table.row_count
     if rows < PARTITION_MIN_ROWS:
         return None
-    cols = set()
-    for a in args:
-        if isinstance(a, RangeView) and not (a.kind is float and len(a) == rows):
-            # resolve sets origin, the top-left cell, on the views it makes
-            if a.origin is None or a.origin.row != 1 or a.cols != 1 or len(a) != rows:
-                return None
-            cols.add(a.origin.col)
-    return table.partition(cols.pop()) if len(cols) == 1 else None
+    shown = {id(a.cells): a.cells for a in args if isinstance(a, RangeView) and not (a.kind is float and len(a) == rows)}
+    if len(shown) == 1:
+        (cells,) = shown.values()
+        for col, column in enumerate(table.columns, 1):
+            if column is cells:
+                return table.partition(col)
+    return None
 
 
 def _split_cells(part: Partition, fn, args, propagate, kernel):
@@ -1119,10 +1117,12 @@ def _criteria_reduce(sums, pair_args, st):
     error met. With *sums* None it only counts, and the sum is 0.0.
 
     Each criteria argument is read before its range's size is checked,
-    pair by pair, then the sum range's size. Rows are walked in order;
-    within a row the criteria are tried in argument order up to the first
-    miss, and the sum cell is read only on a matched row, so an error the
-    walk does not reach is ignored.
+    pair by pair, then the sum range's size. A criteria is its comparison
+    operator between each cell of the range and the operand, run as the
+    operator runs, kernel and all. The error returned is the first in row
+    order among the criteria results and the sum cells of matched rows; an
+    error on a row that an earlier criteria missed, or in the sum cell of
+    a row not matched, is ignored.
     """
     pairs = []
     for j in range(0, len(pair_args), 2):
@@ -1136,43 +1136,30 @@ def _criteria_reduce(sums, pair_args, st):
     if sums is not None and len(sums) != len(pairs[0][0]):
         return ErrorKind.VALUE
 
-    # per row, the first criteria result that is not True: False on a
-    # miss, the error of an error cell, True when every criteria matched.
-    # A number criteria over a range of floats is the plain comparison,
-    # made per range; its hits AND into hits that are all logicals.
-    hits = None
-    logicals = True  # every hit so far is TRUE or FALSE
-    sums_floats = sums is None  # or found all floats by a pair below
+    # per row, the first criteria result that is not TRUE: FALSE on a
+    # miss, the error of an error cell, TRUE when every criteria matched.
+    # No table is passed, so no partition is built
+    hits = kind = None
     for view, crit in pairs:
-        if logicals and type(crit.operand) is float and _all_floats(view):
-            found = map(crit.test, view.cells, repeat(crit.operand))
-            hits = list(found if hits is None else map(operator.and_, hits, found))
-            sums_floats = sums_floats or view is sums
-            continue
-        matches = crit.matches
+        found, found_kind = _map_cells(_BINARY_OPS[crit.op], (view, crit.operand), True, _BINARY_KERNELS[crit.op])
         if hits is None:
-            hits = [matches(v) for v in view.cells]
+            hits, kind = found, found_kind
+        elif kind is bool and found_kind is bool:
+            hits = tuple(map(operator.and_, hits, found))
         else:
-            hits = [h if h is not True else matches(v) for h, v in zip(hits, view.cells)]
-        logicals = ErrorKind not in map(type, hits)
+            hits, kind = tuple(f if h is True else h for h, f in zip(hits, found)), None
 
-    if logicals and (sums_floats or _all_floats(sums)):
-        # the loop below when no hit is an error and the sum cells are floats
-        total = 0.0 if sums is None else functools.reduce(operator.add, compress(sums.cells, hits), 0.0)
-        return hits.count(True), total
-
-    matched = 0
+    types = () if kind is bool else tuple(map(type, hits))
+    stop = types.index(ErrorKind) if ErrorKind in types else len(hits)
     total = 0.0
-    for h, s in zip(hits, repeat(None) if sums is None else sums.cells):
-        if h is True:
-            if isinstance(s, ErrorKind):
-                return s
-            matched += 1
-            if is_number(s):
-                total += s
-        elif h is not False:
-            return h
-    return matched, total
+    if sums is not None:
+        # the matched sum cells before the first error hit, in row order
+        cells = compress(sums.cells, hits[:stop])
+        numbers = cells if sums.kind is float else _numbers(cells)
+        if type(numbers) is ErrorKind:
+            return numbers
+        total = functools.reduce(operator.add, numbers, 0.0)
+    return hits[stop] if stop < len(hits) else (hits.count(True), total)
 
 
 def _fn_countifs(args, st):

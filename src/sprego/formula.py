@@ -34,6 +34,7 @@ import enum
 import re
 from dataclasses import dataclass, field
 from itertools import repeat
+from math import inf
 from operator import attrgetter
 
 from .values import COMPARISONS, number_to_text
@@ -363,8 +364,11 @@ class _Parser:
             raise self.error("expression")
 
         if tok.kind is TokenKind.NUMBER:
+            value = float(tok.lexeme)
+            if value == inf:  # 1E400: no literal prints it back
+                raise self.error("a finite number")
             self.pos += 1
-            return NumberLit(float(tok.lexeme), span=tok.span)
+            return NumberLit(value, span=tok.span)
 
         if tok.kind is TokenKind.STRING:
             self.pos += 1

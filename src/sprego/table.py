@@ -22,7 +22,7 @@ from itertools import chain, compress, count, repeat
 from math import isfinite
 from typing import NamedTuple
 
-from .formula import CellRef, Expr, NameRef, RangeRef, index_to_col_letters
+from .formula import CellRef, Expr, NameRef, RangeRef
 from .values import ErrorKind, Value, is_number, parse_number, value_type
 
 
@@ -112,16 +112,15 @@ def _cell_to_json(v: Value) -> object:
 @dataclass(frozen=True)
 class RangeView:
     """A rectangular window of values, row-major. A vector is a view with
-    one row or one column. *origin*, set by resolve, is the top-left table
-    cell the view shows, so that the evaluator can tell a whole column and
-    ask the table for its Partition. *kind*, when not None, is the one type
-    of every cell (float, bool or str), set only by a producer that knows
-    it, so that consumers need not scan the cells for it."""
+    one row or one column. *kind*, when not None, is the one type of every
+    cell (float, bool or str), set only by a producer that knows it, so
+    that consumers need not scan the cells for it. A view of a whole table
+    column holds the column's own tuple as its cells, which is how the
+    evaluator tells it."""
 
     rows: int
     cols: int
     cells: tuple[Value, ...]
-    origin: CellRef | None = field(default=None, compare=False)
     kind: type | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -384,8 +383,7 @@ def resolve(table: Table, ref: Expr) -> Value | RangeView:
         if idx is None:
             return ErrorKind.NAME
         cells = table.columns[idx - 1]
-        origin = CellRef(index_to_col_letters(idx), 1)
-        return RangeView(len(cells), 1, cells, origin, table.column_kind(idx))
+        return RangeView(len(cells), 1, cells, kind=table.column_kind(idx))
 
     if isinstance(ref, CellRef):
         if not _in_table(table, ref.row, ref.col):
@@ -397,11 +395,13 @@ def resolve(table: Table, ref: Expr) -> Value | RangeView:
         r0, c0, r1, c1 = start.row, start.col, end.row, end.col
         if not (_in_table(table, r0, c0) and _in_table(table, r1, c1)):
             return ErrorKind.REF
-        # one tuple slice per column; several columns interleave row-major
+        # one tuple slice per column; several columns interleave row-major.
+        # A slice over every row is the column's tuple itself, as a name's
+        # view is: the evaluator finds a whole column by that identity
         slices = [column[r0 - 1 : r1] for column in table.columns[c0 - 1 : c1]]
         cells = slices[0] if len(slices) == 1 else tuple(chain.from_iterable(zip(*slices)))
         kind = float if all(table.column_kind(c) for c in range(c0, c1 + 1)) else None
-        return RangeView(r1 - r0 + 1, c1 - c0 + 1, cells, start, kind)
+        return RangeView(r1 - r0 + 1, c1 - c0 + 1, cells, kind=kind)
 
     raise TypeError(f"not a reference: {ref!r}")
 

@@ -432,9 +432,17 @@ def reference_match_position(lookup: Value, vec, match_type: int) -> Value:
     return best if best is not None else ErrorKind.NA
 
 
+def reference_matches(crit, cell: Value) -> bool | ErrorKind:
+    """Apply a Criteria to one cell; error cells propagate."""
+    c = compare_values(cell, crit.operand)
+    if isinstance(c, ErrorKind):
+        return c
+    return COMPARISONS[crit.op](c, 0)
+
+
 def reference_criteria_reduce(sums, pair_args, st):
-    """evaluator._criteria_reduce with Criteria.matches per cell; *sums*
-    None means the first range."""
+    """evaluator._criteria_reduce with reference_matches per cell, in one
+    walk of the rows; *sums* None means the first range."""
     pairs = []
     for j in range(0, len(pair_args), 2):
         view = _as_view(pair_args[j])
@@ -452,11 +460,9 @@ def reference_criteria_reduce(sums, pair_args, st):
 
     # per row, the first criteria result that is not True: False on a
     # miss, the error of an error cell, True when every criteria matched
-    matches = crit.matches
-    hits = [matches(v) for v in view.cells]
+    hits = [reference_matches(crit, v) for v in view.cells]
     for view, crit in rest:
-        matches = crit.matches
-        hits = [h if h is not True else matches(v) for h, v in zip(hits, view.cells)]
+        hits = [h if h is not True else reference_matches(crit, v) for h, v in zip(hits, view.cells)]
 
     matched = 0
     total = 0.0

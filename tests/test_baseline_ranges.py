@@ -12,10 +12,9 @@ from collections import Counter
 import pytest
 
 from sprego import evaluator
-from sprego.criteria import Criteria
 from sprego.evaluator import FUNCTION_SPECS, EvalContext, evaluate
 from sprego.formula import parse
-from sprego.table import RangeView
+from sprego.table import RangeView, Table
 from sprego.values import ErrorKind
 
 from helpers import (
@@ -197,8 +196,7 @@ def test_named_cases(src, want, reference):
 
 def test_per_range_paths_run_on_float_columns(monkeypatch):
     calls = Counter()
-    matches, compare = Criteria.matches, evaluator.compare_values
-    monkeypatch.setattr(Criteria, "matches", lambda self, v: calls.update(["matches"]) or matches(self, v))
+    compare = evaluator.compare_values
     monkeypatch.setattr(evaluator, "compare_values", lambda a, b: calls.update(["compare"]) or compare(a, b))
     formulas = [
         '=COUNTIF(a,">0")', "=SUMIF(a,5,b)", '=AVERAGEIF(a,"<>2",b)', '=COUNTIFS(a,">0",b,"<=5")',
@@ -214,14 +212,17 @@ def test_per_range_paths_run_on_float_columns(monkeypatch):
     blank = make_table(a=(0.0, None, 2.0, 5.0, 1e308, 5e-324), b=(5.5, 5.0, 2.0, 1.0, None, -1e308))
     for src in formulas:
         ev(src, blank)
-    assert calls["matches"] > 0 and calls["compare"] > 0
+    assert calls["compare"] > 0
 
 
 @pytest.mark.parametrize("src, want", [('=SUMIF(a,"<=3")', 2.0), ('=AVERAGEIF(a,"<>2")', (1e308 + 5.0) / 5)])
 def test_criteria_range_as_sum_range_is_scanned_once(monkeypatch, src, want):
-    scanned = []
-    all_floats = evaluator._all_floats
-    monkeypatch.setattr(evaluator, "_all_floats", lambda a: scanned.append(a) or all_floats(a))
+    # the column's kind is found once, by resolve, and answers both for the
+    # comparison kernel and for the sum: no walk of the sum cells for numbers
+    calls = Counter()
+    column_kind, numbers = Table.column_kind, evaluator._numbers
+    monkeypatch.setattr(Table, "column_kind", lambda self, c: calls.update(["column_kind"]) or column_kind(self, c))
+    monkeypatch.setattr(evaluator, "_numbers", lambda cells: calls.update(["numbers"]) or numbers(cells))
     table = make_table(a=(0.0, -0.0, 2.0, 5.0, 1e308, 5e-324))
     assert ev(src, table) == want
-    assert [a.cells for a in scanned] == [table.columns[0]]
+    assert calls == Counter(column_kind=1)

@@ -49,6 +49,14 @@ def test_parse_error_exit_2(capsys):
     assert "error" in err
 
 
+def test_overflowing_numeral_exit_2(capsys):
+    code, out, err = run(capsys, "parse", "--formula", "=1E400+1")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    code, out, _ = run(capsys, "eval", "--formula", "=1e308*10")
+    assert code == 0 and out.strip() == "#NUM!"
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["parse"]) == 2
     capsys.readouterr()
@@ -302,6 +310,15 @@ def test_repl_load_and_diagnostics(monkeypatch, capsys, csv_path):
     code, out, err = repl(monkeypatch, capsys, script)
     assert out.splitlines()[0] == "2"
     assert "NON_SPREGO_FUNCTION" in err
+
+
+def test_repl_load_keeps_no_header(monkeypatch, capsys, tmp_path):
+    path = tmp_path / "nh.csv"
+    path.write_text("1,2\n3,4\n", encoding="utf-8")
+    script = f"=SUM(A1:A2)\n:load {path}\n=SUM(A1:A2)\n"
+    code, out, _ = repl(monkeypatch, capsys, script, "--no-header", "--table", str(path))
+    assert code == 0
+    assert out.splitlines() == ["4", "4"]
 
 
 def test_repl_parse_error_keeps_going(monkeypatch, capsys, csv_path):

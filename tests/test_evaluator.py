@@ -36,6 +36,7 @@ from helpers import (
     oracle_match_descending,
     oracle_match_exact,
     random_elementwise_source,
+    reference_matches,
 )
 
 
@@ -1079,7 +1080,21 @@ def test_binary_comparison_agrees_with_criteria(op):
     formula = parse(f"=A1{op}B1")
     for a, b in itertools.product(universe, repeat=2):
         ctx = EvalContext(Table("t", ("a", "b"), ((a,), (b,))), mode="array")
-        assert evaluate(formula, ctx) is Criteria(op, b).matches(a), (a, op, b)
+        assert evaluate(formula, ctx) is reference_matches(Criteria(op, b), a), (a, op, b)
+
+
+@pytest.mark.parametrize(
+    "src, want, runs",
+    [
+        ('=COUNTIF(xs,">5")', 2.0, {">": 1}),
+        ('=SUMIF(xs,">5",ys)', 4.0, {">": 1}),
+        ('=COUNTIFS(xs,">2",ys,"<8")', 3.0, {">": 1, "<": 1}),
+    ],
+)
+def test_criteria_run_the_comparison_kernels_on_floats(src, want, runs, kernel_calls):
+    t = make_table(xs=(1, 6, 8, 3), ys=(9, 1, 3, 7))
+    assert ev(src, t) == want
+    assert {op: n for op, n in kernel_calls.items() if n} == runs
 
 
 def test_sumif_with_and_without_sum_range():

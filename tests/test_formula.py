@@ -231,6 +231,16 @@ def test_parse_error_fields():
     assert exc.value.found == "end of input"
 
 
+def test_parse_error_on_overflowing_numeral():
+    # float("1E400") is inf, which format would print as the name "inf"
+    with pytest.raises(ParseError) as exc:
+        parse("=1E400")
+    assert exc.value.offset == 1
+    # an overflow at evaluation is still a value: 1e308*10 parses
+    f = parse("=1e308*10")
+    assert parse(format(f)) == f
+
+
 def test_parse_empty_source():
     with pytest.raises(ParseError) as exc:
         parse("")

@@ -182,7 +182,7 @@ def _resolve_cell_by_cell(table, ref):
     cells = tuple(
         table.cell(r, c) for r in range(start.row, end.row + 1) for c in range(start.col, end.col + 1)
     )
-    return RangeView(end.row - start.row + 1, end.col - start.col + 1, cells, origin=start)
+    return RangeView(end.row - start.row + 1, end.col - start.col + 1, cells)
 
 
 _MIXED_SCHEMA = DatasetSchema(
