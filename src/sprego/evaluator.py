@@ -20,8 +20,9 @@ range, one per range, finds an error. IF over a condition of logicals (or
 1 and 0) selects each cell from the pair of branch cells in C, as
 IFERROR's kernel does by whether a cell is an error. The criteria
 baselines run each criteria as its comparison operator runs, kernel and
-all; a number looked up in a vector of floats (MATCH, VLOOKUP, HLOOKUP)
-is compared a range at a time; COUNT and COUNTA count cell types.
+all, each later one only on the rows the earlier ones matched; a number
+looked up in a vector of floats (MATCH, VLOOKUP, HLOOKUP) is compared a
+range at a time; COUNT and COUNTA count cell types.
 
 A dirty column, neither all floats nor shorter than
 table.PARTITION_MIN_ROWS, has a Partition: the float cells, the other
@@ -37,6 +38,14 @@ the column's first split and keeps it, so a formula that reads the column
 whole only through a baseline, an aggregator, ISERROR or IFERROR builds
 none. The first split on a table pays for the build, so below the floor,
 where a single use would not repay it, the per-cell path serves.
+
+An = node that tests x for emptiness (x="", ""=x, LEN(x)=0 or 0=LEN(x),
+with x&"" or ""&x read as x) is one elementwise function of x: x's error,
+else whether x is blank or the text "". It builds no text, since the text
+of a number or a logical is never empty. Its kernel takes any cells
+without errors, and answers all FALSE without a scan over a view of
+floats or logicals; a dirty column splits first, as above. The matching is
+structural, so R4's LEN(r&"")=0 takes it with its printed text unchanged.
 
 A view's kind, when set, is the one type of its cells, and the tests
 above read it before they scan: float for a slice of a table column of
@@ -221,6 +230,9 @@ def _eval(expr: Expr, st: _EvalState):
         operand = _eval(expr.operand, st)
         return _lift(_UNARY_OPS[expr.op], [operand], st)
     if isinstance(expr, Binary):
+        tested = _emptiness_operand(expr) if expr.op == "=" else None
+        if tested is not None:
+            return _lift(_fn_is_empty, [_eval(tested, st)], st, propagate=False, kernel=_IS_EMPTY_KERNEL)
         left = _eval(expr.left, st)
         right = _eval(expr.right, st)
         return _lift(_BINARY_OPS[expr.op], [left, right], st, kernel=_BINARY_KERNELS.get(expr.op))
@@ -578,6 +590,50 @@ _BINARY_KERNELS = {
     **{op: _compare_kernel(fn) for op, fn in COMPARISONS.items()},
     "&": Kernel(_no_errors, _concat_kernel),
 }
+
+
+# The emptiness test: a blank equals "" and has no length, and the text of a
+# number or a logical is never empty, so each form gives x's error or
+# whether x is blank or "", and x&"" or ""&x can be tested as x.
+
+_EMPTY_TEXT = TextLit("")
+_ZERO = NumberLit(0.0)
+
+
+def _emptiness_operand(expr: Binary) -> Expr | None:
+    """x, when the = node *expr* is an emptiness test of x, else None."""
+    left, right = expr.left, expr.right
+    if right == _EMPTY_TEXT:
+        x = left
+    elif left == _EMPTY_TEXT:
+        x = right
+    elif right == _ZERO and _is_len(left):
+        x = left.args[0]
+    elif left == _ZERO and _is_len(right):
+        x = right.args[0]
+    else:
+        return None
+    while type(x) is Binary and x.op == "&" and _EMPTY_TEXT in (x.left, x.right):
+        x = x.left if x.right == _EMPTY_TEXT else x.right
+    return x
+
+
+def _is_len(expr: Expr) -> bool:
+    return type(expr) is Call and expr.func == "LEN" and len(expr.args) == 1
+
+
+def _fn_is_empty(c):
+    return c if type(c) is ErrorKind else c in ("", None)
+
+
+def _is_empty_kernel(cs):
+    # by type rank a number or a logical is never empty
+    if cs.kind is float or cs.kind is bool:
+        return (False,) * len(cs), bool
+    return tuple(map(("", None).__contains__, cs.cells)), bool
+
+
+_IS_EMPTY_KERNEL = Kernel(_no_errors, _is_empty_kernel)
 
 
 def _unary_num(fn):
@@ -1136,30 +1192,39 @@ def _criteria_reduce(sums, pair_args, st):
     if sums is not None and len(sums) != len(pairs[0][0]):
         return ErrorKind.VALUE
 
-    # per row, the first criteria result that is not TRUE: FALSE on a
-    # miss, the error of an error cell, TRUE when every criteria matched.
-    # No table is passed, so no partition is built
-    hits = kind = None
+    # each criteria is compared only on the rows every earlier one matched,
+    # before the first error so far: a row's first result that is not TRUE
+    # decides it. The rows left stay in row order, so an error found later
+    # lies before the one it replaces. No table is passed, so no partition
+    # is built
+    masks = []
+    error = None
     for view, crit in pairs:
-        found, found_kind = _map_cells(_BINARY_OPS[crit.op], (view, crit.operand), True, _BINARY_KERNELS[crit.op])
-        if hits is None:
-            hits, kind = found, found_kind
-        elif kind is bool and found_kind is bool:
-            hits = tuple(map(operator.and_, hits, found))
-        else:
-            hits, kind = tuple(f if h is True else h for h, f in zip(hits, found)), None
-
-    types = () if kind is bool else tuple(map(type, hits))
-    stop = types.index(ErrorKind) if ErrorKind in types else len(hits)
+        if masks:
+            cells = tuple(_kept(view.cells, masks))
+            view = RangeView(len(cells), 1, cells, kind=view.kind)
+        hits, kind = _map_cells(_BINARY_OPS[crit.op], (view, crit.operand), True, _BINARY_KERNELS[crit.op])
+        types = () if kind is bool else tuple(map(type, hits))
+        if ErrorKind in types:
+            stop = types.index(ErrorKind)
+            error, hits = hits[stop], hits[:stop]
+        masks.append(hits)
     total = 0.0
     if sums is not None:
-        # the matched sum cells before the first error hit, in row order
-        cells = compress(sums.cells, hits[:stop])
+        # the matched sum cells before the first error, in row order
+        cells = _kept(sums.cells, masks)
         numbers = cells if sums.kind is float else _numbers(cells)
         if type(numbers) is ErrorKind:
             return numbers
         total = functools.reduce(operator.add, numbers, 0.0)
-    return hits[stop] if stop < len(hits) else (hits.count(True), total)
+    return error if error is not None else (masks[-1].count(True), total)
+
+
+def _kept(cells, masks):
+    """The cells that every mask in turn keeps, in order."""
+    for mask in masks:
+        cells = compress(cells, mask)
+    return cells
 
 
 def _fn_countifs(args, st):

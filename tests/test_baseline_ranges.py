@@ -226,3 +226,56 @@ def test_criteria_range_as_sum_range_is_scanned_once(monkeypatch, src, want):
     table = make_table(a=(0.0, -0.0, 2.0, 5.0, 1e308, 5e-324))
     assert ev(src, table) == want
     assert calls == Counter(column_kind=1)
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        # three pairs, each narrowing the rows the next one compares
+        '=COUNTIFS(a,">0",b,"<9",c,"<>2")',
+        '=COUNTIFS(a,">2",b,"<9",c,"<>2")',
+        '=SUMIFS(s,a,">0",b,"<9",c,"<>2")',
+        '=SUMIFS(b,b,"<9",a,">1",c,"<>2")',
+        '=SUMIFS(a,c,"<>2",b,">=0",a,"<9")',
+        # a first pair that matches nothing
+        '=COUNTIFS(a,">100",eb,"<9")',
+        '=SUMIFS(s,a,">100",eb,"<9",ea,"<9")',
+        '=AVERAGEIF(a,">100",s)',
+        # errors in a later pair: only on missed rows, on matched rows,
+        # after an earlier pair's first error and before it
+        '=COUNTIFS(a,">2",em,"<9")',
+        '=COUNTIFS(a,"<=2",em,"<9")',
+        '=COUNTIFS(a,">0",eb,"<9")',
+        '=COUNTIFS(eb,">0",ea,"<9")',
+        '=COUNTIFS(ea,">0",eb,"<9")',
+        '=COUNTIFS(a,">0",ea,"<9",eb,"<9")',
+        '=COUNTIFS(a,">0",eb,"<9",ea,"<9")',
+        '=SUMIFS(s,ea,">0",eb,"<9")',
+        # a criteria error and a sum error on one row, and a sum error
+        # before a criteria error
+        '=SUMIFS(s,a,">5",ea,"<9")',
+        '=SUMIFS(em,a,">0",ea,"<9")',
+        # sum ranges of blanks, text, logicals and errors, on matched rows
+        # and on missed ones
+        '=SUMIFS(s,a,">0",b,"<9")',
+        '=SUMIFS(s,a,">3",b,"<9")',
+        '=SUMIFS(ea,a,">3",b,"<9")',
+        '=SUMIFS(ea,a,"<3",b,"<9")',
+        '=SUMIF(a,">0",s)',
+        '=AVERAGEIF(b,"<9",s)',
+    ],
+)
+def test_later_pairs_compare_only_the_rows_earlier_pairs_matched(src, reference):
+    t = make_table(
+        a=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0),
+        b=(8.0, 1.0, 9.0, 2.0, 0.0, -1.0, 3.0, 4.0),
+        c=(2.0, 2.0, 1.0, 2.0, 5.0, 2.0, "2", None),
+        s=(1.5, None, "x", True, 2.5, ErrorKind.NA, 4.0, -0.0),
+        # ea: errors on rows 3 and 6; eb: on rows 2 and 5; em: on rows 1
+        # and 2, which a>2 misses
+        ea=(1.0, 1.0, ErrorKind.DIV0, 1.0, 1.0, ErrorKind.NUM, 1.0, 1.0),
+        eb=(1.0, ErrorKind.VALUE, 1.0, 1.0, ErrorKind.NA, 1.0, 1.0, 1.0),
+        em=(ErrorKind.REF, ErrorKind.NAME, 1.0, 1.0, 1.0, 1.0, 20.0, 1.0),
+    )
+    got = ev(src, t)
+    assert _same_cell(got, reference(src, t)), (src, got)
