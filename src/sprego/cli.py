@@ -3,7 +3,8 @@ profile, and a line-oriented REPL.
 
 Exit status: 0 on success, 1 when lint finds something or an equivalence
 check fails, 2 on usage or formula-parse errors, unreadable input files,
-a SPREGO_SEED that is not an integer or a check --trials below 1. Data
+a SPREGO_SEED that is not an integer, a check --trials below 1 or a
+check pair whose references need tables past its cell budget. Data
 goes to stdout, messages to stderr. The seed defaults to 0 (or
 SPREGO_SEED) so identical invocations print identical bytes.
 """
@@ -89,7 +90,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _dispatch(args)
-    except (FormulaError, CsvError, OSError, UnicodeDecodeError, UsageError) as exc:
+    except (FormulaError, CsvError, OSError, UnicodeDecodeError, UsageError, equivalence.SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,5 @@
-"""Criteria strings for the *IF? baseline functions, shared with the rewriter.
+"""The criteria baselines' argument shape and criteria strings, shared by
+the evaluator and the rewriter.
 
 A criteria string is an optional comparison operator (``>=``, ``<=``,
 ``<>``, ``>``, ``<``, ``=``) followed by an operand; the default operator
@@ -29,16 +30,13 @@ class Criteria:
     operand: Value
 
 
-def split_criteria_text(text: str) -> tuple[str, str]:
-    """Split a criteria string into (operator, operand text)."""
-    for op in _OPS:
-        if text.startswith(op):
-            return op, text[len(op):]
-    return "=", text
-
-
-def has_wildcards(text: str) -> bool:
-    return "*" in text or "?" in text
+def _split(text: str) -> tuple[str, float | str]:
+    """Split a criteria string into its operator and operand; a numeral
+    operand comes back as its number."""
+    op = next((op for op in _OPS if text.startswith(op)), "")
+    rest = text[len(op):]
+    x = parse_number(rest)
+    return op or "=", rest if x is None else x
 
 
 def criteria_from_value(v: Value) -> Criteria | ErrorKind:
@@ -51,10 +49,21 @@ def criteria_from_value(v: Value) -> Criteria | ErrorKind:
     if isinstance(v, ErrorKind):
         return v
     if isinstance(v, str):
-        op, rest = split_criteria_text(v)
-        x = parse_number(rest)
-        return Criteria(op, x if x is not None else rest)
+        return Criteria(*_split(v))
     return Criteria("=", v)
+
+
+def criteria_args(name: str, args: tuple) -> tuple[object, tuple] | None:
+    """The argument shape of a criteria baseline, for evaluated arguments
+    and syntax alike: (sum range or None, the (range, criteria) pair
+    arguments), or None when COUNTIFS or SUMIFS has an argument left over.
+    SUMIF and AVERAGEIF sum their third argument, else their range; SUMIFS
+    sums its first; COUNTIF and COUNTIFS sum nothing."""
+    if name in ("SUMIF", "AVERAGEIF"):
+        return args[2] if len(args) > 2 else args[0], args[:2]
+    if name == "SUMIFS":
+        return (args[0], args[1:]) if len(args) % 2 else None
+    return None if len(args) % 2 else (None, args)
 
 
 # ---------------------------------------------------------------------------
@@ -77,13 +86,12 @@ def criteria_expr(arg: Expr) -> tuple[str, Expr] | None:
     Raises UnsupportedCriteria on wildcards in a literal operand.
     """
     if isinstance(arg, TextLit):
-        op, rest = split_criteria_text(arg.value)
-        if has_wildcards(rest):
-            raise UnsupportedCriteria(arg.span)
-        x = parse_number(rest)
-        if x is not None:
+        op, x = _split(arg.value)
+        if isinstance(x, float):
             return op, NumberLit(x)
-        return op, TextLit(rest)
+        if "*" in x or "?" in x:
+            raise UnsupportedCriteria(arg.span)
+        return op, TextLit(x)
     if isinstance(arg, (NumberLit, BoolLit)):
         return "=", arg
     if isinstance(arg, (CellRef, NameRef)):

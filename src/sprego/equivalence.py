@@ -58,6 +58,11 @@ _ERROR_KINDS = tuple(ErrorKind)
 BLANK_RATE = 0.25
 ERROR_RATE = 0.2
 
+# the most cells (columns times rows) a table of schemas_for_pair may hold:
+# at check's default 200 trials a pair of that size takes about 3-4 s on a
+# 2-core machine
+PAIR_CELL_BUDGET = 4096
+
 
 @dataclass(frozen=True)
 class DatasetSchema:
@@ -268,8 +273,9 @@ def check_equivalence(
 
 def schemas_for_pair(original: Formula, rewritten: Formula):
     """Dataset schemas sized to the references the pair actually uses:
-    named columns first, then enough positional columns and rows to cover
-    every cell reference."""
+    named columns first, then enough positional columns and rows (at least
+    16) to cover every cell reference. Raises SchemaError when those tables
+    would hold more than PAIR_CELL_BUDGET cells."""
     names: list[str] = []
     max_col = 0
     max_row = 0
@@ -284,7 +290,12 @@ def schemas_for_pair(original: Formula, rewritten: Formula):
             max_col = max(max_col, ref.end.col)
             max_row = max(max_row, ref.end.row)
     width = max(len(names), max_col, 1)
-    rows = min(max(max_row, 16), 64)
+    rows = max(max_row, 16)
+    if width * rows > PAIR_CELL_BUDGET:
+        raise SchemaError(
+            f"the pair's references need {width} columns by {rows} rows, past the"
+            f" {PAIR_CELL_BUDGET}-cell budget of a check"
+        )
 
     def columns(kind):
         cols = []

@@ -14,13 +14,19 @@ Whole ranges run through kernels instead of a per-cell loop where the
 argument types allow, chosen by those types alone and giving the same
 cells bit for bit: a binary arithmetic or comparison operator over floats
 or ranges of floats, & over cells without errors, LEN over text, ISERROR
-and IFERROR over anything. Other arguments take the per-cell path, where a
-function pays for the first-error-wins check only when a scan of each
-range, one per range, finds an error. IF over a condition of logicals (or
-1 and 0) selects each cell from the pair of branch cells in C, as
-IFERROR's kernel does by whether a cell is an error. The criteria
-baselines run each criteria as its comparison operator runs, kernel and
-all, each later one only on the rows the earlier ones matched; a number
+and IFERROR over anything. A dirty column read whole splits first (below):
+there &'s kernel serves the float part, and LEN's kernel serves nothing,
+since a whole text column splits too and LEN then runs once per distinct
+text. LEN's kernel serves the text & makes, columns below the split's
+floor and slices of a column. Other arguments take the per-cell path,
+where a function pays for the first-error-wins check only when a scan of
+each range, one per range, finds an error. IF over a condition of
+logicals (or 1 and 0) selects each cell from the pair of branch cells in
+C, as IFERROR's kernel does by whether a cell is an error. The criteria
+baselines are one function, which reads their argument shape from
+criteria.criteria_args and runs each criteria as its comparison operator
+runs, kernel and all, each later one only on the rows the earlier ones
+matched; a number
 looked up in a vector of floats (MATCH, VLOOKUP, HLOOKUP) is compared a
 range at a time; COUNT and COUNTA count cell types.
 
@@ -89,7 +95,7 @@ from decimal import ROUND_HALF_UP, Context, Decimal
 from itertools import chain, compress, repeat
 from typing import Callable, NamedTuple
 
-from .criteria import Criteria, criteria_from_value
+from .criteria import Criteria, criteria_args, criteria_from_value
 from .formula import (
     MAX_COLUMNS,
     MAX_ROWS,
@@ -1227,31 +1233,21 @@ def _kept(cells, masks):
     return cells
 
 
-def _fn_countifs(args, st):
-    if len(args) % 2 != 0:
-        return ErrorKind.VALUE
-    reduced = _criteria_reduce(None, args, st)
-    return reduced if isinstance(reduced, ErrorKind) else float(reduced[0])
+def _fn_criteria(name):
+    def fn(args, st):
+        shape = criteria_args(name, args)
+        if shape is None:
+            return ErrorKind.VALUE
+        sums, pair_args = shape
+        reduced = _criteria_reduce(None if sums is None else _as_view(sums), pair_args, st)
+        if isinstance(reduced, ErrorKind):
+            return reduced
+        matched, total = reduced
+        if name == "AVERAGEIF":
+            return finite_or_error(total / matched) if matched else ErrorKind.DIV0
+        return float(matched) if sums is None else finite_or_error(total)
 
-
-def _fn_sumifs(args, st):
-    if len(args) % 2 != 1:
-        return ErrorKind.VALUE
-    reduced = _criteria_reduce(_as_view(args[0]), args[1:], st)
-    return reduced if isinstance(reduced, ErrorKind) else finite_or_error(reduced[1])
-
-
-def _fn_sumif(args, st):
-    # SUMIF(range, criteria[, sum range]) is SUMIFS(sum range, range, criteria)
-    return _fn_sumifs((args[2] if len(args) > 2 else args[0], *args[:2]), st)
-
-
-def _fn_averageif(args, st):
-    reduced = _criteria_reduce(_as_view(args[2] if len(args) > 2 else args[0]), args[:2], st)
-    if isinstance(reduced, ErrorKind):
-        return reduced
-    matched, total = reduced
-    return finite_or_error(total / matched) if matched else ErrorKind.DIV0
+    return fn
 
 
 def _fn_match(args, st):
@@ -1493,11 +1489,11 @@ FUNCTION_SPECS: dict[str, FunctionSpec] = {
         # problem-specific baselines
         _spec("COUNT", 1, None, "baseline", "evaluated", _fn_count),
         _spec("COUNTA", 1, None, "baseline", "evaluated", _fn_counta),
-        _spec("COUNTIF", 2, 2, "baseline", "evaluated", _fn_countifs),
-        _spec("COUNTIFS", 2, None, "baseline", "evaluated", _fn_countifs),
-        _spec("SUMIF", 2, 3, "baseline", "evaluated", _fn_sumif),
-        _spec("SUMIFS", 3, None, "baseline", "evaluated", _fn_sumifs),
-        _spec("AVERAGEIF", 2, 3, "baseline", "evaluated", _fn_averageif),
+        _spec("COUNTIF", 2, 2, "baseline", "evaluated", _fn_criteria("COUNTIF")),
+        _spec("COUNTIFS", 2, None, "baseline", "evaluated", _fn_criteria("COUNTIFS")),
+        _spec("SUMIF", 2, 3, "baseline", "evaluated", _fn_criteria("SUMIF")),
+        _spec("SUMIFS", 3, None, "baseline", "evaluated", _fn_criteria("SUMIFS")),
+        _spec("AVERAGEIF", 2, 3, "baseline", "evaluated", _fn_criteria("AVERAGEIF")),
         _spec("VLOOKUP", 3, 4, "baseline", "evaluated", _fn_vlookup),
         _spec("HLOOKUP", 3, 4, "baseline", "evaluated", _fn_hlookup),
         _spec(

@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .criteria import UnsupportedCriteria, criteria_expr
+from .criteria import UnsupportedCriteria, criteria_args, criteria_expr
 from .evaluator import BASELINE_FUNCTIONS, FUNCTION_SPECS, SPREGO_FUNCTIONS, contains_rand as _contains_rand
 from .formula import (
     Binary,
@@ -86,25 +86,8 @@ class RewritePlan:
         }
 
 
-class RewriteError(Exception):
-    """A rewrite that cannot be expressed; carries the offending span."""
-
-    def __init__(self, span: Span | None, reason: str):
-        super().__init__(reason)
-        self.span = span
-        self.reason = reason
-
-
 _ZERO = NumberLit(0.0)
 _ONE = NumberLit(1.0)
-
-
-def _sum_if(cond: Expr, then: Expr, other: Expr) -> Call:
-    return Call("SUM", (Call("IF", (cond, then, other)),))
-
-
-def _predicate(rng: Expr, op: str, operand: Expr) -> Expr:
-    return Binary(op, rng, operand)
 
 
 def _len_is_zero(rng: Expr) -> Expr:
@@ -143,53 +126,19 @@ def _plan_for_call(call: Call, table: Table | None) -> tuple[_Plan | None, str |
     if not FUNCTION_SPECS[name].takes(len(args)):
         return None, f"{name}() with {len(args)} arguments is a #VALUE! error"
 
-    if name == "COUNTIF":
-        crit = criteria_expr(args[1])
-        if crit is None:
-            return None, "criteria argument is not a literal, reference, or \"op\"&ref"
-        op, operand = crit
-        return _Plan("R1", _sum_if(_predicate(args[0], op, operand), _ONE, _ZERO)), None
+    if name in ("COUNTIF", "COUNTIFS", "SUMIF", "SUMIFS", "AVERAGEIF"):
+        return _plan_criteria(call)
 
-    if name in ("SUMIF", "AVERAGEIF"):
-        crit = criteria_expr(args[1])
-        if crit is None:
-            return None, "criteria argument is not a literal, reference, or \"op\"&ref"
-        op, operand = crit
-        values = args[2] if len(args) > 2 else args[0]
-        if len(args) > 2 and _lengths_clash(args[0], args[2]):
-            return None, "criteria range and sum range have different sizes"
-        pred = _predicate(args[0], op, operand)
-        total = _sum_if(pred, values, _ZERO)
-        if name == "SUMIF":
-            return _Plan("R2", total), None
-        count = _sum_if(pred, _ONE, _ZERO)
-        return _Plan("R3", Binary("/", total, count)), None
-
-    if name == "COUNT":
+    if name in ("COUNT", "COUNTA"):
         if len(args) != 1:
-            return None, "only single-range COUNT is rewritten"
+            return None, f"only single-range {name} is rewritten"
         rng = args[0]
-        guard = Call("ISERROR", (Binary("+", rng, _ZERO),))
-        inner = Call("IF", (_len_is_zero(rng), _ZERO, _ONE))
-        plan = _Plan(
-            "R4",
-            Call("SUM", (Call("IF", (guard, _ZERO, inner)),)),
-            notes=(
-                "numeric-looking text and logical cells count under the"
-                " rewrite but not under COUNT",
-            ),
-        )
-        return plan, None
-
-    if name == "COUNTA":
-        if len(args) != 1:
-            return None, "only single-range COUNTA is rewritten"
-        plan = _Plan(
-            "R4",
-            _sum_if(_len_is_zero(args[0]), _ZERO, _ONE),
-            notes=("empty-text cells are not counted by the rewrite",),
-        )
-        return plan, None
+        counted = Call("IF", (_len_is_zero(rng), _ZERO, _ONE))
+        note = "empty-text cells are not counted by the rewrite"
+        if name == "COUNT":
+            counted = Call("IF", (Call("ISERROR", (Binary("+", rng, _ZERO),)), _ZERO, counted))
+            note = "numeric-looking text and logical cells count under the rewrite but not under COUNT"
+        return _Plan("R4", Call("SUM", (counted,)), notes=(note,)), None
 
     if name in ("VLOOKUP", "HLOOKUP"):
         return _plan_lookup(call, table)
@@ -209,9 +158,6 @@ def _plan_for_call(call: Call, table: Table | None) -> tuple[_Plan | None, str |
             introduces_array=False,
         )
         return plan, None
-
-    if name in ("COUNTIFS", "SUMIFS"):
-        return _plan_multi_criteria(call)
 
     return None, f"{name} has no catalog rule"
 
@@ -286,34 +232,35 @@ def _slice(rng: RangeRef, k: int, by_col: bool) -> RangeRef:
     return RangeRef(a, b)
 
 
-def _plan_multi_criteria(call: Call) -> tuple[_Plan | None, str | None]:
-    args = call.args
-    if call.func == "COUNTIFS":
-        if len(args) % 2 != 0:
-            return None, "COUNTIFS takes range,criteria pairs"
-        pair_args = args
-        innermost: Expr = _ONE
-    else:
-        if len(args) % 2 != 1:
-            return None, "SUMIFS takes a sum range then range,criteria pairs"
-        pair_args = args[1:]
-        innermost = args[0]
-
-    pairs = []
+def _plan_criteria(call: Call) -> tuple[_Plan | None, str | None]:
+    """R1, R2, R3 and R8: SUM(IF(P1, IF(P2, ..., body, 0), 0)), whose body
+    is 1 for a count and the sum range for a sum; R3 divides the two."""
+    name = call.func
+    shape = criteria_args(name, call.args)
+    if shape is None:
+        lead = "a sum range then " if name == "SUMIFS" else ""
+        return None, f"{name} takes {lead}range,criteria pairs"
+    sums, pair_args = shape
+    preds = []
     for j in range(0, len(pair_args), 2):
         crit = criteria_expr(pair_args[j + 1])
         if crit is None:
             return None, "criteria argument is not a literal, reference, or \"op\"&ref"
-        pairs.append((pair_args[j], crit))
-        if j > 0 and _lengths_clash(pair_args[0], pair_args[j]):
-            return None, "criteria ranges have different sizes"
-    if call.func == "SUMIFS" and _lengths_clash(args[0], pair_args[0]):
-        return None, "sum range and criteria ranges have different sizes"
+        if _lengths_clash(pair_args[0], pair_args[j]):
+            return None, "ranges have different sizes"
+        preds.append(Binary(crit[0], pair_args[j], crit[1]))
+    if sums is not None and _lengths_clash(pair_args[0], sums):
+        return None, "ranges have different sizes"
 
-    body = innermost
-    for rng, (op, operand) in reversed(pairs):
-        body = Call("IF", (_predicate(rng, op, operand), body, _ZERO))
-    return _Plan("R8", Call("SUM", (body,))), None
+    def total(body: Expr) -> Call:
+        for pred in reversed(preds):
+            body = Call("IF", (pred, body, _ZERO))
+        return Call("SUM", (body,))
+
+    if name == "AVERAGEIF":
+        return _Plan("R3", Binary("/", total(sums), total(_ONE))), None
+    rule = {"COUNTIF": "R1", "SUMIF": "R2"}.get(name, "R8")
+    return _Plan(rule, total(_ONE if sums is None else sums)), None
 
 
 # ---------------------------------------------------------------------------

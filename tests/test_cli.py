@@ -195,6 +195,26 @@ def test_check_pair_failure_exit_1(capsys):
     assert doc["verdicts"][0]["failures"]
 
 
+def test_check_pair_over_100_rows_compares_every_row(capsys):
+    # the threshold differs, so the pair must fail: tables cut short of
+    # row 100 gave #REF! on both sides and a vacuous pass
+    code, out, _ = run(
+        capsys, "check",
+        "--original", '=COUNTIF(A1:A100,">5")',
+        "--rewritten", "{=SUM(IF(A1:A100>6,1,0))}",
+        "--trials", "5",
+    )
+    assert code == 1
+    assert json.loads(out)["passed"] is False
+
+
+def test_check_pair_past_the_cell_budget_exit_2(capsys):
+    code, out, err = run(capsys, "check", "--original", "=SUM(ZZZZZ1)", "--rewritten", "=ZZZZZ1", "--trials", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_check_all_rules_quick(capsys):
     code, out, _ = run(capsys, "check", "--all-rules", "--trials", "5", "--seed", "7")
     doc = json.loads(out)

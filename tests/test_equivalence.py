@@ -1,5 +1,6 @@
 import pytest
 
+from sprego import equivalence
 from sprego.equivalence import (
     ColumnSpec,
     DatasetSchema,
@@ -10,6 +11,7 @@ from sprego.equivalence import (
     default_rule_cases,
     gen_dataset,
     numbers_close,
+    schemas_for_pair,
     values_match,
 )
 from sprego.evaluator import EvalContext, evaluate
@@ -179,6 +181,33 @@ def test_verdict_json_shape():
     assert j["passed"] is True
     assert j["trials"] == 5
     assert j["failures"] == []
+
+
+def test_pair_tables_cover_every_referenced_row():
+    # tables cut short of row 100 would make both sides #REF! on every
+    # trial, and the wrong threshold below would pass
+    original, rewritten = parse('=COUNTIF(A1:A100,">5")'), parse("{=SUM(IF(A1:A100>6,1,0))}")
+    schemas = schemas_for_pair(original, rewritten)
+    assert [s.rows for s in schemas] == [100] * 3
+    verdict = check_equivalence(original, rewritten, schemas, trials_per_schema=10, seed=0)
+    assert not verdict.passed
+
+
+def test_pair_tables_have_at_least_16_rows():
+    schemas = schemas_for_pair(parse("=SUM(B2)"), parse("=B2"))
+    assert [(len(s.columns), s.rows) for s in schemas] == [(2, 16)] * 3
+
+
+def test_pair_past_the_cell_budget_is_a_schema_error():
+    budget = equivalence.PAIR_CELL_BUDGET
+    assert [s.rows for s in schemas_for_pair(parse(f"=SUM(A1:A{budget})"), parse("=0"))] == [budget] * 3
+    with pytest.raises(SchemaError):
+        schemas_for_pair(parse(f"=SUM(A1:A{budget + 1})"), parse("=0"))
+    with pytest.raises(SchemaError):
+        schemas_for_pair(parse("=SUM(xs)"), parse(f"=B{budget // 2 + 1}"))
+    # 12.4 million columns: refused before any column is built
+    with pytest.raises(SchemaError):
+        schemas_for_pair(parse("=SUM(ZZZZZ1)"), parse("=ZZZZZ1"))
 
 
 # ---------------------------------------------------------------------------

@@ -1069,6 +1069,14 @@ def test_criteria_aggregators_skip_errors_off_matched_rows():
     assert ev('=COUNTIFS(y,"<8",x,">5")', t) is ErrorKind.DIV0
 
 
+@pytest.mark.parametrize("mode, row", [("array", None), ("scalar", 1)])
+def test_criteria_argument_left_over_is_value_error(mode, row):
+    # a range with no criteria after it, or a sum range with no pair at all
+    t = make_table(x=(1, 2, 3))
+    assert ev('=COUNTIFS(A1:A3,">1",B1:B3)', t, mode=mode, row=row) is ErrorKind.VALUE
+    assert ev("=SUMIFS(C1:C3,A1:A3)", t, mode=mode, row=row) is ErrorKind.VALUE
+
+
 def test_averageif_counts_matched_rows_with_text_sums():
     t = make_table(x=(6, 7, 1), s=(10, "abc", 40))
     assert ev('=AVERAGEIF(x,">5",s)', t) == 5.0

@@ -382,3 +382,83 @@ def test_baseline_call_with_wrong_arity_is_left_alone(name):
         [diag] = lint(parse(src))
         assert diag.code is DiagnosticCode.NON_SPREGO_FUNCTION and not diag.rewrite_available
         assert "#VALUE!" in diag.message
+
+
+# ---------------------------------------------------------------------------
+# the criteria and COUNT/COUNTA shapes, pinned: rewritten text, rule, notes
+# and lint messages
+# ---------------------------------------------------------------------------
+
+_NOT_CRITERIA = 'criteria argument is not a literal, reference, or "op"&ref'
+_WILDCARD = "wildcard criteria"
+_CLASH = "ranges have different sizes"
+
+REWRITTEN_SHAPES = [
+    # (formula, rewritten, rule, notes)
+    ('=COUNTIF(A1:A9,">5")', "{=SUM(IF(A1:A9>5,1,0))}", "R1", ()),
+    ('=COUNTIF(A1:A9,">"&B1)', "{=SUM(IF(A1:A9>B1,1,0))}", "R1", ()),
+    ('=SUMIF(A1:A9,">5")', "{=SUM(IF(A1:A9>5,A1:A9,0))}", "R2", ()),
+    ('=SUMIF(A1:A9,">5",B1:B9)', "{=SUM(IF(A1:A9>5,B1:B9,0))}", "R2", ()),
+    ('=AVERAGEIF(A1:A9,">5")', "{=SUM(IF(A1:A9>5,A1:A9,0))/SUM(IF(A1:A9>5,1,0))}", "R3", ()),
+    ('=AVERAGEIF(A1:A9,">5",B1:B9)', "{=SUM(IF(A1:A9>5,B1:B9,0))/SUM(IF(A1:A9>5,1,0))}", "R3", ()),
+    ('=AVERAGEIF(A1:A9,"<="&B1,C1:C9)', "{=SUM(IF(A1:A9<=B1,C1:C9,0))/SUM(IF(A1:A9<=B1,1,0))}", "R3", ()),
+    ('=COUNTIFS(A1:A9,">2",B1:B9,"<8")', "{=SUM(IF(A1:A9>2,IF(B1:B9<8,1,0),0))}", "R8", ()),
+    ('=SUMIFS(C1:C9,A1:A9,">2",B1:B9,"<8")', "{=SUM(IF(A1:A9>2,IF(B1:B9<8,C1:C9,0),0))}", "R8", ()),
+    ('=SUMIFS(xs,ys,">2",zs,"<8")', "{=SUM(IF(ys>2,IF(zs<8,xs,0),0))}", "R8", ()),
+    (
+        "=COUNT(A1:A9)",
+        '{=SUM(IF(ISERROR(A1:A9+0),0,IF(LEN(A1:A9&"")=0,0,1)))}',
+        "R4",
+        ("numeric-looking text and logical cells count under the rewrite but not under COUNT",),
+    ),
+    ("=COUNTA(A1:A9)", '{=SUM(IF(LEN(A1:A9&"")=0,0,1))}', "R4", ("empty-text cells are not counted by the rewrite",)),
+]
+
+REFUSED_SHAPES = [
+    # (formula, the reason lint gives for leaving it alone)
+    ("=COUNTIF(A1:A9,B1:B2)", _NOT_CRITERIA),
+    ("=COUNTIF(A1:A9,1+1)", _NOT_CRITERIA),
+    ("=SUMIF(A1:A9,1+1,B1:B9)", _NOT_CRITERIA),
+    ('=COUNTIFS(A1:A9,">2",B1:B9,1+1)', _NOT_CRITERIA),
+    ('=COUNTIF(A1:A9,"a*")', _WILDCARD),
+    ('=SUMIF(A1:A9,"<>b?",B1:B9)', _WILDCARD),
+    ('=COUNTIFS(A1:A9,">2",B1:B9)', "COUNTIFS takes range,criteria pairs"),
+    ('=SUMIFS(C1:C9,A1:A9,">2",B1:B9)', "SUMIFS takes a sum range then range,criteria pairs"),
+    ("=SUMIFS(C1:C9,A1:A9)", "SUMIFS() with 2 arguments is a #VALUE! error"),
+    # a size clash in each position
+    ('=COUNTIFS(A1:A9,">2",B1:B5,"<8")', _CLASH),
+    ('=SUMIFS(C1:C9,A1:A9,">2",B1:B5,"<8")', _CLASH),
+    ('=SUMIF(A1:A9,">5",B1:B5)', _CLASH),
+    ('=AVERAGEIF(A1:A9,">5",B1:B5)', _CLASH),
+    ('=SUMIFS(C1:C5,A1:A9,">2")', _CLASH),
+    # a pair's criteria is read before its range's size, and every pair
+    # before the sum range's size
+    ('=SUMIFS(C1:C5,A1:A9,">2",B1:B5,1+1)', _NOT_CRITERIA),
+    ('=COUNTIFS(A1:A9,">2",B1:B5,"a*")', _WILDCARD),
+    ("=COUNT(A1:A9,B1:B9)", "only single-range COUNT is rewritten"),
+    ("=COUNTA(A1:A9,B1:B9)", "only single-range COUNTA is rewritten"),
+]
+
+
+def _lint_rows(src):
+    return [(d.code, d.message, d.rewrite_available) for d in lint(parse(src))]
+
+
+@pytest.mark.parametrize("src, out, rule, notes", REWRITTEN_SHAPES)
+def test_rewritten_shape(src, out, rule, notes):
+    f, plans = rewrite(parse(src))
+    assert format(f) == out
+    assert [(p.rule_id, p.notes) for p in plans] == [(rule, notes)]
+    name = parse(src).body.func
+    assert _lint_rows(src) == [(DiagnosticCode.NON_SPREGO_FUNCTION, f"problem-specific function {name}()", True)]
+
+
+@pytest.mark.parametrize("src, reason", REFUSED_SHAPES)
+def test_refused_shape(src, reason):
+    f, plans = rewrite(parse(src))
+    assert format(f) == src and plans == []
+    name = parse(src).body.func
+    expected = [(DiagnosticCode.NON_SPREGO_FUNCTION, f"problem-specific function {name}(); not rewritten: {reason}", False)]
+    if reason == _WILDCARD:
+        expected.append((DiagnosticCode.UNSUPPORTED_CRITERIA, "wildcard criteria have no Sprego equivalent", False))
+    assert _lint_rows(src) == expected
