@@ -14,36 +14,48 @@ Whole ranges run through kernels instead of a per-cell loop where the
 argument types allow, chosen by those types alone and giving the same
 cells bit for bit: a binary arithmetic or comparison operator over floats
 or ranges of floats, & over cells without errors, LEN over text, ISERROR
-and IFERROR over anything. A dirty column read whole splits first (below):
-there &'s kernel serves the float part, and LEN's kernel serves nothing,
-since a whole text column splits too and LEN then runs once per distinct
-text. LEN's kernel serves the text & makes, columns below the split's
-floor and slices of a column. Other arguments take the per-cell path,
-where a function pays for the first-error-wins check only when a scan of
-each range, one per range, finds an error. IF over a condition of
-logicals (or 1 and 0) selects each cell from the pair of branch cells in
-C, as IFERROR's kernel does by whether a cell is an error. The criteria
-baselines are one function, which reads their argument shape from
-criteria.criteria_args and runs each criteria as its comparison operator
-runs, kernel and all, each later one only on the rows the earlier ones
-matched; a number
-looked up in a vector of floats (MATCH, VLOOKUP, HLOOKUP) is compared a
-range at a time; COUNT and COUNTA count cell types.
+and IFERROR over anything. A column read whole that is not all floats
+splits first (below), and the kernels serve its parts. Other arguments
+take the per-cell path, where a function pays for the first-error-wins
+check only when a scan of each range, one per range, finds an error. IF
+over a condition of logicals (or 1 and 0) selects each cell from the pair
+of branch cells in C, as IFERROR's kernel does by whether a cell is an
+error. The criteria baselines are one function, which reads their
+argument shape from criteria.criteria_args and runs each criteria as its
+comparison operator runs, kernel and all, each later one only on the rows
+the earlier ones matched; a number looked up in a vector of floats
+(MATCH, VLOOKUP, HLOOKUP) is compared a range at a time; COUNT and COUNTA
+count cell types.
 
-A dirty column, neither all floats nor shorter than
-table.PARTITION_MIN_ROWS, has a Partition: the float cells, the other
-cells as codes into their distinct values, and the order that merges the
-two back. An elementwise function over a view of the whole column (one
-whose cells are the column's own tuple), with every other view showing the
-same column or a float view of its length, takes the split path unless its
-kernel takes any cells: the kernel on the floats (each zero divisor alone
-gives #DIV/0!, and & writes floats as text in C), the function once per
-distinct other value (per cell, after one coercion per value, beside a
-float view), and the two parts merged. The Table builds the partition at
-the column's first split and keeps it, so a formula that reads the column
-whole only through a baseline, an aggregator, ISERROR or IFERROR builds
-none. The first split on a table pays for the build, so below the floor,
-where a single use would not repay it, the per-cell path serves.
+A column neither all floats nor shorter than table.PARTITION_MIN_ROWS
+has a Partition: the float cells, the other cells as codes into their
+distinct values with each value's count, and the order that merges the
+two back. An elementwise function over resolve's view of the whole column
+(its source), with every other view showing the same column or a float
+view of its length, takes the split path (_split_partition): the kernel
+on the floats (each zero divisor alone gives #DIV/0!, and & writes floats
+as text in C) and the function once per distinct other value (per cell,
+after one coercion per value, beside a float view). Two kernels read the
+column whole instead, with no partition built: one that takes any cells
+(ISERROR, IFERROR), and, over a column of text alone (kind str), one that
+takes every argument (LEN, &), since text may hold as many distinct
+values as cells. The result is a _SplitView, which keeps the two parts
+and builds its cells in column order only when they are read. The next
+elementwise node over it splits again without a merge, and so do ISERROR
+and IFERROR, and IF over a split condition, unless both parts would be
+read cell by cell (a float part of no one kind beside a per-cell other
+part), where a merge first costs no more. A fold gives the one value of a
+part from its kind alone (ISERROR and the emptiness test over a part of
+floats are all FALSE), and a part whose IF condition is one value is the
+taken branch's part, as it is. SUM adds a split result part by part where
+the bits cannot differ from a left-to-right sum in column order
+(_split_total). Any other consumer reads the cells, which merges the
+parts once, and evaluate() merges its result before it returns. The
+Table builds the partition at the column's first split and keeps it, so
+a formula that reads the column whole only through a baseline, an
+aggregator, ISERROR or IFERROR builds none. The first split on a table
+pays for the build, so below the floor, where a single use would not
+repay it, the per-cell path serves.
 
 An = node that tests x for emptiness (x="", ""=x, LEN(x)=0 or 0=LEN(x),
 with x&"" or ""&x read as x) is one elementwise function of x: x's error,
@@ -57,7 +69,8 @@ A view's kind, when set, is the one type of its cells, and the tests
 above read it before they scan: float for a slice of a table column of
 floats and for the numbers of LEN, of an arithmetic kernel that made no
 #NUM! and of an IF over logicals whose branches both give floats; bool for
-the comparison kernels and ISERROR; str for &. SUM takes its arguments
+the comparison kernels and ISERROR; str for & and a slice of a column of
+text; a split view's when both its parts have it. SUM takes its arguments
 unevaluated, so that an IF(cond, x, 0) or IF(cond, 0, x) that no other
 node shares, over a condition of logicals and with floats for x, is added
 up as the floats of x where cond takes them, without building its cells;
@@ -174,6 +187,9 @@ def evaluate(formula: Formula | Expr, ctx: EvalContext) -> Value | RangeView:
     result = _eval(expr, st)
     if st.scalar:
         result = _scalarize(result, st)
+    elif type(result) is _SplitView:
+        # merged here, so that the caller's clock covers it
+        result = RangeView(result.rows, result.cols, result.cells, kind=result.kind)
     return result
 
 
@@ -294,10 +310,13 @@ class Kernel(NamedTuple):
     stream per argument (a view, which iterates its cells, or a scalar
     repeated) and gives the cells the per-cell function would, with their
     one type when it knows it (else None); it is used when every argument
-    passes *accepts*."""
+    passes *accepts*. *fold*, if any, gives the one cell the function gives
+    on every cell of its arguments when their kinds alone decide it, else
+    None."""
 
     accepts: Callable[[object], bool]
     run: Callable[..., tuple]
+    fold: Callable[..., object] | None = None
 
 
 def _lift(fn, args, st: _EvalState, propagate: bool = True, kernel: Kernel | None = None):
@@ -308,17 +327,16 @@ def _lift(fn, args, st: _EvalState, propagate: bool = True, kernel: Kernel | Non
     else:
         views = [a for a in args if isinstance(a, RangeView)]
     if not views:
-        if propagate:
-            for a in args:
-                if isinstance(a, ErrorKind):
-                    return a
-        return fn(*args)
+        return _apply(fn, args, propagate)
 
     # vectors combine by length whatever their orientation, other views by
     # shape; on a mismatch every cell is VALUE
     first = views[0]
     if len({len(v) if v.is_vector else (v.rows, v.cols) for v in views}) == 1:
-        cells, kind = _map_cells(fn, args, propagate, kernel, st.ctx.table)
+        split = _split_partition(args, st.ctx.table, kernel)
+        if split is not None:
+            return _split_cells(*split, fn, args, propagate, kernel)
+        cells, kind = _map_cells(fn, args, propagate, kernel)
         return RangeView(first.rows, first.cols, cells, kind=kind)
     if not all(v.is_vector for v in views):
         return RangeView(first.rows, first.cols, (ErrorKind.VALUE,) * len(first))
@@ -327,20 +345,22 @@ def _lift(fn, args, st: _EvalState, propagate: bool = True, kernel: Kernel | Non
     return RangeView(rows, cols, (ErrorKind.VALUE,) * size)
 
 
-def _map_cells(fn, args, propagate, kernel, table: Table | None = None):
-    """(cells, their kind or None): *fn* over the cells of same-sized views
-    taken in step, scalar arguments repeated; or, over a column of *table*
-    that _split_partition splits, the split path; or *kernel* over the same
-    streams when every argument passes its test. With *propagate*, *fn* is
-    wrapped to return its first error argument only when some argument
+def _apply(fn, args, propagate):
+    """*fn* over scalar arguments; with *propagate*, its first error
+    argument instead when there is one."""
+    if propagate:
+        for a in args:
+            if isinstance(a, ErrorKind):
+                return a
+    return fn(*args)
+
+
+def _map_cells(fn, args, propagate, kernel):
+    """(cells, their kind or None): *kernel* over the streams of same-sized
+    views taken in step, scalar arguments repeated, when every argument
+    passes its test; else *fn* over the same streams. With *propagate*, *fn*
+    is wrapped to return its first error argument only when some argument
     holds an error."""
-    # a kernel that takes any cells (ISERROR, IFERROR) reads a dirty column
-    # faster than the split path does, and needs no partition built. Of the
-    # others only &'s takes such a column, cell by cell: the split goes first
-    if table is not None and (kernel is None or kernel.accepts is not _any):
-        part = _split_partition(args, table)
-        if part is not None:
-            return _split_cells(part, fn, args, propagate, kernel)
     if kernel is not None and all(map(kernel.accepts, args)):
         return kernel.run(*map(_stream, args))
     if propagate and not all(map(_no_errors, args)):
@@ -348,63 +368,159 @@ def _map_cells(fn, args, propagate, kernel, table: Table | None = None):
     return tuple(map(fn, *map(_stream, args))), None
 
 
-def _split_partition(args, table: Table) -> Partition | None:
-    """The partition of the table column whose own tuple is the cells of
-    every view argument but float views of the column's length. resolve
-    hands out that tuple for a column's name and for a range over all its
-    rows. Only then is the table asked for it, which builds it at most
-    once; it has none below PARTITION_MIN_ROWS."""
+class _SplitView(RangeView):
+    """An elementwise result over a partitioned column, its *source*, kept
+    in the partition's two parts, so that the next node over it runs part
+    by part too: *floats*, the result on the float cells, as a view or as
+    the one value of them all; *others*, the results on the other cells,
+    one per distinct value when *by_value*, else one per cell. Its cells,
+    in column order, are built at their first read, by a consumer that does
+    not read the parts."""
+
+    def __init__(self, rows, cols, source, part: Partition, floats, others: tuple, by_value: bool):
+        kinds = set(map(type, others))
+        if part.floats:
+            kinds.add(floats.kind if isinstance(floats, RangeView) else type(floats))
+        kind = kinds.pop() if len(kinds) == 1 and kinds <= _KINDS else None
+        vars(self).update(
+            rows=rows, cols=cols, kind=kind, source=source, part=part, floats=floats, others=others, by_value=by_value
+        )
+
+    def __getattr__(self, name):
+        if name != "cells":  # the one attribute not set until it is read
+            raise AttributeError(name)
+        part, floats = self.part, self.floats
+        float_cells = floats.cells if isinstance(floats, RangeView) else (floats,) * len(part.floats)
+        others = tuple(map(self.others.__getitem__, part.codes)) if self.by_value else self.others
+        cells = vars(self)["cells"] = part.merge(float_cells + others)
+        return cells
+
+    def __len__(self):
+        return self.rows * self.cols
+
+
+def _split_partition(args, table: Table, kernel: Kernel | None):
+    """(column, its Partition) when a lift over *args* takes the split path,
+    else None. Every view argument but float views of the table's length
+    must show that column (resolve's view of it) or be split over it. A
+    kernel that takes any cells (ISERROR, IFERROR) reads the column, or a
+    split view whose two parts it would scan cell by cell, faster whole, and
+    needs no partition built: it takes the split only over a split view
+    whose float part is of one kind or whose other part is per value. When
+    no argument is split yet, a kernel that takes every argument (LEN, &)
+    reads a column of text, which may hold as many distinct values as
+    cells, whole too. The table builds the partition at the column's first
+    split; it has none below PARTITION_MIN_ROWS."""
     rows = table.row_count
     if rows < PARTITION_MIN_ROWS:
         return None
-    shown = {id(a.cells): a.cells for a in args if isinstance(a, RangeView) and not (a.kind is float and len(a) == rows)}
-    if len(shown) == 1:
-        (cells,) = shown.values()
-        for col, column in enumerate(table.columns, 1):
-            if column is cells:
-                return table.partition(col)
-    return None
+    col, split = _shown_column(args, rows)
+    if col is None:
+        return None
+    if kernel is not None and kernel.accepts is _any:
+        if not any(type(a) is _SplitView and (a.by_value or _one_kind(a.floats)) for a in args):
+            return None
+    elif not split and kernel is not None and table.column_kind(col) is str and all(map(kernel.accepts, args)):
+        return None
+    part = table.partition(col)
+    return None if part is None else (col, part)
 
 
-def _split_cells(part: Partition, fn, args, propagate, kernel):
-    """_map_cells over a partitioned column, as two parts merged back into
-    column order. Each view shows the column or is a float view
-    (_split_partition). On the float cells, and the cells of float views at
-    their positions, *kernel* runs when it takes them. On the other cells
-    *fn* runs once per distinct value when every view shows the column;
-    otherwise per cell, the column's cells coerced to numbers once per
-    distinct value first when *fn* is arithmetic, which coerces them
-    anyway. The result has a kind when every cell has that type."""
-    mask = part.mask
-    float_args = [
-        RangeView(len(part.floats), 1, tuple(compress(a.cells, mask)) if a.kind is float else part.floats, kind=float)
-        if isinstance(a, RangeView) else a
-        for a in args
+def _one_kind(floats) -> bool:
+    """Whether a split view's float part is one value or a view of one kind."""
+    return not isinstance(floats, RangeView) or floats.kind is not None
+
+
+def _shown_column(args, rows: int):
+    """(the source that every view among *args* but float views of *rows*
+    cells shares, or None; whether any of those views is split)."""
+    sources = set()
+    split = False
+    for a in args:
+        if type(a) is _SplitView:
+            sources.add(a.source)
+            split = True
+        elif isinstance(a, RangeView) and not (a.kind is float and len(a) == rows):
+            sources.add(a.source)
+    return sources.pop() if len(sources) == 1 else None, split
+
+
+def _split_args(part: Partition, args):
+    """Each argument of a node split over *part* as its float part and its
+    other part, and whether the latter is one cell per distinct value
+    (_per_value). A scalar is itself in both parts; a split view has its
+    two parts; the column itself is its floats and its distinct values; a
+    float view is its cells at the float positions and at the others. A
+    view's other part is a vector."""
+    float_args, other_args = [], []
+    for a in args:
+        if type(a) is _SplitView:
+            f, o = a.floats, vector(a.others)
+        elif not isinstance(a, RangeView):
+            f = o = a
+        elif a.kind is float:
+            f = RangeView(len(part.floats), 1, tuple(compress(a.cells, part.mask)), kind=float)
+            others = tuple(compress(a.cells, part.mask.translate(FLIP)))
+            o = RangeView(len(others), 1, others, kind=float)
+        else:
+            f, o = RangeView(len(part.floats), 1, part.floats, kind=float), vector(part.values)
+        float_args.append(f)
+        other_args.append(o)
+    return float_args, other_args, list(map(_per_value, args))
+
+
+def _per_value(a) -> bool:
+    """Whether the other part of a split argument is one cell per distinct
+    value, else one per other cell: a float view's and a split view's made
+    beside one are per cell."""
+    return a.by_value if type(a) is _SplitView else not (isinstance(a, RangeView) and a.kind is float)
+
+
+def _per_cell(part: Partition, other_args, per_value, coerce=None):
+    """The other parts of _split_args, one cell per other cell: each per
+    value part taken through the codes, after *coerce* per value."""
+    return [
+        vector(map((a.cells if coerce is None else tuple(map(coerce, a.cells))).__getitem__, part.codes))
+        if v and isinstance(a, RangeView) else a
+        for a, v in zip(other_args, per_value)
     ]
-    float_cells, float_kind = _map_cells(fn, float_args, propagate, kernel)
 
-    shared = all(a.kind is not float for a in args if isinstance(a, RangeView))
-    if shared:
-        value_args = [vector(part.values) if isinstance(a, RangeView) else a for a in args]
-        by_value, _ = _map_cells(fn, value_args, propagate, None)
-        other = tuple(map(by_value.__getitem__, part.codes))
-    else:
-        # arithmetic returns the first error among the operands it coerced,
-        # and a float view's cells coerce to themselves: no wrap is needed
-        arith = fn in _ARITH_OPS
-        values = tuple(map(coerce_number, part.values)) if arith else part.values
-        others = mask.translate(FLIP)
-        other_args = [
-            (vector(compress(a.cells, others)) if a.kind is float else vector(map(values.__getitem__, part.codes)))
-            if isinstance(a, RangeView) else a
-            for a in args
-        ]
-        other, _ = _map_cells(fn, other_args, propagate and not arith, None)
-    kinds = set(map(type, other))
-    if part.floats:
-        kinds.add(float_kind)
-    kind = kinds.pop() if len(kinds) == 1 and kinds <= _KINDS else None
-    return part.merge(float_cells + other), kind
+
+def _split_cells(col, part: Partition, fn, args, propagate, kernel) -> _SplitView:
+    """_map_cells over the column *col* split by *part*, its result kept
+    split. Each view argument shows the column, is split over it or is a
+    float view of its length (_split_partition). On the float part *kernel*
+    runs when it takes the cells, unless a fold or arguments that are each
+    one value give one value; on the other part *fn* runs once per distinct
+    value when every argument's other part is per value, otherwise per cell
+    (by *kernel* when it takes them)."""
+    float_args, other_args, per_value = _split_args(part, args)
+    floats = _float_part(fn, float_args, propagate, kernel)
+    by_value = all(per_value)
+    if not by_value:
+        # arithmetic returns the first error among the operands it coerced:
+        # beside an operand of floats that is the error propagation would
+        # return, and per value parts are coerced once per distinct value
+        arith = fn in _ARITH_OPS and sum(not _all_floats(a) for a in other_args) <= 1
+        other_args = _per_cell(part, other_args, per_value, coerce_number if arith else None)
+        propagate = propagate and not arith
+    others, _ = _map_cells(fn, other_args, propagate, None if by_value else kernel)
+    first = next(a for a in args if isinstance(a, RangeView))
+    return _SplitView(first.rows, first.cols, col, part, floats, others, by_value)
+
+
+def _float_part(fn, args, propagate, kernel):
+    """The float part of a split result: *fn* over the float parts of the
+    arguments as a view, by *kernel* when it takes them; or the one value of
+    every cell, when each argument is one value or *kernel* folds."""
+    views = [a for a in args if isinstance(a, RangeView)]
+    if not views:
+        return _apply(fn, args, propagate)
+    one = kernel.fold(*args) if kernel is not None and kernel.fold is not None else None
+    if one is not None:
+        return one
+    cells, kind = _map_cells(fn, args, propagate, kernel)
+    return RangeView(len(views[0]), 1, cells, kind=kind)
 
 
 # the types a view's kind can name
@@ -579,6 +695,8 @@ def _texts(stream):
     if isinstance(stream, repeat):
         # a scalar argument: coerce it once
         return repeat(coerce_text(next(stream)))
+    if stream.kind is str:
+        return stream.cells
     if stream.kind is float:
         # number_to_text in C: adding 0.0 makes -0.0 0.0, and repr ends an
         # integral float below 1e16, and no other, in ".0"
@@ -632,14 +750,18 @@ def _fn_is_empty(c):
     return c if type(c) is ErrorKind else c in ("", None)
 
 
-def _is_empty_kernel(cs):
+def _is_empty_fold(cs):
     # by type rank a number or a logical is never empty
-    if cs.kind is float or cs.kind is bool:
-        return (False,) * len(cs), bool
-    return tuple(map(("", None).__contains__, cs.cells)), bool
+    return False if cs.kind is float or cs.kind is bool else None
 
 
-_IS_EMPTY_KERNEL = Kernel(_no_errors, _is_empty_kernel)
+def _is_empty_kernel(cs):
+    if _is_empty_fold(cs) is None:
+        return tuple(map(("", None).__contains__, cs.cells)), bool
+    return (False,) * len(cs), bool
+
+
+_IS_EMPTY_KERNEL = Kernel(_no_errors, _is_empty_kernel, _is_empty_fold)
 
 
 def _unary_num(fn):
@@ -871,6 +993,11 @@ def _iserror_kernel(vs):
     return tuple(map(operator.is_, map(type, vs), repeat(ErrorKind))), bool
 
 
+def _iserror_fold(vs):
+    # a view of one kind holds no error
+    return False if vs.kind is not None else None
+
+
 def _fn_iferror(x, fallback):
     return fallback if isinstance(x, ErrorKind) else x
 
@@ -921,7 +1048,12 @@ def _fn_if(args: tuple[Expr, ...], st: _EvalState, defer: bool = False):
 
 
 def _if_range(cond: RangeView, then_v, else_v) -> RangeView:
-    """IF's cells over a vector condition, from its evaluated branches."""
+    """IF's cells over a vector condition, from its evaluated branches; over
+    a split condition, part by part where _split_if can."""
+    if type(cond) is _SplitView:
+        split = _split_if(cond, then_v, else_v)
+        if split is not None:
+            return split
     size = len(cond)
     then_s = _branch_cells(then_v, size)
     else_s = _branch_cells(else_v, size)
@@ -936,6 +1068,27 @@ def _if_range(cond: RangeView, then_v, else_v) -> RangeView:
         )
         kind = None
     return RangeView(cond.rows, cond.cols, cells, kind=kind)
+
+
+def _split_if(cond: _SplitView, then_v, else_v) -> _SplitView | None:
+    """IF over a split condition, part by part, or None when a branch is a
+    view that shows another column or none (_split_partition), or when both
+    parts would select cell by cell, which a merge first does no dearer.
+    Where a part's condition is one value, the part is the taken branch's,
+    as it is."""
+    args = (cond, then_v, else_v)
+    if _shown_column(args, len(cond))[0] != cond.source:
+        return None
+    if not _one_kind(cond.floats) and not all(map(_per_value, args)):
+        return None
+    part = cond.part
+    (c, t, e), other_args, per_value = _split_args(part, args)
+    floats = _if_range(c, t, e) if isinstance(c, RangeView) else _if_cell(c, t, e)
+    by_value = all(per_value)
+    if not by_value:
+        other_args = _per_cell(part, other_args, per_value)
+    others = _if_range(*other_args).cells
+    return _SplitView(cond.rows, cond.cols, cond.source, part, floats, others, by_value)
 
 
 def _floats_of_size(branch, size: int) -> bool:
@@ -1024,8 +1177,10 @@ def _masked_if(cond: RangeView, then_v, else_v):
 def _masked_parts(cond: RangeView, then_v, else_v):
     """(floats, masks) for _masked_if, or None: the floats of the branch
     that is not the number 0, and the mask of where each IF, from the
-    outermost in, takes it."""
-    if cond.kind is not bool:
+    outermost in, takes it. A split condition that is one value on the
+    float cells is left to _if_range, which takes it part by part, and SUM
+    then adds the parts with no cell built (_split_total)."""
+    if cond.kind is not bool or type(cond) is _SplitView and not isinstance(cond.floats, RangeView):
         return None
     if type(else_v) is float and else_v == 0:
         branch, mask = then_v, cond.cells
@@ -1052,6 +1207,11 @@ def _fn_sum(args: tuple[Expr, ...], st):
     # Python 3.12 on and would change the last bits
     total = 0.0
     for v in [_sum_arg(a, st) for a in args]:
+        if type(v) is _SplitView:
+            split_total = _split_total(v, total)
+            if split_total is not None:
+                total = split_total
+                continue
         if type(v) is compress:
             numbers = v
         elif isinstance(v, RangeView) and v.kind is not None:
@@ -1062,6 +1222,29 @@ def _fn_sum(args: tuple[Expr, ...], st):
                 return numbers
         total = functools.reduce(operator.add, numbers, total)
     return finite_or_error(total)
+
+
+# the types SUM skips in a range
+_SKIPPED = frozenset((bool, str, type(None)))
+
+
+def _split_total(v: _SplitView, total: float) -> float | None:
+    """*total* plus the numbers of a split view, added part by part: the
+    float part's one value times the float cells, then each distinct
+    value's result times its number of cells. That is the left-to-right
+    sum in column order when *total* and every number are integral and
+    their magnitudes add up to less than 2**53, so that every partial sum
+    in either order is exact: COUNT's and COUNTA's 1s and 0s. Otherwise,
+    or with an error among the cells, None."""
+    if not v.by_value or isinstance(v.floats, RangeView):
+        return None
+    terms = [(x, n) for x, n in zip((v.floats, *v.others), (len(v.part.floats), *v.part.counts)) if n]
+    numbers = [(x, n) for x, n in terms if type(x) not in _SKIPPED]
+    if not (total.is_integer() and all(type(x) is float and x.is_integer() for x, _ in numbers)):
+        return None
+    if functools.reduce(operator.add, (abs(x) * n for x, n in numbers), abs(total)) >= 2.0**53:
+        return None
+    return functools.reduce(operator.add, (x * n for x, n in numbers), total)
 
 
 def _numbers(cells):
@@ -1471,7 +1654,7 @@ FUNCTION_SPECS: dict[str, FunctionSpec] = {
         _spec("INDEX", 2, 3, "core", "evaluated", _fn_index, competency=_ARRAY_COND),
         _spec(
             "ISERROR", 1, 1, "core", "elementwise", _fn_iserror,
-            propagate=False, kernel=Kernel(_any, _iserror_kernel), competency=_ARRAY_COND,
+            propagate=False, kernel=Kernel(_any, _iserror_kernel, _iserror_fold), competency=_ARRAY_COND,
         ),
         # extended
         _spec("SUBSTITUTE", 3, 4, "extended", "elementwise", _fn_substitute, competency=_NON_ARRAY),

@@ -15,6 +15,7 @@ from __future__ import annotations
 import operator
 import re
 from array import array
+from collections import Counter
 from collections.abc import Callable, Sequence
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -36,15 +37,16 @@ class CsvError(Exception):
 @dataclass(frozen=True)
 class Table:
     """Named, immutable columns of equal length. Two facts about a column are
-    found once and kept: whether it holds only floats, and its Partition,
-    which the evaluator asks for the first time it splits over the whole
-    column."""
+    found once and kept: whether it holds only floats or only text, and its
+    Partition, which the evaluator asks for the first time it splits over
+    the whole column."""
 
     name: str
     headers: tuple[str, ...]
     columns: tuple[tuple[Value, ...], ...]
-    # 1-based column index -> float when every cell is a float, else None:
-    # given by load_csv or found at the column's first column_kind()
+    # 1-based column index -> float when every cell is a float, str when
+    # every cell is text, else None: float given by load_csv, or found at
+    # the column's first column_kind()
     kinds: dict[int, type | None] = field(default_factory=dict, init=False, compare=False, repr=False)
     # 1-based column index -> its Partition, or None: found at the column's
     # first partition()
@@ -77,21 +79,23 @@ class Table:
         return self.columns[col - 1][row - 1]
 
     def column_kind(self, col: int) -> type | None:
-        """float when every cell of column *col* (1-based) is a float, else
-        None; the column is scanned at most once."""
+        """float when every cell of column *col* (1-based) is a float, str
+        when every cell is text, else None; found at most once, by one scan
+        in C. A column of no cells is float."""
         kinds = self.kinds
         if col not in kinds:
-            kinds[col] = float if all(map(operator.is_, map(type, self.columns[col - 1]), repeat(float))) else None
+            types = set(map(type, self.columns[col - 1])) or {float}
+            kinds[col] = types.pop() if len(types) == 1 and types <= {float, str} else None
         return kinds[col]
 
     def partition(self, col: int) -> Partition | None:
         """The type partition of column *col* (1-based), or None when the
-        column holds only floats, is shorter than PARTITION_MIN_ROWS or holds
-        a cell outside the engine's value types; built at most once."""
+        column holds only floats, is shorter than PARTITION_MIN_ROWS or
+        holds a cell outside the engine's value types; built at most once."""
         partitions = self.partitions
         if col not in partitions:
             cells = self.columns[col - 1]
-            odd = len(cells) >= PARTITION_MIN_ROWS and self.column_kind(col) is None
+            odd = len(cells) >= PARTITION_MIN_ROWS and self.column_kind(col) is not float
             partitions[col] = _partition(cells) if odd else None
         return partitions[col]
 
@@ -114,14 +118,18 @@ class RangeView:
     """A rectangular window of values, row-major. A vector is a view with
     one row or one column. *kind*, when not None, is the one type of every
     cell (float, bool or str), set only by a producer that knows it, so
-    that consumers need not scan the cells for it. A view of a whole table
-    column holds the column's own tuple as its cells, which is how the
-    evaluator tells it."""
+    that consumers need not scan the cells for it: resolve sets float over
+    columns of floats and str over columns of text, the evaluator's kernels
+    the type they make. *source*, when not None, is the 1-based index of a
+    table column not all of floats whose rows this vector runs along, one
+    cell per row: resolve's view of the whole column, whose cells are the
+    column's own tuple, or an evaluator result split over it."""
 
     rows: int
     cols: int
     cells: tuple[Value, ...]
     kind: type | None = field(default=None, compare=False, repr=False)
+    source: int | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.rows * self.cols != len(self.cells):
@@ -180,6 +188,7 @@ class Partition(NamedTuple):
     mask: bytes  # 1 where the column holds a float, else 0
     values: tuple[Value, ...]  # the other cells' distinct values, in order of first appearance
     codes: array  # each other cell's index into values, in column order
+    counts: tuple[int, ...]  # each distinct value's number of cells
     # (results on the float cells + results on the other cells) -> the
     # results in column order
     merge: Callable[[tuple], tuple]
@@ -206,8 +215,11 @@ def _partition(cells: tuple[Value, ...]) -> Partition | None:
     # other cell's
     next_index = (count(len(floats)).__next__, count().__next__)
     order = [next_index[m]() for m in mask]
+    codes = array("i", map(code_of.__getitem__, others))
+    counts = Counter(codes)
     return Partition(
-        floats, mask, tuple(code_of), array("i", map(code_of.__getitem__, others)), operator.itemgetter(*order)
+        floats, mask, tuple(code_of), codes, tuple(map(counts.__getitem__, range(len(code_of)))),
+        operator.itemgetter(*order),
     )
 
 
@@ -383,7 +395,8 @@ def resolve(table: Table, ref: Expr) -> Value | RangeView:
         if idx is None:
             return ErrorKind.NAME
         cells = table.columns[idx - 1]
-        return RangeView(len(cells), 1, cells, kind=table.column_kind(idx))
+        kind = table.column_kind(idx)
+        return RangeView(len(cells), 1, cells, kind=kind, source=None if kind is float else idx)
 
     if isinstance(ref, CellRef):
         if not _in_table(table, ref.row, ref.col):
@@ -397,11 +410,13 @@ def resolve(table: Table, ref: Expr) -> Value | RangeView:
             return ErrorKind.REF
         # one tuple slice per column; several columns interleave row-major.
         # A slice over every row is the column's tuple itself, as a name's
-        # view is: the evaluator finds a whole column by that identity
+        # view is, and has the same source
         slices = [column[r0 - 1 : r1] for column in table.columns[c0 - 1 : c1]]
         cells = slices[0] if len(slices) == 1 else tuple(chain.from_iterable(zip(*slices)))
-        kind = float if all(table.column_kind(c) for c in range(c0, c1 + 1)) else None
-        return RangeView(r1 - r0 + 1, c1 - c0 + 1, cells, kind=kind)
+        kinds = {table.column_kind(c) for c in range(c0, c1 + 1)}
+        kind = kinds.pop() if len(kinds) == 1 else None
+        whole = kind is not float and c0 == c1 and r0 == 1 and r1 == table.row_count
+        return RangeView(r1 - r0 + 1, c1 - c0 + 1, cells, kind=kind, source=c0 if whole else None)
 
     raise TypeError(f"not a reference: {ref!r}")
 

@@ -10,7 +10,9 @@ formulas lean on comparisons over clean float columns, so that IF's
 condition is a column of logicals with both branches taken."""
 
 import random
+from collections import Counter
 
+from sprego import evaluator
 from sprego.evaluator import EvalContext, evaluate
 from sprego.formula import parse
 from sprego.table import PARTITION_MIN_ROWS, RangeView
@@ -18,6 +20,7 @@ from sprego.values import ErrorKind
 
 from helpers import make_table, reference_sum
 from test_evaluator import _same_cell
+from test_range_kinds import views_by_kind  # noqa: F401
 
 ROWS = PARTITION_MIN_ROWS + 16
 _ODD = (None, "", "abc", "12", " 3.5", "#N/A", True, False, *ErrorKind)
@@ -114,3 +117,43 @@ def test_if_and_iferror_pick_by_row():
         'IF(f>g,x&"",LEN(y))', "IF(f>g,f,g)*2", "IF(f>0,f,0)", "IF(f>0,0,f)", "IF(f<g,IF(f>-1,f,0),0)",
     ):
         assert _check_modes(t, source, range(1, ROWS + 1)), source
+
+
+# chains of three or more nodes over the dirty column x, each node over the
+# one before it: the elementwise nodes, ISERROR, the emptiness test, IF and
+# IFERROR keep x's split from node to node, and SUM may add a split part by
+# part. f is a float column of x's length; C1:C{ROWS} is x as a range
+_SPLIT_CHAINS = (
+    "ISERROR(x+0)", "NOT(ISERROR(x+0))", "ISERROR(f/x)", "IF(ISERROR(f/x),-1,f/x)", "IFERROR(f/x,-1)*2",
+    "(x+0)*2-1", "-(x%)+x", 'LEN(x&"")=0', 'LEN(x&"a")+x', 'IF(LEN(x&"")=0,0,1)', 'IF(x>1,x*2,x&"")',
+    'IF(ISERROR(x+0),0,IF(LEN(x&"")=0,0,1))', 'IF(ISERROR(x+0),0,IF(x="",0,1))', "IF(ISERROR(x+0),x,0)",
+    'IFERROR(x*2,x&"")', "IF(ISERROR(x/f),x,f)+1", "ROUND(x+0.5,0)*x", "IF(x>0,x,0)*f", "(f&x)+1",
+    "(x+0)+(f&x)", 'IF(ISERROR(x+0),"e",x)&""', "ISERROR(IF(x>1,x,\"a\")+1)", "IF(x,1,0)+IF(NOT(x),2,0)",
+    f"ISERROR(C1:C{ROWS}+0)+x", "IF(ISERROR(x+0),0.1,0.7)", "IF(ISERROR(x+0),2^52,1)", "INT(x*0+TRUE)+x",
+)
+
+
+def test_split_chains_equal_scalar_evaluation_row_by_row(monkeypatch, views_by_kind):  # noqa: F811
+    splits = []
+    split_cells = evaluator._split_cells
+    monkeypatch.setattr(evaluator, "_split_cells", lambda *args: splits.append(None) or split_cells(*args))
+    # a split view's kind comes from its parts, not from a scan: each one,
+    # intermediate nodes' included, must hold only cells of that kind
+    split_kinds = Counter()
+    split_init = evaluator._SplitView.__init__
+
+    def checked(self, *args):
+        split_init(self, *args)
+        assert self.kind is None or all(type(c) is self.kind for c in self.cells), (self.kind, self.cells)
+        split_kinds[self.kind] += 1
+
+    monkeypatch.setattr(evaluator._SplitView, "__init__", checked)
+    for seed in range(3):
+        t = _table(seed)
+        for source in _SPLIT_CHAINS:
+            assert _check_modes(t, source, range(1, ROWS + 1)), source
+    # every chain splits, most of them at more than one node, and the views
+    # evaluate() returns hold only cells of their kinds, each kind among them
+    assert len(splits) > 2 * 3 * len(_SPLIT_CHAINS), len(splits)
+    assert all(views_by_kind[kind] > 0 for kind in (None, float, bool, str)), views_by_kind
+    assert all(split_kinds[kind] > 0 for kind in (None, float, bool, str)), split_kinds
