@@ -22,10 +22,10 @@ over a condition of logicals (or 1 and 0) selects each cell from the pair
 of branch cells in C, as IFERROR's kernel does by whether a cell is an
 error. The criteria baselines are one function, which reads their
 argument shape from criteria.criteria_args and runs each criteria as its
-comparison operator runs, kernel and all, each later one only on the rows
-the earlier ones matched; a number looked up in a vector of floats
-(MATCH, VLOOKUP, HLOOKUP) is compared a range at a time; COUNT and COUNTA
-count cell types.
+comparison operator runs, kernel and split and all (but a column of text
+alone does not split), each later one only on the rows the earlier ones
+matched; a number looked up in a vector of floats (MATCH, VLOOKUP,
+HLOOKUP) is compared a range at a time; COUNT and COUNTA count cell types.
 
 A column neither all floats nor shorter than table.PARTITION_MIN_ROWS
 has a Partition: the float cells, the other cells as codes into their
@@ -39,23 +39,23 @@ after one coercion per value, beside a float view). Two kernels read the
 column whole instead, with no partition built: one that takes any cells
 (ISERROR, IFERROR), and, over a column of text alone (kind str), one that
 takes every argument (LEN, &), since text may hold as many distinct
-values as cells. The result is a _SplitView, which keeps the two parts
-and builds its cells in column order only when they are read. The next
-elementwise node over it splits again without a merge, and so do ISERROR
-and IFERROR, and IF over a split condition, unless both parts would be
-read cell by cell (a float part of no one kind beside a per-cell other
-part), where a merge first costs no more. A fold gives the one value of a
-part from its kind alone (ISERROR and the emptiness test over a part of
-floats are all FALSE), and a part whose IF condition is one value is the
-taken branch's part, as it is. SUM adds a split result part by part where
-the bits cannot differ from a left-to-right sum in column order
-(_split_total). Any other consumer reads the cells, which merges the
-parts once, and evaluate() merges its result before it returns. The
-Table builds the partition at the column's first split and keeps it, so
-a formula that reads the column whole only through a baseline, an
-aggregator, ISERROR or IFERROR builds none. The first split on a table
-pays for the build, so below the floor, where a single use would not
-repay it, the per-cell path serves.
+values as cells. The result is a _SplitView, an unbuilt view: it keeps
+the two parts and builds its cells in column order only when they are
+read. The next elementwise node over it splits again without a merge, and
+so do ISERROR and IFERROR, and IF over a split condition, unless both
+parts would be read cell by cell (a float part of no one kind beside a
+per-cell other part), where a merge first costs no more. A fold gives
+the one value of a part from its kind alone (ISERROR and the emptiness
+test over a part of floats are all FALSE), and a part whose IF condition
+is one value is the taken branch's part, as it is. SUM adds a split
+result part by part where the bits cannot differ from a left-to-right sum
+in column order (_split_total). Any other consumer reads the cells, which
+merges the parts once, and evaluate() builds an unbuilt view it returns.
+The Table builds the partition at the column's first split and keeps it,
+so a formula that reads the column whole only through an aggregator, a
+lookup, COUNT, COUNTA, ISERROR or IFERROR builds none. The first split on
+a table pays for the build, so below the floor, where a single use would
+not repay it, the per-cell path serves.
 
 An = node that tests x for emptiness (x="", ""=x, LEN(x)=0 or 0=LEN(x),
 with x&"" or ""&x read as x) is one elementwise function of x: x's error,
@@ -70,11 +70,11 @@ above read it before they scan: float for a slice of a table column of
 floats and for the numbers of LEN, of an arithmetic kernel that made no
 #NUM! and of an IF over logicals whose branches both give floats; bool for
 the comparison kernels and ISERROR; str for & and a slice of a column of
-text; a split view's when both its parts have it. SUM takes its arguments
-unevaluated, so that an IF(cond, x, 0) or IF(cond, 0, x) that no other
-node shares, over a condition of logicals and with floats for x, is added
-up as the floats of x where cond takes them, without building its cells;
-an x that is itself such an IF ANDs its condition in.
+text; a split view's when both its parts have it. An IF(cond, x, 0) or
+IF(cond, 0, x) over a condition of logicals, with floats for x, is the
+other unbuilt view, a _MaskedIf of kind float: SUM adds x's floats where
+cond takes them, shared node or not, an x that is itself such an IF ANDs
+its condition in, and any other node reads the IF's value, split or not.
 
 A subtree that occurs more than once in the tree (the parser never shares
 nodes, a rewrite may) is evaluated once per evaluate() call and its value
@@ -187,8 +187,8 @@ def evaluate(formula: Formula | Expr, ctx: EvalContext) -> Value | RangeView:
     result = _eval(expr, st)
     if st.scalar:
         result = _scalarize(result, st)
-    elif type(result) is _SplitView:
-        # merged here, so that the caller's clock covers it
+    elif isinstance(result, _UnbuiltView):
+        # built here, so that the caller's clock covers it
         result = RangeView(result.rows, result.cols, result.cells, kind=result.kind)
     return result
 
@@ -322,10 +322,15 @@ class Kernel(NamedTuple):
 def _lift(fn, args, st: _EvalState, propagate: bool = True, kernel: Kernel | None = None):
     """Apply a scalar function across possibly-ranged arguments."""
     if st.scalar:
-        args = [_scalarize(a, st) for a in args]
-        views = None
-    else:
-        views = [a for a in args if isinstance(a, RangeView)]
+        return _apply(fn, [_scalarize(a, st) for a in args], propagate)
+    return _lift_array(fn, args, st.ctx.table, propagate, kernel)
+
+
+def _lift_array(fn, args, table: Table | None, propagate: bool, kernel: Kernel | None):
+    """_lift in array mode: views map cell by cell, and a column of *table*
+    read whole may split. A masked IF is read as its IF's value."""
+    args = [_unmasked(a) for a in args]
+    views = [a for a in args if isinstance(a, RangeView)]
     if not views:
         return _apply(fn, args, propagate)
 
@@ -333,7 +338,7 @@ def _lift(fn, args, st: _EvalState, propagate: bool = True, kernel: Kernel | Non
     # shape; on a mismatch every cell is VALUE
     first = views[0]
     if len({len(v) if v.is_vector else (v.rows, v.cols) for v in views}) == 1:
-        split = _split_partition(args, st.ctx.table, kernel)
+        split = _split_partition(args, table, kernel)
         if split is not None:
             return _split_cells(*split, fn, args, propagate, kernel)
         cells, kind = _map_cells(fn, args, propagate, kernel)
@@ -368,35 +373,41 @@ def _map_cells(fn, args, propagate, kernel):
     return tuple(map(fn, *map(_stream, args))), None
 
 
-class _SplitView(RangeView):
+class _UnbuiltView(RangeView):
+    """A view that keeps what its cells are made from, for the consumers
+    that read that instead; _build() makes the cells at their first read."""
+
+    def __init__(self, rows, cols, kind, **kept):
+        vars(self).update(rows=rows, cols=cols, kind=kind, **kept)
+
+    @functools.cached_property
+    def cells(self):
+        return self._build()
+
+    def __len__(self):
+        return self.rows * self.cols
+
+
+class _SplitView(_UnbuiltView):
     """An elementwise result over a partitioned column, its *source*, kept
     in the partition's two parts, so that the next node over it runs part
     by part too: *floats*, the result on the float cells, as a view or as
     the one value of them all; *others*, the results on the other cells,
-    one per distinct value when *by_value*, else one per cell. Its cells,
-    in column order, are built at their first read, by a consumer that does
-    not read the parts."""
+    one per distinct value when *by_value*, else one per cell. Its cells
+    are the two parts merged into column order."""
 
     def __init__(self, rows, cols, source, part: Partition, floats, others: tuple, by_value: bool):
         kinds = set(map(type, others))
         if part.floats:
             kinds.add(floats.kind if isinstance(floats, RangeView) else type(floats))
         kind = kinds.pop() if len(kinds) == 1 and kinds <= _KINDS else None
-        vars(self).update(
-            rows=rows, cols=cols, kind=kind, source=source, part=part, floats=floats, others=others, by_value=by_value
-        )
+        super().__init__(rows, cols, kind, source=source, part=part, floats=floats, others=others, by_value=by_value)
 
-    def __getattr__(self, name):
-        if name != "cells":  # the one attribute not set until it is read
-            raise AttributeError(name)
+    def _build(self):
         part, floats = self.part, self.floats
         float_cells = floats.cells if isinstance(floats, RangeView) else (floats,) * len(part.floats)
         others = tuple(map(self.others.__getitem__, part.codes)) if self.by_value else self.others
-        cells = vars(self)["cells"] = part.merge(float_cells + others)
-        return cells
-
-    def __len__(self):
-        return self.rows * self.cols
+        return part.merge(float_cells + others)
 
 
 def _split_partition(args, table: Table, kernel: Kernel | None):
@@ -411,7 +422,7 @@ def _split_partition(args, table: Table, kernel: Kernel | None):
     reads a column of text, which may hold as many distinct values as
     cells, whole too. The table builds the partition at the column's first
     split; it has none below PARTITION_MIN_ROWS."""
-    rows = table.row_count
+    rows = 0 if table is None else table.row_count
     if rows < PARTITION_MIN_ROWS:
         return None
     col, split = _shown_column(args, rows)
@@ -1022,20 +1033,20 @@ def _select(mask, when_false, when_true) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _fn_if(args: tuple[Expr, ...], st: _EvalState, defer: bool = False):
-    """IF; over a vector condition, _if_range of the condition and both
-    branches, evaluated in that order, or with *defer* a _Deferred of them,
-    its branches _deferred in turn."""
+def _fn_if(args: tuple[Expr, ...], st: _EvalState):
+    """IF; over a vector condition, evaluated before both branches, a
+    _MaskedIf of them when _masked_parts takes them, else _if_range's."""
     cond = _eval(args[0], st)
     if st.scalar:
         cond = _scalarize(cond, st)
 
     if isinstance(cond, RangeView):
-        if defer:
-            return _Deferred(cond, _deferred(args[1], st), _deferred(args[2], st))
         then_v = _eval(args[1], st)
         else_v = _eval(args[2], st) if len(args) > 2 else False
-        return _if_range(cond, then_v, else_v)
+        parts = _masked_parts(cond, then_v, else_v)
+        if parts is not None:
+            return _MaskedIf(cond, then_v, else_v, *parts)
+        return _if_range(*map(_unmasked, (cond, then_v, else_v)))
 
     c = coerce_logical(cond)
     if isinstance(c, ErrorKind):
@@ -1114,6 +1125,49 @@ def _if_cell(c, then_cell, else_cell):
     return then_cell if b else else_cell
 
 
+class _MaskedIf(_UnbuiltView):
+    """A vector IF that SUM adds up without building its cells: *floats*,
+    the floats of the branch that is not the number 0, and *takes*, each
+    IF's condition, from this one in, with whether TRUE takes that branch
+    (_masked_parts). Its cells, all floats, are its *value*'s, _if_range's."""
+
+    def __init__(self, cond: RangeView, then_v, else_v, floats, takes: list):
+        super().__init__(
+            cond.rows, cond.cols, float, cond=cond, then_v=then_v, else_v=else_v, floats=floats, takes=takes
+        )
+
+    @functools.cached_property
+    def value(self) -> RangeView:
+        return _if_range(self.cond, _unmasked(self.then_v), _unmasked(self.else_v))
+
+    def _build(self):
+        return self.value.cells
+
+
+def _unmasked(v):
+    """*v*, or a _MaskedIf's value, for a node that reads cells, not masks:
+    over a split condition it is a _SplitView, which that node splits."""
+    return v.value if type(v) is _MaskedIf else v
+
+
+def _masked_parts(cond: RangeView, then_v, else_v):
+    """(floats, takes) for a _MaskedIf, or None, from kinds and sizes alone:
+    a condition of logicals, one branch the number 0 and the other floats
+    of its size or a _MaskedIf of that size, whose takes follow this IF's.
+    A split condition that is one value on the floats is left to _split_if."""
+    if cond.kind is not bool or type(cond) is _SplitView and not isinstance(cond.floats, RangeView):
+        return None
+    if type(else_v) is float and else_v == 0:
+        branch, take = then_v, (cond, True)
+    elif type(then_v) is float and then_v == 0:
+        branch, take = else_v, (cond, False)
+    else:
+        return None
+    if type(branch) is _MaskedIf:
+        return (branch.floats, [take, *branch.takes]) if len(branch) == len(cond) else None
+    return (_stream(branch), [take]) if _floats_of_size(branch, len(cond)) else None
+
+
 # ---------------------------------------------------------------------------
 # Aggregators
 # ---------------------------------------------------------------------------
@@ -1123,97 +1177,37 @@ def _iter_cells(args):
     return chain.from_iterable(a.cells if isinstance(a, RangeView) else (a,) for a in args)
 
 
-def _sum_arg(arg: Expr, st: _EvalState):
-    """A SUM argument evaluated, or, for an IF that no other node shares,
-    perhaps the compress() of the cells that SUM would add (only over a
-    vector condition, so never in scalar mode)."""
-    v = _deferred(arg, st)
-    return _masked_if(*v) if type(v) is _Deferred else v
-
-
-class _Deferred(NamedTuple):
-    """A vector IF that SUM adds up, with its cells not yet built: the
-    condition and branches they would be built from."""
-
-    cond: RangeView
-    then_v: object
-    else_v: object
-
-
-def _deferred(arg: Expr, st: _EvalState):
-    """*arg* evaluated, except that an IF no other node shares, over a
-    vector condition, is a _Deferred, its branches _deferred in turn."""
-    if type(arg) is Call and arg.func == "IF" and len(arg.args) == 3 and id(arg) not in st.reuse:
-        return _fn_if(arg.args, st, defer=True)
-    return _eval(arg, st)
-
-
-def _built(v):
-    """A branch as _if_range takes it: a _Deferred IF built."""
-    if type(v) is _Deferred:
-        return _if_range(v.cond, _built(v.then_v), _built(v.else_v))
-    return v
-
-
-def _masked_if(cond: RangeView, then_v, else_v):
-    """_if_range, or the compress() of the floats SUM adds: one branch's
-    where the condition takes it, when the condition holds only logicals,
-    that branch gives floats and the other is the number 0. A left-to-right
-    float sum that starts at +0.0 is never -0.0, so adding a zero of either
-    sign changes nothing and the zero cells need not be made. A branch
-    that is itself such an IF (a _Deferred) ANDs its condition in."""
-    parts = _masked_parts(cond, then_v, else_v)
-    if parts is None:
-        return _if_range(cond, _built(then_v), _built(else_v))
-    floats, (mask, *inner) = parts
+def _masked_numbers(v: _MaskedIf) -> compress:
+    """The floats SUM adds for a _MaskedIf: its branch's where every IF
+    takes them. A left-to-right float sum that starts at +0.0 is never
+    -0.0, so adding a zero of either sign changes nothing and the zero
+    cells need not be made."""
+    mask, *inner = (cond.cells if on_true else bytes(cond.cells).translate(FLIP) for cond, on_true in v.takes)
     if not inner:
-        return compress(floats, mask)
+        return compress(v.floats, mask)
     # the floats where the inner IFs take them (a number's are all one),
     # and this IF's mask there
     taken = functools.reduce(_and, inner)
-    return compress(floats if type(floats) is repeat else compress(floats, taken), compress(mask, taken))
-
-
-def _masked_parts(cond: RangeView, then_v, else_v):
-    """(floats, masks) for _masked_if, or None: the floats of the branch
-    that is not the number 0, and the mask of where each IF, from the
-    outermost in, takes it. A split condition that is one value on the
-    float cells is left to _if_range, which takes it part by part, and SUM
-    then adds the parts with no cell built (_split_total)."""
-    if cond.kind is not bool or type(cond) is _SplitView and not isinstance(cond.floats, RangeView):
-        return None
-    if type(else_v) is float and else_v == 0:
-        branch, mask = then_v, cond.cells
-    elif type(then_v) is float and then_v == 0:
-        branch, mask = else_v, bytes(cond.cells).translate(FLIP)
-    else:
-        return None
-    if type(branch) is not _Deferred:
-        return (_stream(branch), [mask]) if _floats_of_size(branch, len(cond)) else None
-    inner = _masked_parts(*branch) if len(branch.cond) == len(cond) else None
-    if inner is None:
-        return None
-    floats, masks = inner
-    return floats, [mask, *masks]
+    floats = v.floats if type(v.floats) is repeat else compress(v.floats, taken)
+    return compress(floats, compress(mask, taken))
 
 
 def _and(a, b) -> bytes:
     return bytes(map(operator.and_, a, b))
 
 
-def _fn_sum(args: tuple[Expr, ...], st):
-    # the arguments are all evaluated, in order, before any is added up.
-    # Explicit left-to-right adds: sum() on floats is compensated from
+def _fn_sum(args, st):
+    # explicit left-to-right adds: sum() on floats is compensated from
     # Python 3.12 on and would change the last bits
     total = 0.0
-    for v in [_sum_arg(a, st) for a in args]:
+    for v in args:
         if type(v) is _SplitView:
             split_total = _split_total(v, total)
             if split_total is not None:
                 total = split_total
                 continue
-        if type(v) is compress:
-            numbers = v
+        if type(v) is _MaskedIf:
+            numbers = _masked_numbers(v)
         elif isinstance(v, RangeView) and v.kind is not None:
             numbers = v.cells if v.kind is float else ()  # logical and text cells add nothing
         else:
@@ -1364,10 +1358,11 @@ def _criteria_reduce(sums, pair_args, st):
     Each criteria argument is read before its range's size is checked,
     pair by pair, then the sum range's size. A criteria is its comparison
     operator between each cell of the range and the operand, run as the
-    operator runs, kernel and all. The error returned is the first in row
-    order among the criteria results and the sum cells of matched rows; an
-    error on a row that an earlier criteria missed, or in the sum cell of
-    a row not matched, is ignored.
+    operator runs, kernel and all, but with no split of a column of text
+    alone. The error returned is the first in row order among the criteria
+    results and the sum cells of matched rows; an error on a row that an
+    earlier criteria missed, or in the sum cell of a row not matched, is
+    ignored.
     """
     pairs = []
     for j in range(0, len(pair_args), 2):
@@ -1384,16 +1379,19 @@ def _criteria_reduce(sums, pair_args, st):
     # each criteria is compared only on the rows every earlier one matched,
     # before the first error so far: a row's first result that is not TRUE
     # decides it. The rows left stay in row order, so an error found later
-    # lies before the one it replaces. No table is passed, so no partition
-    # is built
+    # lies before the one it replaces. Only the first range can be a whole
+    # column: a dirty one splits as under the operator; one of text alone,
+    # as many distinct values as cells maybe, gets no table, so no split
     masks = []
     error = None
     for view, crit in pairs:
         if masks:
             cells = tuple(_kept(view.cells, masks))
             view = RangeView(len(cells), 1, cells, kind=view.kind)
-        hits, kind = _map_cells(_BINARY_OPS[crit.op], (view, crit.operand), True, _BINARY_KERNELS[crit.op])
-        types = () if kind is bool else tuple(map(type, hits))
+        table = st.ctx.table if view.kind is not str else None
+        compared = _lift_array(_BINARY_OPS[crit.op], (view, crit.operand), table, True, _BINARY_KERNELS[crit.op])
+        hits = compared.cells
+        types = () if compared.kind is bool else tuple(map(type, hits))
         if ErrorKind in types:
             stop = types.index(ErrorKind)
             error, hits = hits[stop], hits[:stop]
@@ -1644,7 +1642,7 @@ FUNCTION_SPECS: dict[str, FunctionSpec] = {
         _spec("LEFT", 1, 2, "core", "elementwise", _fn_left, competency=_NON_ARRAY),
         _spec("RIGHT", 1, 2, "core", "elementwise", _fn_right, competency=_NON_ARRAY),
         _spec("SEARCH", 2, 3, "core", "elementwise", _fn_search, competency=_NON_ARRAY),
-        _spec("SUM", 1, None, "core", "raw", _fn_sum, shape="scalar", competency=_NON_ARRAY),
+        _spec("SUM", 1, None, "core", "evaluated", _fn_sum, competency=_NON_ARRAY),
         _spec("AVERAGE", 1, None, "core", "evaluated", _fn_average, competency=_NON_ARRAY),
         _spec("MIN", 1, None, "core", "evaluated", _fn_minmax(min), competency=_NON_ARRAY),
         _spec("MAX", 1, None, "core", "evaluated", _fn_minmax(max), competency=_NON_ARRAY),

@@ -1,6 +1,6 @@
 import pytest
 
-from sprego import equivalence
+from sprego import equivalence, evaluator
 from sprego.equivalence import (
     ColumnSpec,
     DatasetSchema,
@@ -16,7 +16,8 @@ from sprego.equivalence import (
 )
 from sprego.evaluator import EvalContext, evaluate
 from sprego.formula import parse
-from sprego.table import RangeView
+from sprego.rewrite import rewrite
+from sprego.table import PARTITION_MIN_ROWS, RangeView
 from sprego.values import ErrorKind
 
 
@@ -208,6 +209,35 @@ def test_pair_past_the_cell_budget_is_a_schema_error():
     # 12.4 million columns: refused before any column is built
     with pytest.raises(SchemaError):
         schemas_for_pair(parse("=SUM(ZZZZZ1)"), parse("=ZZZZZ1"))
+
+
+# Pairs over 400 rows, past table.PARTITION_MIN_ROWS. The rule cases' tables
+# have at most 48 rows, so they never reach a column's partition, the split
+# path or SUM's part-by-part total; these pairs do, on their with-blanks and
+# with-errors tables, on both sides
+_PAST_THE_PARTITION_FLOOR = (
+    '=COUNTIF(A1:A400,">5")',  # R1
+    '=AVERAGEIF(A1:A400,">5")',  # R3
+    "=COUNT(A1:A400)",  # R4
+    "=COUNTA(A1:A400)",  # R4
+    "=IFERROR(100/A1:A400,-1)",  # R7 over a division
+    '=SUMIFS(A1:A400,B1:B400,">5",C1:C400,"<8")',  # R8
+)
+
+
+@pytest.mark.parametrize("source", _PAST_THE_PARTITION_FLOOR)
+def test_rewrites_hold_on_split_columns(source, monkeypatch):
+    splits = []
+    split_cells = evaluator._split_cells
+    monkeypatch.setattr(evaluator, "_split_cells", lambda *args: splits.append(None) or split_cells(*args))
+    original = parse(source)
+    rewritten, plans = rewrite(original)
+    assert len(plans) == 1, source
+    schemas = schemas_for_pair(original, rewritten)
+    assert [s.rows for s in schemas] == [400] * 3 and 400 >= PARTITION_MIN_ROWS
+    verdict = check_equivalence(original, rewritten, schemas, trials_per_schema=10, seed=1)
+    assert verdict.passed, verdict.to_json()
+    assert splits, source
 
 
 # ---------------------------------------------------------------------------

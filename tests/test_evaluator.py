@@ -75,6 +75,16 @@ def test_function_sets_exact():
         assert name in FUNCTION_SPECS
 
 
+def test_only_the_functions_that_need_syntax_take_it_unevaluated():
+    # IF evaluates a branch only when it may be taken; OFFSET, ROW and COLUMN
+    # read the reference itself, and RAND draws at each call. SUM reads its
+    # arguments' values, IF's masked view among them
+    assert {name for name, spec in FUNCTION_SPECS.items() if spec.call == "raw"} == {
+        "IF", "OFFSET", "ROW", "COLUMN", "RAND",
+    }
+    assert FUNCTION_SPECS["SUM"].shape == "scalar"
+
+
 # ---------------------------------------------------------------------------
 # operators and coercion
 # ---------------------------------------------------------------------------

@@ -115,6 +115,8 @@ def test_if_and_iferror_pick_by_row():
         "IF(f>g,x,y)", "IF(f>g,1,x)", "IF(f<=0,x)", "IF(f>0,IF(g<0,x,f),y)", "IF(x,f,g)", "IF(y,1,0)",
         "IFERROR(x,-1)", "IFERROR(1/x,f)", "IFERROR(y+0,x)", "ISERROR(f/x)", "IF(ISERROR(x+0),0,x)",
         'IF(f>g,x&"",LEN(y))', "IF(f>g,f,g)*2", "IF(f>0,f,0)", "IF(f>0,0,f)", "IF(f<g,IF(f>-1,f,0),0)",
+        # masked views read by the next node
+        "IF(f>1,f,0)+x", "IF(f>-1,IF(f<1,f,0),0)*g", "ISERROR(IF(f>0,0,g))",
     ):
         assert _check_modes(t, source, range(1, ROWS + 1)), source
 
@@ -140,14 +142,14 @@ def test_split_chains_equal_scalar_evaluation_row_by_row(monkeypatch, views_by_k
     # a split view's kind comes from its parts, not from a scan: each one,
     # intermediate nodes' included, must hold only cells of that kind
     split_kinds = Counter()
-    split_init = evaluator._SplitView.__init__
+    unbuilt_init = evaluator._UnbuiltView.__init__
 
-    def checked(self, *args):
-        split_init(self, *args)
+    def checked(self, *args, **kept):
+        unbuilt_init(self, *args, **kept)
         assert self.kind is None or all(type(c) is self.kind for c in self.cells), (self.kind, self.cells)
         split_kinds[self.kind] += 1
 
-    monkeypatch.setattr(evaluator._SplitView, "__init__", checked)
+    monkeypatch.setattr(evaluator._UnbuiltView, "__init__", checked)
     for seed in range(3):
         t = _table(seed)
         for source in _SPLIT_CHAINS:

@@ -6,11 +6,14 @@ PARTITION_MIN_ROWS has a Partition, which the table builds the first
 time an elementwise function splits over a whole-column view of it. The
 split runs the function's kernel on the float cells and, on the other
 cells, once per distinct value (or per cell, when a float view of
-another column takes part), and merges the two parts back into column
-order. Every cell must be the one the per-cell path gives, by type and
-repr, and every kind it sets must hold for every cell. SUM over an IF
-whose taken branch is another such IF ANDs the inner condition into its
-mask, and must give the per-cell SUM's bits."""
+another column takes part), and keeps the two parts in a split view,
+whose cells are built in column order when a node that does not read
+the parts reads them. Every cell must be the one the per-cell path
+gives, by type and repr, and every kind it sets must hold for every
+cell. SUM over an IF whose taken branch is another such IF ANDs the
+inner condition into its mask, and must give the per-cell SUM's bits.
+The criteria baselines split the column as their comparison operators
+do, and must give the per-cell criteria's results."""
 
 import itertools
 import random
@@ -24,7 +27,7 @@ from sprego.formula import parse
 from sprego.table import PARTITION_MIN_ROWS, Table
 from sprego.values import ErrorKind
 
-from helpers import make_table
+from helpers import make_table, reference_criteria_reduce
 from test_evaluator import _EDGE_FLOATS, _ODD_CELLS, _same_cell, kernel_calls  # noqa: F401
 from test_range_kinds import _check as _check_sum
 from test_range_kinds import _float_columns, fused, reference, views_by_kind  # noqa: F401
@@ -252,7 +255,7 @@ _NESTED_SOURCES = (
     'SUM(IF(ISERROR(x+0),0,IF(LEN(x&"")=0,0,1)))',  # R4's COUNT
     "SUM(IF(f>0,IF(x,1,0),0))",  # an inner condition of no kind: built
     "SUM(IF(f>0,IF(g<1,x,0),0))",  # an inner branch of other cells: built
-    "SUM(IF(f>0,IF(g<1,g,1),0))",  # no zero branch inside: built
+    "SUM(IF(f>0,IF(g<1,g,1),0))",  # no zero branch inside: the inner IF built
     f"SUM(IF(f>0,IF(A1:A{ROWS - 1}>0,1,0),0))",  # an inner IF of another size
     "SUM(IF(f>0,IF(g<RAND(),RAND(),0),0),RAND())",
 )
@@ -266,13 +269,61 @@ def test_nested_masked_sum_matches_per_cell_sum(reference, fused):  # noqa: F811
         for source in _NESTED_SOURCES:
             _check_sum(reference, parse("{=" + source + "}"), t, rng_seed=3)
             _check_sum(reference, parse("=" + source), t, mode="scalar", current_row=5, rng_seed=3)
-    assert fused["masked"] > fused["built"] > 0, fused
-    # COUNTIFS and SUMIFS in Sprego: the inner IF is masked, not built
+    # both ways are taken; "built" counts each IF level that is built
+    assert fused["masked"] > 0 and fused["built"] > 0, fused
+    # COUNTIFS and SUMIFS in Sprego: the inner IF and the outer one are
+    # both masked, not built
     fused.clear()
     t = make_table(f=floats[2], g=floats[3])
     for source in _NESTED_SOURCES[:4]:
         _check_sum(reference, parse("{=" + source + "}"), t)
     assert fused == Counter(masked=4), fused
+    # each source's paths: a masked SUM per masked outer IF; an inner IF
+    # that cannot be masked is built, and so is an outer IF whose branch
+    # it leaves without floats or of another size
+    t = make_table(x=_dirty_columns()[0], f=(floats[2] * ROWS)[:ROWS], g=(floats[3] * ROWS)[:ROWS])
+    paths = [Counter(masked=1)] * 5 + [Counter(masked=2)] + [Counter(built=2)] * 3
+    paths += [Counter(masked=1, built=1), Counter(built=2), Counter(masked=1)]
+    for source, want in zip(_NESTED_SOURCES, paths, strict=True):
+        fused.clear()
+        _check_sum(reference, parse("{=" + source + "}"), t, rng_seed=3)
+        assert fused == want, (source, fused)
+
+
+# criteria over a dirty column: every operator before text, numeral and
+# empty operands, and numbers, logicals, a blank cell (E1) and an error
+_CRITERIA_OPERANDS = ("2", "-0", "abc", "12", "", "TRUE")
+_CRITERIA = (
+    *(f'"{op}{x}"' for op in ("", "=", "<>", "<", "<=", ">", ">=") for x in _CRITERIA_OPERANDS),
+    "2", "-0", "TRUE", "FALSE", "E1", "1/0",
+)
+
+
+def test_criteria_over_a_split_column_match_the_per_cell_reference(monkeypatch, splits):
+    # two dirty columns, mostly floats and evenly mixed, at the partition
+    # floor, and the first with its errors blanked, so that the criteria
+    # count and sum past the first error too
+    rows = PARTITION_MIN_ROWS
+    columns = [x[:rows] for x in _dirty_columns()[:2]]
+    columns.append(tuple(None if type(c) is ErrorKind else c for c in columns[0]))
+    f = tuple((_float_columns()[2] * rows)[:rows])
+    checked = Counter()
+    for x in columns:
+        t = make_table(x=x, f=f, y=x[::-1], e=(None,) * rows)
+        for c in _CRITERIA:
+            # x first, where it splits, and x and y after f, on the rows left
+            for source in (f"=COUNTIF(x,{c})", f'=COUNTIFS(f,"<>1",x,{c},y,{c})', f"=SUMIF(x,{c},f)",
+                           f'=SUMIFS(f,x,{c},y,"<5")', f"=AVERAGEIF(x,{c})", f"=AVERAGEIF(x,{c},f)"):
+                formula = parse(source)
+                got = evaluate(formula, EvalContext(t))
+                with monkeypatch.context() as m:
+                    m.setattr(evaluator, "_criteria_reduce", reference_criteria_reduce)
+                    want = evaluate(formula, EvalContext(t))
+                assert _same_cell(got, want), (source, got, want)
+                checked[type(want)] += 1
+    # the criteria split the column, and both numbers and errors come out
+    assert len(splits) > len(columns) * len(_CRITERIA), len(splits)
+    assert checked[float] > 200 and checked[ErrorKind] > 200, checked
 
 
 def test_partition_is_built_only_where_a_split_reads_it(monkeypatch):
@@ -285,11 +336,25 @@ def test_partition_is_built_only_where_a_split_reads_it(monkeypatch):
         tuple(rng.choice(odd) if rng.random() < 1 / 6 else float(rng.randrange(10)) for _ in range(20_000))
         for _ in range(2)
     )
-    # the baselines, SUM and the any-cell kernels read the column whole,
+    # COUNTA, MATCH, SUM and the any-cell kernels read the column whole,
     # and two dirty columns together take the per-cell path: no split
-    for source in ('=COUNTIF(dirty,">5")', "=COUNTA(dirty)", "=MATCH(1,dirty,0)", "=SUM(dirty)",
+    for source in ("=COUNTA(dirty)", "=MATCH(1,dirty,0)", "=SUM(dirty)",
                    "{=ISERROR(dirty)}", "{=IFERROR(dirty,0)}", "{=dirty+other}"):
         evaluate(parse(source), EvalContext(make_table(dirty=dirty, other=other)))
     assert built == []
     evaluate(parse("{=dirty+0}"), EvalContext(make_table(dirty=dirty, other=other)))
     assert built == [dirty]
+    # a criteria compares as its operator does, so it splits the column too
+    built.clear()
+    evaluate(parse('=COUNTIF(dirty,">5")'), EvalContext(make_table(dirty=dirty, other=other)))
+    assert built == [dirty]
+    # but over a column of text alone, which may hold as many distinct
+    # values as cells, a criteria compares cell by cell and builds none,
+    # though its operator splits the column
+    names = tuple(f"n{i}" for i in range(2 * PARTITION_MIN_ROWS))
+    for source, want in (('=COUNTIF(names,"n5")', []), ('=SUMIF(names,"<n5",dirty)', []), ('{=names="n5"}', [names])):
+        built.clear()
+        t = make_table(names=names, dirty=dirty[: len(names)])
+        assert t.column_kind(1) is str
+        evaluate(parse(source), EvalContext(t))
+        assert built == want, source

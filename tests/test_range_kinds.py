@@ -10,7 +10,6 @@ import dataclasses
 import itertools
 import random
 from collections import Counter
-from itertools import compress
 
 import pytest
 
@@ -131,16 +130,29 @@ def reference(monkeypatch):
 
 @pytest.fixture
 def fused(monkeypatch):
-    """Counts the IFs that SUM added up as masked sums, and the others."""
+    """Counts the masked IFs that SUM added up as masked sums ("masked"),
+    and the vector IFs given a value by _if_range instead ("built"): an IF
+    not kept as a masked view, or a masked view that a node read as its
+    value. An IF kept inside a masked IF is counted by neither."""
     calls = Counter()
-    masked_if = evaluator._masked_if
+    masked_numbers, if_range = evaluator._masked_numbers, evaluator._if_range
+    depth = [0]
 
-    def counted(*args):
-        out = masked_if(*args)
-        calls["masked" if type(out) is compress else "built"] += 1
-        return out
+    def summed(v):
+        calls["masked"] += 1
+        return masked_numbers(v)
 
-    monkeypatch.setattr(evaluator, "_masked_if", counted)
+    def built(*args):
+        # _split_if calls _if_range again on each part: one IF, one count
+        calls["built"] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return if_range(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(evaluator, "_masked_numbers", summed)
+    monkeypatch.setattr(evaluator, "_if_range", built)
     return calls
 
 
@@ -198,17 +210,21 @@ def test_sum_in_scalar_mode_matches_per_cell_sum(reference, fused):
 def test_shared_if_is_summed_from_its_one_value(reference, fused):
     floats = _float_columns()
     t = make_table(f=floats[0], x=_mixed_columns()[0])
-    # one IF node twice in SUM's arguments: evaluated once, never masked
+    # one IF node twice in SUM's arguments: evaluated once per evaluate(),
+    # and its one masked view added up twice; the outer SUM in the second
+    # stops at the inner SUM's #NUM! (f holds 1e308) before its node
     node = parse("=IF(f>0,f,0)").body
     _check(reference, Call("SUM", (node, node)), t)
     _check(reference, Call("SUM", (Call("SUM", (node,)), node)), t)
-    assert fused["masked"] == 0
+    assert fused == Counter(masked=3), fused
     # R7 shares IFERROR's x, here an IF, between ISERROR(x) and the branch
-    # SUM adds up
+    # SUM adds up: in the first, ISERROR builds the masked x and SUM masks
+    # the IF over it; f/x and ISERROR(f) are not floats, so the other IFs
+    # are built
     for source in ("=SUM(IFERROR(IF(f>0,f,0),0))", "=SUM(IFERROR(IF(f>0,f/x,0),0))", "=SUM(IFERROR(f,-1))"):
         shared = rewrite(parse(source))[0]
         _check(reference, shared, t)
-    assert fused["masked"] == 1, fused
+    assert fused == Counter(masked=4, built=4), fused
 
 
 def test_masked_sum_keeps_the_rand_draws_in_order(reference, fused):
@@ -225,7 +241,9 @@ def test_masked_sum_keeps_the_rand_draws_in_order(reference, fused):
         formula = parse(source)
         for seed in range(10):
             _check(reference, formula, t, rng_seed=seed)
-    assert fused["masked"] == 50
+    # four masked IFs a seed; in the last formula SUM stops at the built
+    # IF's #DIV/0! before it reaches the masked one
+    assert fused == Counter(masked=40, built=10), fused
 
 
 def test_masked_sum_adds_from_left_to_right():

@@ -123,7 +123,7 @@ def test_a_node_whose_kernel_does_not_take_text_splits_a_text_column(monkeypatch
 # shared node (R7's rewrite of IFERROR)
 _SHAPES = (
     "x+0", "f/x", "x&f", "ISERROR(x+0)", "ISERROR(f/x)", 'LEN(x&"")=0', 'IF(x>1,x*2,x&"")', "IFERROR(f/x,-1)",
-    'IF(ISERROR(x+0),0,IF(LEN(x&"")=0,0,1))', "IF(ISERROR(x+0),f,x)", "NOT(ISERROR(x/0))",
+    'IF(ISERROR(x+0),0,IF(LEN(x&"")=0,0,1))', "IF(ISERROR(x+0),f,x)", "NOT(ISERROR(x/0))", "IF(f>3,f,0)+x",
 )
 
 
@@ -145,6 +145,11 @@ def test_evaluate_returns_plain_views_and_builds_one_partition_per_column(builds
     for source in ("{=x+y}", "{=(x+0)+y}", "{=IF(ISERROR(x+0),y,0)}"):
         got = evaluate(parse(source), EvalContext(t))
         assert type(got) is RangeView and type(got.cells) is tuple
+    # a masked IF, nested or not, is built too, and reads no partition
+    for source, below in (("{=IF(f>3,f,0)}", 7), ("{=IF(f>3,IF(f<6,f,0),0)}", 6)):
+        got = evaluate(parse(source), EvalContext(t))
+        assert type(got) is RangeView and type(got.cells) is tuple and got.kind is float
+        assert got.cells == tuple(v if 3 < v < below else 0.0 for v in f)
     assert builds[-1:] == [t.columns[0]] and len(builds) == 2 * len(_SHAPES) + 1
 
 
@@ -200,12 +205,30 @@ def test_sum_over_a_split_keeps_its_bits(split_totals):
     assert split_totals == [True, True]
 
 
+def test_a_node_over_a_masked_if_runs_on_its_split_value(monkeypatch):
+    # x>0 differs from float to float and, with x's errors blanked, holds
+    # logicals, so each IF below is a masked view; a node that reads cells,
+    # not masks, takes the IF's split value and splits again, and
+    # evaluate() merges the parts once, at the end
+    runs, merges = [], []
+    split_cells, merge = evaluator._split_cells, evaluator._SplitView._build
+    monkeypatch.setattr(evaluator, "_split_cells", lambda *args: runs.append(None) or split_cells(*args))
+    monkeypatch.setattr(evaluator._SplitView, "_build", lambda v: merges.append(None) or merge(v))
+    t = make_table(x=tuple(None if isinstance(c, ErrorKind) else c for c in _dirty(7)))
+    for source, splits in (("ISERROR(IF(x>0,1,0))", 2), ("IF(x>0,1,0)*2", 2), ("ISERROR(IF(x>0,IF(x<2,1,0),0))", 3)):
+        runs.clear(), merges.clear()
+        _same_as_scalar_mode(t, source)
+        assert (len(runs), len(merges)) == (splits, 1), source
+
+
 def test_sum_masks_a_split_condition_that_differs_on_the_floats(fused):  # noqa: F811
     # x>0 differs from float to float: its IF is the masked sum, as over a
     # plain condition of logicals (x holds no error); the emptiness test is
-    # FALSE on every float, so its IF goes part by part and SUM adds the parts
+    # FALSE on every float, so its IF goes part by part and SUM adds the
+    # parts. _check_sum evaluates each IF twice, with SUM and without, and
+    # without SUM evaluate() builds the masked view
     t = make_table(x=tuple(None if isinstance(c, ErrorKind) else c for c in _dirty(5)))
     _check_sum(t, "IF(x>0,1,0)")
-    assert fused == Counter(masked=1)
-    _check_sum(t, 'IF(LEN(x&"")=0,0,1)')
     assert fused == Counter(masked=1, built=1)
+    _check_sum(t, 'IF(LEN(x&"")=0,0,1)')
+    assert fused == Counter(masked=1, built=3)
