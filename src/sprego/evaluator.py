@@ -13,14 +13,16 @@ result cell a VALUE error. True matrices must share shapes exactly.
 Whole ranges run through kernels instead of a per-cell loop where the
 argument types allow, chosen by those types alone and giving the same
 cells bit for bit: a binary arithmetic or comparison operator over floats
-or ranges of floats, & over cells without errors, LEN over text, ISERROR
-and IFERROR over anything. A column read whole that is not all floats
+or ranges of floats, & over cells without errors, LEN over text, ISERROR,
+IFERROR and IF over anything. A column read whole that is not all floats
 splits first (below), and the kernels serve its parts. Other arguments
 take the per-cell path, where a function pays for the first-error-wins
 check only when a scan of each range, one per range, finds an error. IF
-over a condition of logicals (or 1 and 0) selects each cell from the pair
-of branch cells in C, as IFERROR's kernel does by whether a cell is an
-error. The criteria baselines are one function, which reads their
+over a vector condition is its per-cell IF lifted, each branch view of
+the condition's size read by position in the condition's shape and any
+other view #VALUE!; over a condition of logicals (or 1 and 0) its kernel
+selects each cell from the pair of branch cells in C, as IFERROR's does
+by whether a cell is an error. The criteria baselines are one function, which reads their
 argument shape from criteria.criteria_args and runs each criteria as its
 comparison operator runs, kernel and split and all (but a column of text
 alone does not split), each later one only on the rows the earlier ones
@@ -37,25 +39,25 @@ on the floats (each zero divisor alone gives #DIV/0!, and & writes floats
 as text in C) and the function once per distinct other value (per cell,
 after one coercion per value, beside a float view). Two kernels read the
 column whole instead, with no partition built: one that takes any cells
-(ISERROR, IFERROR), and, over a column of text alone (kind str), one that
-takes every argument (LEN, &), since text may hold as many distinct
+(ISERROR, IFERROR, IF), and, over a column of text alone (kind str), one
+that takes every argument (LEN, &), since text may hold as many distinct
 values as cells. The result is a _SplitView, an unbuilt view: it keeps
 the two parts and builds its cells in column order only when they are
 read. The next elementwise node over it splits again without a merge, and
-so do ISERROR and IFERROR, and IF over a split condition, unless both
-parts would be read cell by cell (a float part of no one kind beside a
-per-cell other part), where a merge first costs no more. A fold gives
-the one value of a part from its kind alone (ISERROR and the emptiness
-test over a part of floats are all FALSE), and a part whose IF condition
-is one value is the taken branch's part, as it is. SUM adds a split
+so do ISERROR, IFERROR and IF, unless each split argument would be read
+cell by cell (a float part of no one kind beside a per-cell other part),
+where a merge first costs no more. A fold gives a part whole from the
+kinds of its arguments alone: ISERROR and the emptiness test over a part
+of floats are all FALSE, and IF over a part whose condition is one value
+is the taken branch's part, as it is. SUM adds a split
 result part by part where the bits cannot differ from a left-to-right sum
 in column order (_split_total). Any other consumer reads the cells, which
 merges the parts once, and evaluate() builds an unbuilt view it returns.
 The Table builds the partition at the column's first split and keeps it,
 so a formula that reads the column whole only through an aggregator, a
-lookup, COUNT, COUNTA, ISERROR or IFERROR builds none. The first split on
-a table pays for the build, so below the floor, where a single use would
-not repay it, the per-cell path serves.
+lookup, COUNT, COUNTA, ISERROR, IFERROR or IF builds none. The first
+split on a table pays for the build, so below the floor, where a single
+use would not repay it, the per-cell path serves.
 
 An = node that tests x for emptiness (x="", ""=x, LEN(x)=0 or 0=LEN(x),
 with x&"" or ""&x read as x) is one elementwise function of x: x's error,
@@ -310,9 +312,10 @@ class Kernel(NamedTuple):
     stream per argument (a view, which iterates its cells, or a scalar
     repeated) and gives the cells the per-cell function would, with their
     one type when it knows it (else None); it is used when every argument
-    passes *accepts*. *fold*, if any, gives the one cell the function gives
-    on every cell of its arguments when their kinds alone decide it, else
-    None."""
+    passes *accepts*. *fold*, if any, gives the result whole when the
+    arguments' kinds alone decide it, else None: the one cell the function
+    gives on every cell of its arguments, or, for IF over a condition that
+    is one value, the branch it takes, as it is (a view, perhaps)."""
 
     accepts: Callable[[object], bool]
     run: Callable[..., tuple]
@@ -414,10 +417,11 @@ def _split_partition(args, table: Table, kernel: Kernel | None):
     """(column, its Partition) when a lift over *args* takes the split path,
     else None. Every view argument but float views of the table's length
     must show that column (resolve's view of it) or be split over it. A
-    kernel that takes any cells (ISERROR, IFERROR) reads the column, or a
-    split view whose two parts it would scan cell by cell, faster whole, and
-    needs no partition built: it takes the split only over a split view
-    whose float part is of one kind or whose other part is per value. When
+    kernel that takes any cells (ISERROR, IFERROR, IF) reads the column, or
+    a split view whose two parts it would scan cell by cell, faster whole,
+    and needs no partition built: it takes the split only over a split view
+    whose float part is one value or of one kind or whose other part is
+    per value, whichever argument that is. When
     no argument is split yet, a kernel that takes every argument (LEN, &)
     reads a column of text, which may hold as many distinct values as
     cells, whole too. The table builds the partition at the column's first
@@ -429,17 +433,15 @@ def _split_partition(args, table: Table, kernel: Kernel | None):
     if col is None:
         return None
     if kernel is not None and kernel.accepts is _any:
-        if not any(type(a) is _SplitView and (a.by_value or _one_kind(a.floats)) for a in args):
+        if not any(
+            type(a) is _SplitView and (a.by_value or not isinstance(a.floats, RangeView) or a.floats.kind is not None)
+            for a in args
+        ):
             return None
     elif not split and kernel is not None and table.column_kind(col) is str and all(map(kernel.accepts, args)):
         return None
     part = table.partition(col)
     return None if part is None else (col, part)
-
-
-def _one_kind(floats) -> bool:
-    """Whether a split view's float part is one value or a view of one kind."""
-    return not isinstance(floats, RangeView) or floats.kind is not None
 
 
 def _shown_column(args, rows: int):
@@ -501,10 +503,10 @@ def _split_cells(col, part: Partition, fn, args, propagate, kernel) -> _SplitVie
     """_map_cells over the column *col* split by *part*, its result kept
     split. Each view argument shows the column, is split over it or is a
     float view of its length (_split_partition). On the float part *kernel*
-    runs when it takes the cells, unless a fold or arguments that are each
-    one value give one value; on the other part *fn* runs once per distinct
-    value when every argument's other part is per value, otherwise per cell
-    (by *kernel* when it takes them)."""
+    runs when it takes the cells, unless a fold gives the part whole or
+    arguments that are each one value give one value; on the other part
+    *fn* runs once per distinct value when every argument's other part is
+    per value, otherwise per cell (by *kernel* when it takes them)."""
     float_args, other_args, per_value = _split_args(part, args)
     floats = _float_part(fn, float_args, propagate, kernel)
     by_value = all(per_value)
@@ -522,8 +524,9 @@ def _split_cells(col, part: Partition, fn, args, propagate, kernel) -> _SplitVie
 
 def _float_part(fn, args, propagate, kernel):
     """The float part of a split result: *fn* over the float parts of the
-    arguments as a view, by *kernel* when it takes them; or the one value of
-    every cell, when each argument is one value or *kernel* folds."""
+    arguments as a view, by *kernel* when it takes them; what *kernel*'s
+    fold gives; or the one value of every cell, when each argument is one
+    value."""
     views = [a for a in args if isinstance(a, RangeView)]
     if not views:
         return _apply(fn, args, propagate)
@@ -1034,19 +1037,20 @@ def _select(mask, when_false, when_true) -> tuple:
 
 
 def _fn_if(args: tuple[Expr, ...], st: _EvalState):
-    """IF; over a vector condition, evaluated before both branches, a
-    _MaskedIf of them when _masked_parts takes them, else _if_range's."""
+    """IF; over a vector condition, evaluated before both branches (each as
+    _branch reads it), a _MaskedIf of them when _masked_parts takes them,
+    else _if_value's."""
     cond = _eval(args[0], st)
     if st.scalar:
         cond = _scalarize(cond, st)
 
     if isinstance(cond, RangeView):
-        then_v = _eval(args[1], st)
-        else_v = _eval(args[2], st) if len(args) > 2 else False
+        then_v = _branch(_eval(args[1], st), cond)
+        else_v = _branch(_eval(args[2], st), cond) if len(args) > 2 else False
         parts = _masked_parts(cond, then_v, else_v)
         if parts is not None:
-            return _MaskedIf(cond, then_v, else_v, *parts)
-        return _if_range(*map(_unmasked, (cond, then_v, else_v)))
+            return _MaskedIf(cond, then_v, else_v, *parts, st.ctx.table)
+        return _if_value(cond, then_v, else_v, st.ctx.table)
 
     c = coerce_logical(cond)
     if isinstance(c, ErrorKind):
@@ -1058,64 +1062,24 @@ def _fn_if(args: tuple[Expr, ...], st: _EvalState):
     return False
 
 
-def _if_range(cond: RangeView, then_v, else_v) -> RangeView:
-    """IF's cells over a vector condition, from its evaluated branches; over
-    a split condition, part by part where _split_if can."""
-    if type(cond) is _SplitView:
-        split = _split_if(cond, then_v, else_v)
-        if split is not None:
-            return split
-    size = len(cond)
-    then_s = _branch_cells(then_v, size)
-    else_s = _branch_cells(else_v, size)
-    # a logical, or the number 1 or 0, which IF reads the same way
-    if cond.kind is bool or cond.cells.count(True) + cond.cells.count(False) == size:
-        cells = _select(cond.cells if cond.kind is bool else map(operator.truth, cond.cells), else_s, then_s)
-        kind = float if _floats_of_size(then_v, size) and _floats_of_size(else_v, size) else None
-    else:
-        cells = tuple(
-            (t if c else e) if type(c) is bool else _if_cell(c, t, e)
-            for c, t, e in zip(cond.cells, then_s, else_s)
-        )
-        kind = None
-    return RangeView(cond.rows, cond.cols, cells, kind=kind)
+def _branch(branch, cond: RangeView):
+    """An IF branch as the lift reads it beside a vector condition: a view
+    of the condition's size by position, in the condition's shape; any
+    other view VALUE."""
+    if not isinstance(branch, RangeView):
+        return branch
+    if len(branch) != len(cond):
+        return ErrorKind.VALUE
+    if (branch.rows, branch.cols) == (cond.rows, cond.cols):
+        return branch
+    return RangeView(cond.rows, cond.cols, branch.cells, kind=branch.kind)
 
 
-def _split_if(cond: _SplitView, then_v, else_v) -> _SplitView | None:
-    """IF over a split condition, part by part, or None when a branch is a
-    view that shows another column or none (_split_partition), or when both
-    parts would select cell by cell, which a merge first does no dearer.
-    Where a part's condition is one value, the part is the taken branch's,
-    as it is."""
-    args = (cond, then_v, else_v)
-    if _shown_column(args, len(cond))[0] != cond.source:
-        return None
-    if not _one_kind(cond.floats) and not all(map(_per_value, args)):
-        return None
-    part = cond.part
-    (c, t, e), other_args, per_value = _split_args(part, args)
-    floats = _if_range(c, t, e) if isinstance(c, RangeView) else _if_cell(c, t, e)
-    by_value = all(per_value)
-    if not by_value:
-        other_args = _per_cell(part, other_args, per_value)
-    others = _if_range(*other_args).cells
-    return _SplitView(cond.rows, cond.cols, cond.source, part, floats, others, by_value)
-
-
-def _floats_of_size(branch, size: int) -> bool:
-    """Whether an IF branch gives a float at each of *size* positions."""
-    if isinstance(branch, RangeView):
-        return branch.kind is float and len(branch) == size
-    return type(branch) is float
-
-
-def _branch_cells(branch, size: int):
-    """A branch's cell at each position of a vector condition: a view of
-    the condition's size gives its cells, any other view VALUE, a scalar
-    itself."""
-    if isinstance(branch, RangeView):
-        return branch.cells if len(branch) == size else repeat(ErrorKind.VALUE)
-    return repeat(branch)
+def _if_value(cond: RangeView, then_v, else_v, table: Table | None) -> RangeView:
+    """IF's cells over a vector condition, from its branches as _branch
+    gives them: _if_cell lifted, so a column of *table* read whole splits
+    as under ISERROR and IFERROR."""
+    return _lift_array(_if_cell, (cond, then_v, else_v), table, False, _IF_KERNEL)
 
 
 def _if_cell(c, then_cell, else_cell):
@@ -1125,20 +1089,49 @@ def _if_cell(c, then_cell, else_cell):
     return then_cell if b else else_cell
 
 
+def _if_kernel(cs, thens, elses):
+    """IF over whole streams: over a condition of logicals (or the number 1
+    or 0, which IF reads the same way) each pair of branch cells indexed in
+    C, floats when both branches give floats; else _if_cell per cell, the
+    condition perhaps one value repeated."""
+    if isinstance(cs, RangeView) and (cs.kind is bool or cs.cells.count(True) + cs.cells.count(False) == len(cs)):
+        cells = _select(cs.cells if cs.kind is bool else map(operator.truth, cs.cells), elses, thens)
+        return cells, float if _float_branch(thens) and _float_branch(elses) else None
+    return tuple((t if c else e) if type(c) is bool else _if_cell(c, t, e) for c, t, e in zip(cs, thens, elses)), None
+
+
+def _if_fold(c, then_v, else_v):
+    # a condition that is one value takes one branch, as it is; a blank
+    # branch folds to None, which is no fold, and the kernel then runs over
+    # the condition repeated
+    return None if isinstance(c, RangeView) else _if_cell(c, then_v, else_v)
+
+
+_IF_KERNEL = Kernel(_any, _if_kernel, _if_fold)
+
+
+def _float_branch(branch) -> bool:
+    """Whether an IF branch as _branch gives it (a value or a view of the
+    condition's size), or a value's repeat(), is floats at every position."""
+    if isinstance(branch, RangeView):
+        return branch.kind is float
+    return type(next(branch) if type(branch) is repeat else branch) is float
+
+
 class _MaskedIf(_UnbuiltView):
     """A vector IF that SUM adds up without building its cells: *floats*,
     the floats of the branch that is not the number 0, and *takes*, each
     IF's condition, from this one in, with whether TRUE takes that branch
-    (_masked_parts). Its cells, all floats, are its *value*'s, _if_range's."""
+    (_masked_parts). Its cells, all floats, are its *value*'s, _if_value's
+    over *table*."""
 
-    def __init__(self, cond: RangeView, then_v, else_v, floats, takes: list):
-        super().__init__(
-            cond.rows, cond.cols, float, cond=cond, then_v=then_v, else_v=else_v, floats=floats, takes=takes
-        )
+    def __init__(self, cond: RangeView, then_v, else_v, floats, takes: list, table: Table | None):
+        kept = dict(cond=cond, then_v=then_v, else_v=else_v, floats=floats, takes=takes, table=table)
+        super().__init__(cond.rows, cond.cols, float, **kept)
 
     @functools.cached_property
     def value(self) -> RangeView:
-        return _if_range(self.cond, _unmasked(self.then_v), _unmasked(self.else_v))
+        return _if_value(self.cond, self.then_v, self.else_v, self.table)
 
     def _build(self):
         return self.value.cells
@@ -1153,8 +1146,9 @@ def _unmasked(v):
 def _masked_parts(cond: RangeView, then_v, else_v):
     """(floats, takes) for a _MaskedIf, or None, from kinds and sizes alone:
     a condition of logicals, one branch the number 0 and the other floats
-    of its size or a _MaskedIf of that size, whose takes follow this IF's.
-    A split condition that is one value on the floats is left to _split_if."""
+    (_branch sized it) or a _MaskedIf, whose takes follow this IF's. A split
+    condition that is one value on the floats is left to the lift, whose
+    fold takes the branch there as it is."""
     if cond.kind is not bool or type(cond) is _SplitView and not isinstance(cond.floats, RangeView):
         return None
     if type(else_v) is float and else_v == 0:
@@ -1164,8 +1158,8 @@ def _masked_parts(cond: RangeView, then_v, else_v):
     else:
         return None
     if type(branch) is _MaskedIf:
-        return (branch.floats, [take, *branch.takes]) if len(branch) == len(cond) else None
-    return (_stream(branch), [take]) if _floats_of_size(branch, len(cond)) else None
+        return branch.floats, [take, *branch.takes]
+    return (_stream(branch), [take]) if _float_branch(branch) else None
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import re
 from itertools import islice, repeat
 
 from sprego import Table
-from sprego.evaluator import _as_view, _branch_cells, _criteria_arg, _eval, _if_cell, _scalar_arg, _scalarize
+from sprego.evaluator import _as_view, _criteria_arg, _eval, _if_cell, _scalar_arg, _scalarize
 from sprego.formula import (
     _CELLREF_RE,
     MAX_DEPTH,
@@ -610,6 +610,15 @@ def reference_if(args, st):
     if len(args) > 2:
         return _eval(args[2], st)
     return False
+
+
+def _branch_cells(branch, size: int):
+    """A branch's cell at each position of a vector condition: a view of
+    the condition's size gives its cells, any other view VALUE, a scalar
+    itself."""
+    if isinstance(branch, RangeView):
+        return branch.cells if len(branch) == size else repeat(ErrorKind.VALUE)
+    return repeat(branch)
 
 
 def reference_pick(cond: tuple, trues: int, then_s, else_s) -> tuple:

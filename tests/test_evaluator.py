@@ -25,7 +25,7 @@ from sprego.evaluator import (
 )
 from sprego.formula import CellRef, NameRef, RangeRef, format, parse
 from sprego.rewrite import rewrite
-from sprego.table import RangeView, Table, vector
+from sprego.table import PARTITION_MIN_ROWS, RangeView, Table, vector
 from sprego.values import ErrorKind
 
 from helpers import (
@@ -497,6 +497,56 @@ def test_if_picks_by_truth_on_logical_conditions(monkeypatch):
             want = [evaluator._if_cell(c, a, b) for c, a, b in zip(cond, then_s, else_s)]
             assert all(_same_cell(g, w) for g, w in zip(got.cells, want)), (source, cond)
     assert len(picks) == 3 * len(conds) * len(cols[::2])
+
+
+def test_if_reads_a_branch_of_the_conditions_size_by_position():
+    # a branch view as long as a vector condition is read cell by cell in
+    # row-major order, in the condition's shape, whatever its own; a view
+    # of any other size is #VALUE! wherever it is taken
+    t = make_table(a=(1, 2, 3, 4, 5, 6), b=(1, 0, 1, 0, 1, 0), c=(9, 8, 7, 6, 5, 4))
+    v = ErrorKind.VALUE
+    for source, shape, cells in (
+        ("{=IF(A1:A6>2,C1:C3,0)}", (6, 1), (0.0, 0.0, v, v, v, v)),
+        ("{=IF(A1:A6>2,0,C1:C3)}", (6, 1), (v, v, 0.0, 0.0, 0.0, 0.0)),
+        # A1:B3 is 1,1 / 2,0 / 3,1: only A3 is past 2, every cell but B2 past 0
+        ("{=IF(A1:B3>2,C1:C6,0)}", (3, 2), (0.0, 0.0, 0.0, 0.0, 5.0, 0.0)),
+        ("{=IF(A1:B3>0,C1:C6,-1)}", (3, 2), (9.0, 8.0, 7.0, -1.0, 5.0, 4.0)),
+        ("{=IF(A1:B3>2,A1:C2,0)}", (3, 2), (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)),
+        ("{=IF(A1:B3>0,A1:C2,-1)}", (3, 2), (1.0, 1.0, 9.0, -1.0, 0.0, 8.0)),
+        ("{=IF(A1:B3>0,C1:C6,A1:C2)}", (3, 2), (9.0, 8.0, 7.0, 2.0, 5.0, 4.0)),
+        ("{=IF(C1:C6>6,A1:B3)}", (6, 1), (1.0, 1.0, 2.0, False, False, False)),
+        ("{=IF(A1:A1>0,C1:C3,0)}", (1, 1), (v,)),
+        ("{=IF(A1:A6>0,A1:B3,C1:C2)}", (6, 1), (1.0, 1.0, 2.0, 0.0, 3.0, 1.0)),
+    ):
+        got = ev(source, t)
+        assert (got.rows, got.cols) == shape, source
+        assert len(got.cells) == len(cells) and all(map(_same_cell, got.cells, cells)), (source, got.cells)
+
+
+def test_if_over_a_split_column_reads_a_branch_of_another_size_as_value():
+    # the dirty column is long enough to split, and each IF's condition is
+    # split over it or is the column itself; a branch as long as the column
+    # is read by position, and one of any other length is #VALUE!
+    rows = PARTITION_MIN_ROWS + 16
+    xs = tuple(("", "abc", True, None, ErrorKind.NA)[i % 5] if i % 3 == 0 else float(i % 7) for i in range(rows))
+    fs = tuple(float(i % 5) for i in range(rows))
+    t = make_table(x=xs, f=fs)
+    short = f"B1:B{rows - 1}"
+    ops, v = evaluator._BINARY_OPS, ErrorKind.VALUE
+
+    def iserror_plus_0(x):
+        return isinstance(ops["+"](x, 0.0), ErrorKind)
+
+    for source, want in (
+        (f"IF(ISERROR(x+0),{short},x)", lambda x, f: v if iserror_plus_0(x) else x),
+        (f"IF(ISERROR(x+0),x,{short})", lambda x, f: x if iserror_plus_0(x) else v),
+        (f"IF(x>3,{short},f)", lambda x, f: evaluator._if_cell(ops[">"](x, 3.0), v, f)),
+        (f"IF(x,{short},x+0)", lambda x, f: evaluator._if_cell(x, v, ops["+"](x, 0.0))),
+    ):
+        got = ev("{=" + source + "}", t)
+        assert (got.rows, got.cols) == (rows, 1), source
+        for i, (g, x, f) in enumerate(zip(got.cells, xs, fs)):
+            assert _same_cell(g, want(x, f)), (source, i, x, g)
 
 
 def test_error_argument_wins_over_failed_coercion():

@@ -40,10 +40,10 @@ def _dirty(rng: random.Random, edges, odd: float) -> tuple:
 
 def _table(seed: int):
     """f, g: floats; x: mostly floats, as a dirty sheet column is; y: one
-    cell in two odd. Column C is x."""
+    cell in two odd; e: blank. Column C is x, and E1 is a blank cell."""
     rng = random.Random(seed)
     return make_table(f=_floats(rng, _EDGES), g=_floats(rng, _HUGE), x=_dirty(rng, _EDGES, 1 / 6),
-                      y=_dirty(rng, _HUGE, 1 / 2))
+                      y=_dirty(rng, _HUGE, 1 / 2), e=(None,) * ROWS)
 
 
 _CLEAN_NAMES = ("f", "g")
@@ -132,6 +132,11 @@ _SPLIT_CHAINS = (
     'IFERROR(x*2,x&"")', "IF(ISERROR(x/f),x,f)+1", "ROUND(x+0.5,0)*x", "IF(x>0,x,0)*f", "(f&x)+1",
     "(x+0)+(f&x)", 'IF(ISERROR(x+0),"e",x)&""', "ISERROR(IF(x>1,x,\"a\")+1)", "IF(x,1,0)+IF(NOT(x),2,0)",
     f"ISERROR(C1:C{ROWS}+0)+x", "IF(ISERROR(x+0),0.1,0.7)", "IF(ISERROR(x+0),2^52,1)", "INT(x*0+TRUE)+x",
+    # IF splits where ISERROR and IFERROR do: over the column itself as its
+    # condition, beside a split branch; a split branch beside a condition
+    # that is not split; and a blank branch taken on every float, so that
+    # the float part's one value is blank and IF runs over a repeated one
+    "IF(x,1,x+0)", "IF(f>3,x+0,f)", "IF(ISERROR(x+0),E1,x)", "IF(ISERROR(x+0),x,E1)",
 )
 
 

@@ -18,7 +18,7 @@ from sprego.equivalence import ColumnSpec, DatasetSchema, default_rule_cases, ge
 from sprego.evaluator import FUNCTION_SPECS, EvalContext, Kernel, evaluate
 from sprego.formula import Call, parse
 from sprego.rewrite import rewrite
-from sprego.table import RangeView
+from sprego.table import PARTITION_MIN_ROWS, RangeView
 from sprego.values import ErrorKind
 
 from helpers import make_table, reference_if, reference_sum
@@ -95,6 +95,29 @@ def test_views_hold_only_cells_of_their_kind(views_by_kind):
     assert all(views_by_kind[kind] > 0 for kind in (None, float, bool, str)), views_by_kind
 
 
+def test_a_vector_if_is_of_kind_float_where_both_branches_give_floats(monkeypatch):
+    # a branch is a value or a view, or, on the float part of a split
+    # column, a value repeated; a view of no kind does not count, even when
+    # its cells are all floats
+    t = make_table(c=(True, False, 1.0, 0.0), f=(1.0, 2.0, 3.0, 4.0), s=("a", "b", "c", "d"), m=(1.0, 2.0, 3.0, None))
+    for source, kind in (
+        ("IF(c,f,0)", float), ("IF(c,1,-2.5)", float), ("IF(c,f,f*2)", float), ('IF(c,f,"a")', None),
+        ("IF(c,f,s)", None), ("IF(c,f)", None), ("IF(c,f,m)", None), ("IF(c,f,IF(c,m,0))", None),
+    ):
+        got = evaluate(parse("{=" + source + "}"), EvalContext(t))
+        assert got.kind is kind, source
+    rows = PARTITION_MIN_ROWS + 16
+    xs = tuple("t" if i % 4 == 0 else float(i % 9) - 4 for i in range(rows))
+    t = make_table(x=xs, f=tuple(map(float, range(rows))))
+    splits = []
+    split_cells = evaluator._split_cells
+    monkeypatch.setattr(evaluator, "_split_cells", lambda *args: splits.append(split_cells(*args)) or splits[-1])
+    for source, kind in (("IF(x>0,1.5,f)", float), ("IF(x<0,f,-1)", float), ('IF(x>0,f,"n")', None)):
+        got = evaluate(parse("{=" + source + "}"), EvalContext(t))
+        assert isinstance(splits[-1].floats, RangeView) and splits[-1].kind is got.kind is kind, source
+        assert kind is None or all(type(c) is float for c in got.cells), source
+
+
 def test_table_columns_know_when_they_hold_only_floats():
     t = make_table(a=(1.0, -0.0), b=(1.0, None), c=(True, False))
     assert [t.column_kind(c) for c in (1, 2, 3)] == [float, None, None]
@@ -131,28 +154,22 @@ def reference(monkeypatch):
 @pytest.fixture
 def fused(monkeypatch):
     """Counts the masked IFs that SUM added up as masked sums ("masked"),
-    and the vector IFs given a value by _if_range instead ("built"): an IF
+    and the vector IFs given a value by _if_value instead ("built"): an IF
     not kept as a masked view, or a masked view that a node read as its
     value. An IF kept inside a masked IF is counted by neither."""
     calls = Counter()
-    masked_numbers, if_range = evaluator._masked_numbers, evaluator._if_range
-    depth = [0]
+    masked_numbers, if_value = evaluator._masked_numbers, evaluator._if_value
 
     def summed(v):
         calls["masked"] += 1
         return masked_numbers(v)
 
     def built(*args):
-        # _split_if calls _if_range again on each part: one IF, one count
-        calls["built"] += depth[0] == 0
-        depth[0] += 1
-        try:
-            return if_range(*args)
-        finally:
-            depth[0] -= 1
+        calls["built"] += 1
+        return if_value(*args)
 
     monkeypatch.setattr(evaluator, "_masked_numbers", summed)
-    monkeypatch.setattr(evaluator, "_if_range", built)
+    monkeypatch.setattr(evaluator, "_if_value", built)
     return calls
 
 

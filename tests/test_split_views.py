@@ -209,13 +209,14 @@ def test_a_node_over_a_masked_if_runs_on_its_split_value(monkeypatch):
     # x>0 differs from float to float and, with x's errors blanked, holds
     # logicals, so each IF below is a masked view; a node that reads cells,
     # not masks, takes the IF's split value and splits again, and
-    # evaluate() merges the parts once, at the end
+    # evaluate() merges the parts once, at the end. Each comparison, each
+    # IF's value and the node over it is one split run
     runs, merges = [], []
     split_cells, merge = evaluator._split_cells, evaluator._SplitView._build
     monkeypatch.setattr(evaluator, "_split_cells", lambda *args: runs.append(None) or split_cells(*args))
     monkeypatch.setattr(evaluator._SplitView, "_build", lambda v: merges.append(None) or merge(v))
     t = make_table(x=tuple(None if isinstance(c, ErrorKind) else c for c in _dirty(7)))
-    for source, splits in (("ISERROR(IF(x>0,1,0))", 2), ("IF(x>0,1,0)*2", 2), ("ISERROR(IF(x>0,IF(x<2,1,0),0))", 3)):
+    for source, splits in (("ISERROR(IF(x>0,1,0))", 3), ("IF(x>0,1,0)*2", 3), ("ISERROR(IF(x>0,IF(x<2,1,0),0))", 5)):
         runs.clear(), merges.clear()
         _same_as_scalar_mode(t, source)
         assert (len(runs), len(merges)) == (splits, 1), source
