@@ -274,8 +274,11 @@ def check_equivalence(
 def schemas_for_pair(original: Formula, rewritten: Formula):
     """Dataset schemas sized to the references the pair actually uses:
     named columns first, then enough positional columns and rows (at least
-    16) to cover every cell reference. Raises SchemaError when those tables
-    would hold more than PAIR_CELL_BUDGET cells."""
+    16) to cover every cell reference. Every column is numeric, with
+    blanks or with errors; tables of two or more columns add a fourth,
+    mixed, whose last column alone has errors, as a dirty column beside
+    clean ones on a sheet. Raises SchemaError when those tables would hold
+    more than PAIR_CELL_BUDGET cells."""
     names: list[str] = []
     max_col = 0
     max_row = 0
@@ -297,18 +300,21 @@ def schemas_for_pair(original: Formula, rewritten: Formula):
             f" {PAIR_CELL_BUDGET}-cell budget of a check"
         )
 
-    def columns(kind):
+    def columns(kind, last=None):
         cols = []
         for i in range(width):
             name = names[i] if i < len(names) else f"c{i + 1}"
-            cols.append(ColumnSpec(name, kind))
+            cols.append(ColumnSpec(name, last if last and i == width - 1 else kind))
         return tuple(cols)
 
-    return [
+    schemas = [
         DatasetSchema(columns("numeric"), rows, label="numeric"),
         DatasetSchema(columns("with-blanks"), rows, label="with-blanks"),
         DatasetSchema(columns("with-errors"), rows, label="with-errors"),
     ]
+    if width > 1:
+        schemas.append(DatasetSchema(columns("numeric", "with-errors"), rows, label="mixed"))
+    return schemas
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,12 @@ over a vector condition is its per-cell IF lifted, each branch view of
 the condition's size read by position in the condition's shape and any
 other view #VALUE!; over a condition of logicals (or 1 and 0) its kernel
 selects each cell from the pair of branch cells in C, as IFERROR's does
-by whether a cell is an error. The criteria baselines are one function, which reads their
-argument shape from criteria.criteria_args and runs each criteria as its
-comparison operator runs, kernel and split and all (but a column of text
-alone does not split), each later one only on the rows the earlier ones
-matched; a number looked up in a vector of floats (MATCH, VLOOKUP,
-HLOOKUP) is compared a range at a time; COUNT and COUNTA count cell types.
+by whether a cell is an error. The criteria baselines are one function,
+which reads their argument shape from criteria.criteria_args and runs each
+criteria as its comparison operator runs, kernel and split and all, each
+later one only on the rows the earlier ones matched; a number looked up
+in a vector of floats (MATCH, VLOOKUP, HLOOKUP) is compared a range at a
+time; COUNT and COUNTA count cell types.
 
 A column neither all floats nor shorter than table.PARTITION_MIN_ROWS
 has a Partition: the float cells, the other cells as codes into their
@@ -37,16 +37,14 @@ two back. An elementwise function over resolve's view of the whole column
 view of its length, takes the split path (_split_partition): the kernel
 on the floats (each zero divisor alone gives #DIV/0!, and & writes floats
 as text in C) and the function once per distinct other value (per cell,
-after one coercion per value, beside a float view). Two kernels read the
-column whole instead, with no partition built: one that takes any cells
-(ISERROR, IFERROR, IF), and, over a column of text alone (kind str), one
-that takes every argument (LEN, &), since text may hold as many distinct
-values as cells. The result is a _SplitView, an unbuilt view: it keeps
-the two parts and builds its cells in column order only when they are
-read. The next elementwise node over it splits again without a merge, and
-so do ISERROR, IFERROR and IF, unless each split argument would be read
-cell by cell (a float part of no one kind beside a per-cell other part),
-where a merge first costs no more. A fold gives a part whole from the
+after one coercion per value, beside a float view). One kernel rule
+stands: over a column of text alone (kind str), a kernel that takes
+every argument (LEN, &, ISERROR, IFERROR, IF) reads the column whole,
+with no partition built, since text may hold as many distinct values as
+cells. The result is a _SplitView, an unbuilt view: it keeps the two
+parts and builds its cells in column order only when they are read. The
+next elementwise node over it, ISERROR, IFERROR and IF among them,
+splits again without a merge. A fold gives a part whole from the
 kinds of its arguments alone: ISERROR and the emptiness test over a part
 of floats are all FALSE, and IF over a part whose condition is one value
 is the taken branch's part, as it is. SUM adds a split
@@ -55,7 +53,7 @@ in column order (_split_total). Any other consumer reads the cells, which
 merges the parts once, and evaluate() builds an unbuilt view it returns.
 The Table builds the partition at the column's first split and keeps it,
 so a formula that reads the column whole only through an aggregator, a
-lookup, COUNT, COUNTA, ISERROR, IFERROR or IF builds none. The first
+lookup, COUNT or COUNTA builds none. The first
 split on a table pays for the build, so below the floor, where a single
 use would not repay it, the per-cell path serves.
 
@@ -329,7 +327,7 @@ def _lift(fn, args, st: _EvalState, propagate: bool = True, kernel: Kernel | Non
     return _lift_array(fn, args, st.ctx.table, propagate, kernel)
 
 
-def _lift_array(fn, args, table: Table | None, propagate: bool, kernel: Kernel | None):
+def _lift_array(fn, args, table: Table, propagate: bool, kernel: Kernel | None):
     """_lift in array mode: views map cell by cell, and a column of *table*
     read whole may split. A masked IF is read as its IF's value."""
     args = [_unmasked(a) for a in args]
@@ -416,29 +414,19 @@ class _SplitView(_UnbuiltView):
 def _split_partition(args, table: Table, kernel: Kernel | None):
     """(column, its Partition) when a lift over *args* takes the split path,
     else None. Every view argument but float views of the table's length
-    must show that column (resolve's view of it) or be split over it. A
-    kernel that takes any cells (ISERROR, IFERROR, IF) reads the column, or
-    a split view whose two parts it would scan cell by cell, faster whole,
-    and needs no partition built: it takes the split only over a split view
-    whose float part is one value or of one kind or whose other part is
-    per value, whichever argument that is. When
-    no argument is split yet, a kernel that takes every argument (LEN, &)
-    reads a column of text, which may hold as many distinct values as
-    cells, whole too. The table builds the partition at the column's first
-    split; it has none below PARTITION_MIN_ROWS."""
-    rows = 0 if table is None else table.row_count
+    must show that column (resolve's view of it) or be split over it. One
+    rule is the kernel's: when no argument is split yet, a kernel that
+    takes every argument (LEN, &, ISERROR, IFERROR, IF) reads a column of
+    text, which may hold as many distinct values as cells, whole. The table
+    builds the partition at the column's first split; it has none below
+    PARTITION_MIN_ROWS."""
+    rows = table.row_count
     if rows < PARTITION_MIN_ROWS:
         return None
     col, split = _shown_column(args, rows)
     if col is None:
         return None
-    if kernel is not None and kernel.accepts is _any:
-        if not any(
-            type(a) is _SplitView and (a.by_value or not isinstance(a.floats, RangeView) or a.floats.kind is not None)
-            for a in args
-        ):
-            return None
-    elif not split and kernel is not None and table.column_kind(col) is str and all(map(kernel.accepts, args)):
+    if not split and kernel is not None and table.column_kind(col) is str and all(map(kernel.accepts, args)):
         return None
     part = table.partition(col)
     return None if part is None else (col, part)
@@ -1075,10 +1063,10 @@ def _branch(branch, cond: RangeView):
     return RangeView(cond.rows, cond.cols, branch.cells, kind=branch.kind)
 
 
-def _if_value(cond: RangeView, then_v, else_v, table: Table | None) -> RangeView:
+def _if_value(cond: RangeView, then_v, else_v, table: Table) -> RangeView:
     """IF's cells over a vector condition, from its branches as _branch
     gives them: _if_cell lifted, so a column of *table* read whole splits
-    as under ISERROR and IFERROR."""
+    as under any elementwise node."""
     return _lift_array(_if_cell, (cond, then_v, else_v), table, False, _IF_KERNEL)
 
 
@@ -1125,7 +1113,7 @@ class _MaskedIf(_UnbuiltView):
     (_masked_parts). Its cells, all floats, are its *value*'s, _if_value's
     over *table*."""
 
-    def __init__(self, cond: RangeView, then_v, else_v, floats, takes: list, table: Table | None):
+    def __init__(self, cond: RangeView, then_v, else_v, floats, takes: list, table: Table):
         kept = dict(cond=cond, then_v=then_v, else_v=else_v, floats=floats, takes=takes, table=table)
         super().__init__(cond.rows, cond.cols, float, **kept)
 
@@ -1352,11 +1340,10 @@ def _criteria_reduce(sums, pair_args, st):
     Each criteria argument is read before its range's size is checked,
     pair by pair, then the sum range's size. A criteria is its comparison
     operator between each cell of the range and the operand, run as the
-    operator runs, kernel and all, but with no split of a column of text
-    alone. The error returned is the first in row order among the criteria
-    results and the sum cells of matched rows; an error on a row that an
-    earlier criteria missed, or in the sum cell of a row not matched, is
-    ignored.
+    operator runs, kernel and split and all. The error returned is the
+    first in row order among the criteria results and the sum cells of
+    matched rows; an error on a row that an earlier criteria missed, or in
+    the sum cell of a row not matched, is ignored.
     """
     pairs = []
     for j in range(0, len(pair_args), 2):
@@ -1374,16 +1361,16 @@ def _criteria_reduce(sums, pair_args, st):
     # before the first error so far: a row's first result that is not TRUE
     # decides it. The rows left stay in row order, so an error found later
     # lies before the one it replaces. Only the first range can be a whole
-    # column: a dirty one splits as under the operator; one of text alone,
-    # as many distinct values as cells maybe, gets no table, so no split
+    # column, which splits as it would under the operator
     masks = []
     error = None
     for view, crit in pairs:
         if masks:
             cells = tuple(_kept(view.cells, masks))
             view = RangeView(len(cells), 1, cells, kind=view.kind)
-        table = st.ctx.table if view.kind is not str else None
-        compared = _lift_array(_BINARY_OPS[crit.op], (view, crit.operand), table, True, _BINARY_KERNELS[crit.op])
+        compared = _lift_array(
+            _BINARY_OPS[crit.op], (view, crit.operand), st.ctx.table, True, _BINARY_KERNELS[crit.op]
+        )
         hits = compared.cells
         types = () if compared.kind is bool else tuple(map(type, hits))
         if ErrorKind in types:

@@ -175,7 +175,11 @@ class RangeView:
 # & stays about even at any length: the text of each float is the cost of
 # both paths. Once a column is partitioned, later uses cost 0.20 ({=c+0}),
 # 0.34 ({=f/c}), 0.55 (COUNT), 0.66 (&) and 0.71 (COUNTA) of the per-cell
-# path at 20,000 rows.
+# path at 20,000 rows. The table compares against the per-cell path, but
+# ISERROR, IFERROR and IF read a whole column by a C kernel: their first
+# split of a fresh 20,000-row column, build included, takes 2-3.5x that
+# kernel's time ({=ISERROR(c)} 1.1-1.8 ms whole, 3.9-6.0 ms split), and
+# later uses 0.4-0.8x of it.
 PARTITION_MIN_ROWS = 384
 
 

@@ -196,7 +196,7 @@ def test_pair_tables_cover_every_referenced_row():
 
 def test_pair_tables_have_at_least_16_rows():
     schemas = schemas_for_pair(parse("=SUM(B2)"), parse("=B2"))
-    assert [(len(s.columns), s.rows) for s in schemas] == [(2, 16)] * 3
+    assert [(len(s.columns), s.rows) for s in schemas] == [(2, 16)] * 4
 
 
 def test_pair_past_the_cell_budget_is_a_schema_error():
@@ -213,8 +213,8 @@ def test_pair_past_the_cell_budget_is_a_schema_error():
 
 # Pairs over 400 rows, past table.PARTITION_MIN_ROWS. The rule cases' tables
 # have at most 48 rows, so they never reach a column's partition, the split
-# path or SUM's part-by-part total; these pairs do, on their with-blanks and
-# with-errors tables, on both sides
+# path or SUM's part-by-part total; these pairs do, on their with-blanks,
+# with-errors and (over more than one column) mixed tables, on both sides
 _PAST_THE_PARTITION_FLOOR = (
     '=COUNTIF(A1:A400,">5")',  # R1
     '=AVERAGEIF(A1:A400,">5")',  # R3
@@ -234,10 +234,38 @@ def test_rewrites_hold_on_split_columns(source, monkeypatch):
     rewritten, plans = rewrite(original)
     assert len(plans) == 1, source
     schemas = schemas_for_pair(original, rewritten)
-    assert [s.rows for s in schemas] == [400] * 3 and 400 >= PARTITION_MIN_ROWS
+    assert {s.rows for s in schemas} == {400} and 400 >= PARTITION_MIN_ROWS
     verdict = check_equivalence(original, rewritten, schemas, trials_per_schema=10, seed=1)
     assert verdict.passed, verdict.to_json()
     assert splits, source
+
+
+def test_mixed_pair_tables_split_a_dirty_column_beside_a_clean_one(monkeypatch):
+    # R7 over two columns: only on the mixed tables is B dirty beside a clean
+    # A, so that A/B splits with a per-cell other part and ISERROR, IF and
+    # IFERROR split that result again
+    splits = []
+    split_cells = evaluator._split_cells
+
+    def recorded(*args):
+        view = split_cells(*args)
+        splits.append((args[2], view.by_value))
+        return view
+
+    monkeypatch.setattr(evaluator, "_split_cells", recorded)
+    original = parse("=IFERROR(A1:A400/B1:B400,-1)")
+    rewritten, _ = rewrite(original)
+    schemas = schemas_for_pair(original, rewritten)
+    assert [s.label for s in schemas] == ["numeric", "with-blanks", "with-errors", "mixed"]
+    assert [c.kind for c in schemas[-1].columns] == ["numeric", "with-errors"]
+    for schema in schemas:
+        splits.clear()
+        verdict = check_equivalence(original, rewritten, [schema], trials_per_schema=5, seed=1)
+        assert verdict.passed, verdict.to_json()
+        assert bool(splits) == (schema.label == "mixed"), schema.label
+    assert not any(by_value for _, by_value in splits)
+    names = {fn.__name__ for fn, _ in splits}
+    assert {"_fn_iserror", "_fn_iferror", "_if_cell"} <= names, names
 
 
 # ---------------------------------------------------------------------------

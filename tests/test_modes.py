@@ -137,6 +137,8 @@ _SPLIT_CHAINS = (
     # that is not split; and a blank branch taken on every float, so that
     # the float part's one value is blank and IF runs over a repeated one
     "IF(x,1,x+0)", "IF(f>3,x+0,f)", "IF(ISERROR(x+0),E1,x)", "IF(ISERROR(x+0),x,E1)",
+    # ISERROR, IFERROR and IF split the column itself as any node does
+    "ISERROR(x)", "IFERROR(x,0)", "IFERROR(x,f)", "IF(ISERROR(x),0,x)",
 )
 
 

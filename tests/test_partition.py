@@ -136,7 +136,7 @@ def test_functions_split_as_per_cell(splits):
         _check("IFERROR(f/x,-1)", t, lambda a, b: specs["IFERROR"].impl(_OPS["/"](a, b), -1.0), False, floats, x)
         _check("ROUND(x,1)", t, specs["ROUND"].impl, True, x, (1.0,) * ROWS)
         _check("NOT(x)", t, specs["NOT"].impl, True, x)
-    # ISERROR and IFERROR keep their whole-range kernels; the others split
+    # each of them splits the column, ISERROR and IFERROR among them
     assert splits
 
 
@@ -326,6 +326,41 @@ def test_criteria_over_a_split_column_match_the_per_cell_reference(monkeypatch, 
     assert checked[float] > 200 and checked[ErrorKind] > 200, checked
 
 
+# criteria over a column of text alone: each operator before text, numeral,
+# empty and number operands, a blank cell (E1) and an error
+_TEXT_CRITERIA = (
+    *(f'"{op}{x}"' for op in ("", "=", "<>", "<", "<=", ">", ">=") for x in ("v3", "n5", "12", "")),
+    "12", "0", "E1", "1/0",
+)
+
+
+def test_criteria_over_a_column_of_text_alone_match_the_per_cell_reference(monkeypatch):
+    # one column of five distinct texts (a numeral and the empty text among
+    # them, and two that differ only in case) and one of all distinct texts
+    rows = 2 * PARTITION_MIN_ROWS
+    rng = random.Random(19)
+    few = tuple(rng.choice(("v1", "v3", "V3", "12", "")) for _ in range(rows))
+    distinct = tuple(f"n{i}" for i in rng.sample(range(rows), rows))
+    f = tuple(float(rng.randrange(-5, 6)) for _ in range(rows))
+    checked = Counter()
+    for x, y in ((few, distinct), (distinct, few)):
+        t = make_table(x=x, y=y, f=f, g=f[::-1], e=(None,) * rows)
+        assert t.column_kind(1) is str and len(set(few)) == 5 and len(set(distinct)) == rows
+        for c in _TEXT_CRITERIA:
+            for source in (f"=COUNTIF(x,{c})", f'=COUNTIFS(x,{c},f,">0")', f'=COUNTIFS(f,">0",x,{c},y,{c})',
+                           f"=SUMIF(x,{c},f)", f"=SUMIF(x,{c})", f'=SUMIFS(g,x,{c},y,"<>v1")',
+                           f"=AVERAGEIF(x,{c},f)", f"=AVERAGEIF(x,{c})"):
+                formula = parse(source)
+                got = evaluate(formula, EvalContext(t))
+                with monkeypatch.context() as m:
+                    m.setattr(evaluator, "_criteria_reduce", reference_criteria_reduce)
+                    want = evaluate(formula, EvalContext(t))
+                assert _same_cell(got, want), (source, got, want)
+                checked[type(want) if type(want) is not float else want > 0] += 1
+    # rows matched and rows not, numbers and errors both come out
+    assert checked[True] > 100 and checked[False] > 100 and checked[ErrorKind] > 50, checked
+
+
 def test_partition_is_built_only_where_a_split_reads_it(monkeypatch):
     built = []
     partition = table._partition
@@ -336,25 +371,25 @@ def test_partition_is_built_only_where_a_split_reads_it(monkeypatch):
         tuple(rng.choice(odd) if rng.random() < 1 / 6 else float(rng.randrange(10)) for _ in range(20_000))
         for _ in range(2)
     )
-    # COUNTA, MATCH, SUM and the any-cell kernels read the column whole,
-    # and two dirty columns together take the per-cell path: no split
-    for source in ("=COUNTA(dirty)", "=MATCH(1,dirty,0)", "=SUM(dirty)",
-                   "{=ISERROR(dirty)}", "{=IFERROR(dirty,0)}", "{=dirty+other}"):
+    # COUNTA, MATCH and SUM read the column whole, and two dirty columns
+    # together take the per-cell path: no split
+    for source in ("=COUNTA(dirty)", "=MATCH(1,dirty,0)", "=SUM(dirty)", "{=dirty+other}"):
         evaluate(parse(source), EvalContext(make_table(dirty=dirty, other=other)))
     assert built == []
-    evaluate(parse("{=dirty+0}"), EvalContext(make_table(dirty=dirty, other=other)))
-    assert built == [dirty]
+    # an operator splits it, and ISERROR and IFERROR split it as operators do
+    for source in ("{=dirty+0}", "{=ISERROR(dirty)}", "{=IFERROR(dirty,0)}"):
+        built.clear()
+        evaluate(parse(source), EvalContext(make_table(dirty=dirty, other=other)))
+        assert built == [dirty], source
     # a criteria compares as its operator does, so it splits the column too
     built.clear()
     evaluate(parse('=COUNTIF(dirty,">5")'), EvalContext(make_table(dirty=dirty, other=other)))
     assert built == [dirty]
-    # but over a column of text alone, which may hold as many distinct
-    # values as cells, a criteria compares cell by cell and builds none,
-    # though its operator splits the column
+    # and so does a column of text alone, as its operator splits it
     names = tuple(f"n{i}" for i in range(2 * PARTITION_MIN_ROWS))
-    for source, want in (('=COUNTIF(names,"n5")', []), ('=SUMIF(names,"<n5",dirty)', []), ('{=names="n5"}', [names])):
+    for source in ('=COUNTIF(names,"n5")', '=SUMIF(names,"<n5",dirty)', '{=names="n5"}'):
         built.clear()
         t = make_table(names=names, dirty=dirty[: len(names)])
         assert t.column_kind(1) is str
         evaluate(parse(source), EvalContext(t))
-        assert built == want, source
+        assert built == [names], source

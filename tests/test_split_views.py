@@ -169,12 +169,12 @@ def test_iserror_folds_over_a_float_part(monkeypatch):
     evaluate(parse("{=ISERROR(x/0)}"), EvalContext(t))
     assert calls == [floats]
     # f/x gives #DIV/0! at x's zeros, and its other part is per cell beside
-    # the float view f: both parts would be scanned cell by cell, so
-    # ISERROR reads the merged column whole
+    # the float view f: ISERROR splits it as any node does, and the kernel
+    # scans each part
     assert 0.0 in x
     calls.clear()
     evaluate(parse("{=ISERROR(f/x)}"), EvalContext(t))
-    assert calls == [ROWS]
+    assert calls == [floats, ROWS - floats]
 
 
 def _check_sum(t, source):
