@@ -26,6 +26,12 @@ Two limits keep them inside Python's default recursion limit: at most
 MAX_NESTING (64) parentheses, calls and prefix signs open at once, and a
 tree at most MAX_DEPTH (256) operator and call nodes deep. Past either,
 parse raises ParseError at the token that goes past it.
+
+``tokenize`` is one ``finditer`` pass of one regex, ``_TOKEN_RE``; text that
+no token matches is a LexError at its first character. The parser tests a
+token's lexeme alone where only an operator or punctuation token can have
+it, and keeps a range whose endpoints are in order as the two references
+it parsed.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from math import inf
 from operator import attrgetter
+from typing import NamedTuple
 
 from .values import COMPARISONS, number_to_text
 
@@ -83,8 +90,7 @@ class TokenKind(enum.Enum):
     PUNCT = "punctuation"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     lexeme: str
     span: Span
@@ -92,25 +98,27 @@ class Token:
 
 _CELLREF_RE = re.compile(r"(\$?)([A-Za-z]+)(\$?)([1-9][0-9]*)")
 
-# One alternative per token kind, tried in order; each group is named after
-# its TokenKind. A number or cell ref must not run straight into more word
-# characters, and a string ends at the first quote that is not doubled.
-# re.ASCII keeps the case-blind TRUE/FALSE from matching letters such as
-# U+017F, which case-fold to ASCII ones.
+# One alternative per token kind, each group named after its TokenKind. Only
+# a cell ref, a boolean and an identifier can start alike, and are tried in
+# that order; punctuation and operators, the most common, go first. A number
+# or cell ref must not run straight into more word characters, and a string
+# ends at the first quote that is not doubled. re.ASCII keeps the case-blind
+# TRUE/FALSE from matching letters such as U+017F, which case-fold to ASCII ones.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<SPACE>[ \t\r\n]+)
-    | (?P<STRING>"(?:[^"]|"")*"(?!"))
-    | (?P<NUMBER>(?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?(?![A-Za-z0-9_$.]))
+      (?P<PUNCT>[(),{}])
+    | (?P<OP><=|>=|<>|[-+*/^&%:=<>])
     | (?P<CELLREF>\$?[A-Za-z]+\$?[1-9][0-9]*(?![A-Za-z0-9_$.]))
+    | (?P<NUMBER>(?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?(?![A-Za-z0-9_$.]))
     | (?P<BOOL>(?i:TRUE|FALSE)(?![A-Za-z0-9_]))
     | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<OP><=|>=|<>|[-+*/^&%:=<>])
-    | (?P<PUNCT>[(),{}])
+    | (?P<STRING>"(?:[^"]|"")*"(?!"))
+    | (?P<SPACE>[ \t\r\n]+)
     """,
     re.VERBOSE | re.ASCII,
 )
-_KINDS = {kind.name: kind for kind in TokenKind}
+# each group's TokenKind, by group number; SPACE has none, and is dropped
+_KINDS = [None, *map(TokenKind.__members__.get, sorted(_TOKEN_RE.groupindex, key=_TOKEN_RE.groupindex.get))]
 
 
 def _lex_error(source: str, pos: int) -> LexError:
@@ -131,13 +139,18 @@ def tokenize(source: str) -> list[Token]:
     reproduces the source."""
     tokens: list[Token] = []
     pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
+    # one scan: a match that starts past the previous one's end has
+    # skipped text that no token matches, and the error is where it starts
+    for m in _TOKEN_RE.finditer(source):
+        span = m.span()
+        if span[0] != pos:
             raise _lex_error(source, pos)
-        if m.lastgroup != "SPACE":
-            tokens.append(Token(_KINDS[m.lastgroup], m.group(), m.span()))
-        pos = m.end()
+        pos = span[1]
+        if (kind := _KINDS[m.lastindex]) is not None:
+            # tuple.__new__ skips the Python-level __new__ of a NamedTuple
+            tokens.append(tuple.__new__(Token, (kind, m.group(), span)))
+    if pos != len(source):
+        raise _lex_error(source, pos)
     return tokens
 
 
@@ -175,10 +188,11 @@ class CellRef(Expr):
     row: int
     col_abs: bool = False
     row_abs: bool = False
+    # the 1-based column index of col_letters, found once, when the node is built
+    col: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def col(self) -> int:
-        return col_letters_to_index(self.col_letters)
+    def __post_init__(self):
+        object.__setattr__(self, "col", col_letters_to_index(self.col_letters))
 
 
 @dataclass(frozen=True)
@@ -223,7 +237,7 @@ def col_letters_to_index(letters: str) -> int:
     """Column letters to 1-based index: A=1, Z=26, AA=27."""
     idx = 0
     for ch in letters.upper():
-        idx = idx * 26 + (ord(ch) - ord("A") + 1)
+        idx = idx * 26 + ord(ch) - 64  # ord("A") - 1
     return idx
 
 
@@ -281,9 +295,9 @@ MAX_COLUMNS = 16_384
 
 class _Parser:
     def __init__(self, tokens: list[Token], source_len: int):
-        self.tokens = tokens
+        # ended by a token of no kind and no lexeme, so that one is always next
+        self.tokens = [*tokens, Token(None, "", (source_len, source_len))]
         self.pos = 0
-        self.source_len = source_len
         self.depth = 0
         # id of each operator and call node -> its depth. Each such node is
         # built at a token of its own, so a formula of at most MAX_DEPTH
@@ -307,100 +321,90 @@ class _Parser:
         self.levels[id(node)] = level
         return node
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
     def error(self, expected: str) -> ParseError:
-        tok = self.peek()
-        if tok is None:
-            return ParseError(self.source_len, expected, "end of input")
-        return ParseError(tok.span[0], expected, repr(tok.lexeme))
+        tok = self.tokens[self.pos]
+        return ParseError(tok.span[0], expected, "end of input" if tok.kind is None else repr(tok.lexeme))
 
     def expect(self, lexeme: str) -> Token:
-        tok = self.peek()
-        if tok is None or tok.lexeme != lexeme:
+        tok = self.tokens[self.pos]
+        if tok.lexeme != lexeme:
             raise self.error(repr(lexeme))
         self.pos += 1
         return tok
 
-    def match(self, *lexemes: str) -> Token | None:
-        tok = self.peek()
-        if tok is not None and tok.kind in (TokenKind.OP, TokenKind.PUNCT) and tok.lexeme in lexemes:
+    def match(self, lexeme: str) -> Token | None:
+        """The next token, taken, if its lexeme is *lexeme*; else None."""
+        tok = self.tokens[self.pos]
+        if tok.lexeme == lexeme:
             self.pos += 1
             return tok
         return None
 
     def binary(self, min_prec: int = _PREC_COMPARE) -> Expr:
-        """Precedence climbing: the operand, then every binary operator of
-        at least *min_prec* with its right side, grouped to the left."""
-        left = self.postfix()
-        while (tok := self.peek()) is not None and (prec := _BINARY_PREC.get(tok.lexeme, 0)) >= min_prec:
+        """Precedence climbing: the operand with its signs and %s, then every
+        binary operator of at least *min_prec* with its right side, grouped to the left."""
+        tok = self.tokens[self.pos]
+        left = self.unary(tok) if tok.lexeme in ("-", "+") else self.primary()
+        while (tok := self.tokens[self.pos]).lexeme == "%":
+            self.pos += 1
+            span = (left.span[0] if left.span else tok.span[0], tok.span[1])
+            left = self.grow(tok, Unary("%", left, span=span))
+        while (prec := _BINARY_PREC.get((tok := self.tokens[self.pos]).lexeme, 0)) >= min_prec:
             self.pos += 1
             right = self.binary(prec + 1)
             left = self.grow(tok, Binary(tok.lexeme, left, right, span=_join(left, right)))
         return left
 
-    def postfix(self) -> Expr:
-        expr = self.unary()
-        while (tok := self.match("%")) is not None:
-            span = (expr.span[0] if expr.span else tok.span[0], tok.span[1])
-            expr = self.grow(tok, Unary("%", expr, span=span))
-        return expr
-
-    def unary(self) -> Expr:
-        tok = self.peek()
-        if tok is not None and tok.kind is TokenKind.OP and tok.lexeme in ("-", "+"):
-            self.nest(tok)
-            self.pos += 1
-            operand = self.unary()
-            self.depth -= 1
-            end = operand.span[1] if operand.span else tok.span[1]
-            return self.grow(tok, Unary(tok.lexeme, operand, span=(tok.span[0], end)))
-        return self.primary()
+    def unary(self, tok: Token) -> Expr:
+        """The prefix sign *tok*, the next token, and its operand."""
+        self.nest(tok)
+        self.pos += 1
+        nxt = self.tokens[self.pos]
+        operand = self.unary(nxt) if nxt.lexeme in ("-", "+") else self.primary()
+        self.depth -= 1
+        end = operand.span[1] if operand.span else tok.span[1]
+        return self.grow(tok, Unary(tok.lexeme, operand, span=(tok.span[0], end)))
 
     def primary(self) -> Expr:
-        tok = self.peek()
-        if tok is None:
-            raise self.error("expression")
+        tok = self.tokens[self.pos]
+        kind = tok.kind
 
-        if tok.kind is TokenKind.NUMBER:
-            value = float(tok.lexeme)
-            if value == inf:  # 1E400: no literal prints it back
-                raise self.error("a finite number")
+        if kind is TokenKind.CELLREF:
             self.pos += 1
-            return NumberLit(value, span=tok.span)
-
-        if tok.kind is TokenKind.STRING:
-            self.pos += 1
-            inner = tok.lexeme[1:-1].replace('""', '"')
-            return TextLit(inner, span=tok.span)
-
-        if tok.kind is TokenKind.BOOL:
-            self.pos += 1
-            return BoolLit(tok.lexeme.upper() == "TRUE", span=tok.span)
-
-        if tok.kind is TokenKind.CELLREF:
-            self.pos += 1
-            nxt = self.peek()
-            if nxt is not None and nxt.lexeme == "(":
+            if self.tokens[self.pos].lexeme == "(":
                 # a cell-ref-shaped word used as a function name
                 return self.call(tok)
             ref = _cellref_from_token(tok)
             if self.match(":") is not None:
-                end_tok = self.peek()
-                if end_tok is None or end_tok.kind is not TokenKind.CELLREF:
+                end_tok = self.tokens[self.pos]
+                if end_tok.kind is not TokenKind.CELLREF:
                     raise self.error("cell reference after ':'")
                 self.pos += 1
                 start, end = _normalize_range(ref, _cellref_from_token(end_tok))
                 return RangeRef(start, end, span=(tok.span[0], end_tok.span[1]))
             return ref
 
-        if tok.kind is TokenKind.IDENT:
+        if kind is TokenKind.NUMBER:
+            value = float(tok.lexeme)
+            if value == inf:  # 1E400: no literal prints it back
+                raise self.error("a finite number")
             self.pos += 1
-            nxt = self.peek()
-            if nxt is not None and nxt.lexeme == "(":
+            return NumberLit(value, span=tok.span)
+
+        if kind is TokenKind.IDENT:
+            self.pos += 1
+            if self.tokens[self.pos].lexeme == "(":
                 return self.call(tok)
             return NameRef(tok.lexeme, span=tok.span)
+
+        if kind is TokenKind.STRING:
+            self.pos += 1
+            inner = tok.lexeme[1:-1].replace('""', '"')
+            return TextLit(inner, span=tok.span)
+
+        if kind is TokenKind.BOOL:
+            self.pos += 1
+            return BoolLit(tok.lexeme.upper() == "TRUE", span=tok.span)
 
         if tok.lexeme == "(":
             self.nest(tok)
@@ -413,10 +417,11 @@ class _Parser:
         raise self.error("expression")
 
     def call(self, name_tok: Token) -> Expr:
+        """The call named *name_tok*, whose "(" is the next token."""
         self.nest(name_tok)
-        self.expect("(")
+        self.pos += 1
         args: list[Expr] = []
-        if self.peek() is not None and self.peek().lexeme != ")":
+        if (tok := self.tokens[self.pos]).kind is not None and tok.lexeme != ")":
             args.append(self.binary())
             while self.match(",") is not None:
                 args.append(self.binary())
@@ -427,20 +432,16 @@ class _Parser:
 
 
 def _cellref_from_token(tok: Token) -> CellRef:
-    m = _CELLREF_RE.fullmatch(tok.lexeme)
-    assert m is not None
-    return CellRef(
-        m.group(2).upper(),
-        int(m.group(4)),
-        col_abs=m.group(1) == "$",
-        row_abs=m.group(3) == "$",
-        span=tok.span,
-    )
+    col_abs, letters, row_abs, row = _CELLREF_RE.fullmatch(tok.lexeme).groups()
+    return CellRef(letters.upper(), int(row), col_abs == "$", row_abs == "$", span=tok.span)
 
 
 def _normalize_range(a: CellRef, b: CellRef) -> tuple[CellRef, CellRef]:
-    """Order endpoints so start <= end on both axes; each axis keeps the
-    absolute flag that travelled with it."""
+    """Order endpoints so start <= end on both axes, columns by number (Z <
+    AA); each axis keeps the absolute flag that travelled with it, relative
+    first between equal coordinates. A pair already in order comes back as is."""
+    if (a.col, a.col_abs) <= (b.col, b.col_abs) and (a.row, a.row_abs) <= (b.row, b.row_abs):
+        return a, b
     (c1, ca), (c2, cb) = sorted([(a.col, a.col_abs), (b.col, b.col_abs)])
     (r1, ra), (r2, rb) = sorted([(a.row, a.row_abs), (b.row, b.row_abs)])
     start = CellRef(index_to_col_letters(c1), r1, col_abs=ca, row_abs=ra, span=a.span)
@@ -457,22 +458,17 @@ def _join(left: Expr, right: Expr) -> Span | None:
 def parse(source: str) -> Formula:
     """Parse a formula. A leading ``{=``sets the array-entered flag; a
     leading ``=`` is optional. Raises LexError or ParseError."""
-    tokens = tokenize(source)
-    parser = _Parser(tokens, len(source))
-    array_entered = False
-
-    tok = parser.peek()
-    if tok is not None and tok.lexeme == "{":
-        parser.pos += 1
+    parser = _Parser(tokenize(source), len(source))
+    array_entered = parser.match("{") is not None
+    if array_entered:
         parser.expect("=")
-        array_entered = True
-    elif tok is not None and tok.lexeme == "=":
-        parser.pos += 1
+    else:
+        parser.match("=")
 
     body = parser.binary()
     if array_entered:
         parser.expect("}")
-    if parser.peek() is not None:
+    if parser.tokens[parser.pos].kind is not None:
         raise parser.error("end of formula")
     return Formula(body, array_entered)
 

@@ -391,7 +391,9 @@ def resolve(table: Table, ref: Expr) -> Value | RangeView:
 
     Names resolve case-insensitively to whole columns (rows x 1 views);
     cell references map column letters to column index and row to cell
-    index. Failures come back as error values, never exceptions:
+    index. A range covers the cells between its endpoints, which the parser
+    orders but a RangeRef built otherwise may give backwards on either axis.
+    Failures come back as error values, never exceptions:
     ErrorKind.NAME for an unknown name, ErrorKind.REF out of bounds.
     """
     if isinstance(ref, NameRef):
@@ -402,31 +404,32 @@ def resolve(table: Table, ref: Expr) -> Value | RangeView:
         kind = table.column_kind(idx)
         return RangeView(len(cells), 1, cells, kind=kind, source=None if kind is float else idx)
 
+    columns = table.columns
     if isinstance(ref, CellRef):
-        if not _in_table(table, ref.row, ref.col):
+        row, col = ref.row, ref.col
+        if not (1 <= col <= len(columns) and 1 <= row <= len(columns[0])):
             return ErrorKind.REF
-        return table.cell(ref.row, ref.col)
+        return columns[col - 1][row - 1]
 
     if isinstance(ref, RangeRef):
         start, end = ref.start, ref.end
-        r0, c0, r1, c1 = start.row, start.col, end.row, end.col
-        if not (_in_table(table, r0, c0) and _in_table(table, r1, c1)):
+        r0, r1 = (start.row, end.row) if start.row <= end.row else (end.row, start.row)
+        c0, c1 = (start.col, end.col) if start.col <= end.col else (end.col, start.col)
+        if not (1 <= c0 and c1 <= len(columns) and 1 <= r0 and r1 <= len(columns[0])):
             return ErrorKind.REF
-        # one tuple slice per column; several columns interleave row-major.
-        # A slice over every row is the column's tuple itself, as a name's
-        # view is, and has the same source
-        slices = [column[r0 - 1 : r1] for column in table.columns[c0 - 1 : c1]]
-        cells = slices[0] if len(slices) == 1 else tuple(chain.from_iterable(zip(*slices)))
+        if c0 == c1:
+            # one tuple slice. A slice over every row is the column's tuple
+            # itself, as a name's view is, and has the same source
+            kind = table.column_kind(c0)
+            whole = kind is not float and r0 == 1 and r1 == len(columns[0])
+            return RangeView(r1 - r0 + 1, 1, columns[c0 - 1][r0 - 1 : r1], kind=kind, source=c0 if whole else None)
+        # several columns interleave row-major
+        slices = [column[r0 - 1 : r1] for column in columns[c0 - 1 : c1]]
         kinds = {table.column_kind(c) for c in range(c0, c1 + 1)}
         kind = kinds.pop() if len(kinds) == 1 else None
-        whole = kind is not float and c0 == c1 and r0 == 1 and r1 == table.row_count
-        return RangeView(r1 - r0 + 1, c1 - c0 + 1, cells, kind=kind, source=c0 if whole else None)
+        return RangeView(r1 - r0 + 1, c1 - c0 + 1, tuple(chain.from_iterable(zip(*slices))), kind=kind)
 
     raise TypeError(f"not a reference: {ref!r}")
-
-
-def _in_table(table: Table, row: int, col: int) -> bool:
-    return 1 <= row <= table.row_count and 1 <= col <= table.column_count
 
 
 # ---------------------------------------------------------------------------

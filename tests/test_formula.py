@@ -186,6 +186,31 @@ def test_parse_range_normalized():
     assert parse("=B3:A1").body == parse("=A1:B3").body
 
 
+def test_parse_range_orders_columns_by_number():
+    # Z is column 26 and AA column 27, though "AA" < "Z" as strings. Each
+    # axis keeps the flag that travelled with it; of two equal coordinates
+    # the relative one comes first, as it always has
+    for text, canonical in (
+        ("=Z1:AA2", "=Z1:AA2"), ("=AA1:Z2", "=Z1:AA2"), ("=$AA2:Z$1", "=Z$1:$AA2"), ("=A1:A1", "=A1:A1"),
+        ("=$A1:A2", "=A1:$A2"), ("=A$2:B2", "=A2:B$2"), ("=a1:$a$1", "=A1:$A$1"),
+    ):
+        assert format(parse(text)) == canonical, text
+
+
+def test_parse_range_in_order_keeps_its_endpoints():
+    # an ordered range is the two references as parsed, each with the span
+    # of its own token; a reversed one is rebuilt, its start at the first
+    for text, spans in (("=Z1:AA2", ((1, 3), (4, 7))), ("=A1:A1", ((1, 3), (4, 6))), ("=$A$1:B$20", ((1, 5), (6, 10)))):
+        start_tok, _, end_tok = tokenize(text)[1:]
+        ref = parse(text).body
+        assert (ref.start.span, ref.end.span, ref.span) == (*spans, (1, len(text))), text
+        assert (start_tok.span, end_tok.span) == spans
+        assert ref.start == parse("=" + start_tok.lexeme).body and ref.end == parse("=" + end_tok.lexeme).body
+    ref = parse("=AA1:Z2").body
+    assert (ref.start, ref.end) == (CellRef("Z", 1), CellRef("AA", 2))
+    assert (ref.start.span, ref.end.span, ref.start.col, ref.end.col) == ((1, 4), (5, 7), 26, 27)
+
+
 def test_parse_lowercase_cellref_and_function():
     f = parse("= sum( a1 : a3 )")
     assert format(f) == "=SUM(A1:A3)"

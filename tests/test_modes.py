@@ -166,3 +166,19 @@ def test_split_chains_equal_scalar_evaluation_row_by_row(monkeypatch, views_by_k
     assert len(splits) > 2 * 3 * len(_SPLIT_CHAINS), len(splits)
     assert all(views_by_kind[kind] > 0 for kind in (None, float, bool, str)), views_by_kind
     assert all(split_kinds[kind] > 0 for kind in (None, float, bool, str)), split_kinds
+
+
+def test_every_split_chain_splits(monkeypatch):
+    # the count over all chains above cannot tell a chain that stopped
+    # splitting: each chain must split on its own, on one table
+    splits = []
+    split_cells = evaluator._split_cells
+    monkeypatch.setattr(evaluator, "_split_cells", lambda *args: splits.append(None) or split_cells(*args))
+    t = _table(0)
+    unsplit = []
+    for source in _SPLIT_CHAINS:
+        splits.clear()
+        evaluate(parse("{=" + source + "}"), EvalContext(t))
+        if not splits:
+            unsplit.append(source)
+    assert not unsplit, unsplit

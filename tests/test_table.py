@@ -2,7 +2,7 @@ import pytest
 
 from sprego.equivalence import ColumnSpec, DatasetSchema, gen_dataset
 from sprego.evaluator import EvalContext, evaluate
-from sprego.formula import CellRef, NameRef, RangeRef, parse
+from sprego.formula import Call, CellRef, NameRef, RangeRef, parse
 from sprego.table import CsvError, RangeView, Table, load_csv, profile, resolve, vector
 from sprego.values import ErrorKind
 
@@ -174,6 +174,23 @@ def test_resolve_rect_row_major(table):
 
 def test_resolve_range_partially_out(table):
     assert resolve(table, RangeRef(CellRef("A", 1), CellRef("A", 9))) is ErrorKind.REF
+
+
+def test_resolve_reversed_range_built_by_hand():
+    # the parser orders a range's endpoints; a RangeRef built otherwise
+    # covers the same cells whichever way its endpoints run
+    t = make_table(a=(1, 3, 5), b=(2, 4, 6))
+    ordered = resolve(t, RangeRef(CellRef("A", 1), CellRef("B", 3)))
+    assert evaluate(parse("=SUM(B3:A1)"), EvalContext(t)) == 21.0
+    for start, end in (("B3", "A1"), ("A3", "B1"), ("B1", "A3")):
+        start, end = CellRef(start[0], int(start[1])), CellRef(end[0], int(end[1]))
+        assert resolve(t, RangeRef(start, end)) == ordered
+        assert evaluate(Call("SUM", (RangeRef(start, end),)), EvalContext(t)) == 21.0
+    column = resolve(t, RangeRef(CellRef("A", 3), CellRef("A", 1)))
+    assert column == RangeView(3, 1, (1.0, 3.0, 5.0)) and column.kind is float
+    assert resolve(t, RangeRef(CellRef("B", 3), CellRef("B", 2))).cells == (4.0, 6.0)
+    assert resolve(t, RangeRef(CellRef("A", 9), CellRef("A", 1))) is ErrorKind.REF
+    assert resolve(t, RangeRef(CellRef("C", 1), CellRef("A", 1))) is ErrorKind.REF
 
 
 def _resolve_cell_by_cell(table, ref):
