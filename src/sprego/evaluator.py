@@ -124,6 +124,7 @@ from .formula import (
     TextLit,
     Unary,
     children,
+    index_to_col_letters,
     walk,
 )
 from .table import FLIP, PARTITION_MIN_ROWS, Partition, RangeView, Table, resolve, vector
@@ -1519,15 +1520,12 @@ def _fn_offset(args: tuple[Expr, ...], st: _EvalState):
             return width
     row += dr
     col += dc
-    table = st.ctx.table
-    if height < 1 or width < 1:
+    if min(row, col, height, width) < 1:
         return ErrorKind.REF
-    if row < 1 or col < 1 or row + height - 1 > table.row_count or col + width - 1 > table.column_count:
-        return ErrorKind.REF
-    cells = tuple(table.cell(r, c) for r in range(row, row + height) for c in range(col, col + width))
-    if len(cells) == 1:
-        return cells[0]
-    return RangeView(height, width, cells)
+    start = CellRef(index_to_col_letters(col), row)
+    end = CellRef(index_to_col_letters(col + width - 1), row + height - 1)
+    view = resolve(st.ctx.table, RangeRef(start, end))
+    return view.cells[0] if isinstance(view, RangeView) and len(view) == 1 else view
 
 
 def _fn_row(args: tuple[Expr, ...], st: _EvalState):

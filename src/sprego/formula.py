@@ -30,8 +30,8 @@ parse raises ParseError at the token that goes past it.
 ``tokenize`` is one ``finditer`` pass of one regex, ``_TOKEN_RE``; text that
 no token matches is a LexError at its first character. The parser tests a
 token's lexeme alone where only an operator or punctuation token can have
-it, and keeps a range whose endpoints are in order as the two references
-it parsed.
+it. A range is the two references it parsed; ``RangeRef`` orders a reversed
+pair itself, each ``$`` staying with its coordinate.
 """
 
 from __future__ import annotations
@@ -197,8 +197,23 @@ class CellRef(Expr):
 
 @dataclass(frozen=True)
 class RangeRef(Expr):
+    """The cells between two corners. ``start`` is the top-left corner and
+    ``end`` the bottom-right, however the two were given: columns by number
+    (Z before AA), then rows, each ``$`` with its coordinate; corners that
+    share a coordinate keep the order given. A pair in order stays the same
+    two objects; a reversed one is rebuilt, start with the first one's span."""
+
     start: CellRef
     end: CellRef
+
+    def __post_init__(self):
+        a, b = self.start, self.end
+        if a.col <= b.col and a.row <= b.row:
+            return
+        ca, cb = (a, b) if a.col <= b.col else (b, a)
+        ra, rb = (a, b) if a.row <= b.row else (b, a)
+        object.__setattr__(self, "start", CellRef(ca.col_letters, ra.row, ca.col_abs, ra.row_abs, span=a.span))
+        object.__setattr__(self, "end", CellRef(cb.col_letters, rb.row, cb.col_abs, rb.row_abs, span=b.span))
 
 
 @dataclass(frozen=True)
@@ -380,8 +395,7 @@ class _Parser:
                 if end_tok.kind is not TokenKind.CELLREF:
                     raise self.error("cell reference after ':'")
                 self.pos += 1
-                start, end = _normalize_range(ref, _cellref_from_token(end_tok))
-                return RangeRef(start, end, span=(tok.span[0], end_tok.span[1]))
+                return RangeRef(ref, _cellref_from_token(end_tok), span=(tok.span[0], end_tok.span[1]))
             return ref
 
         if kind is TokenKind.NUMBER:
@@ -434,19 +448,6 @@ class _Parser:
 def _cellref_from_token(tok: Token) -> CellRef:
     col_abs, letters, row_abs, row = _CELLREF_RE.fullmatch(tok.lexeme).groups()
     return CellRef(letters.upper(), int(row), col_abs == "$", row_abs == "$", span=tok.span)
-
-
-def _normalize_range(a: CellRef, b: CellRef) -> tuple[CellRef, CellRef]:
-    """Order endpoints so start <= end on both axes, columns by number (Z <
-    AA); each axis keeps the absolute flag that travelled with it, relative
-    first between equal coordinates. A pair already in order comes back as is."""
-    if (a.col, a.col_abs) <= (b.col, b.col_abs) and (a.row, a.row_abs) <= (b.row, b.row_abs):
-        return a, b
-    (c1, ca), (c2, cb) = sorted([(a.col, a.col_abs), (b.col, b.col_abs)])
-    (r1, ra), (r2, rb) = sorted([(a.row, a.row_abs), (b.row, b.row_abs)])
-    start = CellRef(index_to_col_letters(c1), r1, col_abs=ca, row_abs=ra, span=a.span)
-    end = CellRef(index_to_col_letters(c2), r2, col_abs=cb, row_abs=rb, span=b.span)
-    return start, end
 
 
 def _join(left: Expr, right: Expr) -> Span | None:

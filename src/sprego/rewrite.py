@@ -281,9 +281,8 @@ def lint(formula: Formula | Expr, table: Table | None = None) -> list[Diagnostic
                 else DiagnosticCode.MIXED_REFERENCE
             )
             kind = "absolute" if code is DiagnosticCode.ABSOLUTE_REFERENCE else "mixed"
-            diags.append(
-                Diagnostic(code, _span(node), f"{kind} reference {_show(node)} is avoidable with array formulas")
-            )
+            shown = format_formula(node)[1:]
+            diags.append(Diagnostic(code, _span(node), f"{kind} reference {shown} is avoidable with array formulas"))
         elif isinstance(node, Call) and node.func in BASELINE_FUNCTIONS:
             plan = None
             reason = None
@@ -325,10 +324,6 @@ def lint(formula: Formula | Expr, table: Table | None = None) -> list[Diagnostic
 
 def _span(node: Expr) -> Span:
     return node.span if node.span is not None else (0, 0)
-
-
-def _show(node: CellRef) -> str:
-    return ("$" if node.col_abs else "") + node.col_letters + ("$" if node.row_abs else "") + str(node.row)
 
 
 # ---------------------------------------------------------------------------

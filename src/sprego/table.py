@@ -391,8 +391,8 @@ def resolve(table: Table, ref: Expr) -> Value | RangeView:
 
     Names resolve case-insensitively to whole columns (rows x 1 views);
     cell references map column letters to column index and row to cell
-    index. A range covers the cells between its endpoints, which the parser
-    orders but a RangeRef built otherwise may give backwards on either axis.
+    index. A range covers the cells from its start (top-left, as RangeRef
+    orders them) to its end.
     Failures come back as error values, never exceptions:
     ErrorKind.NAME for an unknown name, ErrorKind.REF out of bounds.
     """
@@ -412,9 +412,7 @@ def resolve(table: Table, ref: Expr) -> Value | RangeView:
         return columns[col - 1][row - 1]
 
     if isinstance(ref, RangeRef):
-        start, end = ref.start, ref.end
-        r0, r1 = (start.row, end.row) if start.row <= end.row else (end.row, start.row)
-        c0, c1 = (start.col, end.col) if start.col <= end.col else (end.col, start.col)
+        r0, c0, r1, c1 = ref.start.row, ref.start.col, ref.end.row, ref.end.col
         if not (1 <= c0 and c1 <= len(columns) and 1 <= r0 and r1 <= len(columns[0])):
             return ErrorKind.REF
         if c0 == c1:

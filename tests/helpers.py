@@ -29,7 +29,6 @@ from sprego.formula import (
     Unary,
     _cellref_from_token,
     _join,
-    _normalize_range,
 )
 from sprego.table import CsvError, RangeView
 from sprego.values import (
@@ -886,8 +885,7 @@ class ReferenceParser:
                 if end_tok is None or end_tok.kind is not TokenKind.CELLREF:
                     raise self.error("cell reference after ':'")
                 self.pos += 1
-                start, end = _normalize_range(ref, _cellref_from_token(end_tok))
-                return RangeRef(start, end, span=(tok.span[0], end_tok.span[1]))
+                return RangeRef(ref, _cellref_from_token(end_tok), span=(tok.span[0], end_tok.span[1]))
             return ref
 
         if tok.kind is TokenKind.IDENT:

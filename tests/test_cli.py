@@ -89,6 +89,18 @@ def test_eval_json_result(capsys, csv_path):
     assert doc["result"] == {"error": "#DIV/0!"}
 
 
+def test_eval_range_output_text_and_json(capsys, csv_path):
+    # a 2-D result prints as tab-separated rows, or nested lists in JSON;
+    # a vector as one JSON list
+    args = ("eval", "--table", csv_path, "--formula")
+    _, out, _ = run(capsys, *args, "{=A1:B2*1}")
+    assert out.splitlines() == ["3\t#VALUE!", "7\t#VALUE!"]
+    _, out, _ = run(capsys, *args, "{=A1:B2*1}", "--format", "json")
+    assert json.loads(out)["result"] == [[3.0, {"error": "#VALUE!"}], [7.0, {"error": "#VALUE!"}]]
+    _, out, _ = run(capsys, *args, "{=A1:A3*1}", "--format", "json")
+    assert json.loads(out)["result"] == [3.0, 7.0, 9.0]
+
+
 def test_eval_no_table(capsys):
     code, out, _ = run(capsys, "eval", "--formula", "=2+3")
     assert code == 0

@@ -4,6 +4,7 @@ from sprego import equivalence, evaluator
 from sprego.equivalence import (
     ColumnSpec,
     DatasetSchema,
+    RuleCase,
     SchemaError,
     check_all_rules,
     check_equivalence,
@@ -18,7 +19,7 @@ from sprego.evaluator import EvalContext, evaluate
 from sprego.formula import parse
 from sprego.rewrite import rewrite
 from sprego.table import PARTITION_MIN_ROWS, RangeView
-from sprego.values import ErrorKind
+from sprego.values import ErrorKind, format_value
 
 
 def _schema(kind="numeric", rows=12, **kw):
@@ -148,6 +149,25 @@ def test_broken_rewrite_fails_with_counterexample():
     a = evaluate(parse('=COUNTIF(xs,">5")'), ctx)
     b = evaluate(parse("{=SUM(IF(xs>5,1,1))}"), ctx)
     assert not values_match(a, b)
+
+
+def test_vector_mismatch_records_its_first_row_and_both_vectors():
+    schema = _schema(rows=16, lo=1.0, hi=9.0, integers=True)
+    verdict = check_equivalence("{=A1:A16*2}", "{=A1:A16*3}", [schema], trials_per_schema=1, seed=0)
+    (f,) = verdict.failures
+    xs = gen_dataset(schema, f.dataset_seed).columns[0]
+    assert f.row == 1
+    assert f.original == "[" + ", ".join(format_value(2 * x) for x in xs) + "]"
+    assert f.rewritten == "[" + ", ".join(format_value(3 * x) for x in xs) + "]"
+
+
+def test_rule_case_with_nothing_to_rewrite_fails():
+    case = RuleCase("R0", "no baseline call", "=SUM(xs)", (_schema(),))
+    verdict = check_rule_case(case, trials_per_schema=5, seed=3)
+    assert verdict.trials == 0
+    assert [f.to_json() for f in verdict.failures] == [
+        {"schema": "", "dataset_seed": 3, "row": None, "original": "=SUM(xs)", "rewritten": "<no rewrite applied>"}
+    ]
 
 
 def test_failures_capped_at_ten_per_schema():

@@ -858,8 +858,11 @@ def test_offset(nums):
     assert ev("=OFFSET(A1,1,0)", nums) == 2.0
     out = ev("=OFFSET(A1,0,0,3,1)", nums)
     assert out.cells == (1.0, 2.0, 3.0)
+    assert out.kind is float  # the view resolve gives a reference
     assert ev("=OFFSET(A1,5,0)", nums) is ErrorKind.REF
     assert ev("=OFFSET(A1,0,0,0,1)", nums) is ErrorKind.REF
+    for past_an_edge in ("=OFFSET(A1,-1,0)", "=OFFSET(A1,0,-1)", "=OFFSET(A1,0,0,1,0)", "=OFFSET(A1,0,1E300)"):
+        assert ev(past_an_edge, nums) is ErrorKind.REF, past_an_edge
     assert ev("=SUM(OFFSET(x,1,0,2,1))", nums) == 5.0
 
 
@@ -1135,6 +1138,10 @@ def test_criteria_argument_left_over_is_value_error(mode, row):
     t = make_table(x=(1, 2, 3))
     assert ev('=COUNTIFS(A1:A3,">1",B1:B3)', t, mode=mode, row=row) is ErrorKind.VALUE
     assert ev("=SUMIFS(C1:C3,A1:A3)", t, mode=mode, row=row) is ErrorKind.VALUE
+    # or criteria ranges of unequal size
+    t = make_table(x=(1, 2, 3), y=(2, 3, 4), s=(10, 20, 30))
+    assert ev('=COUNTIFS(A1:A3,">1",B1:B2,">1")', t, mode=mode, row=row) is ErrorKind.VALUE
+    assert ev('=SUMIFS(C1:C3,A1:A3,">1",B1:B2,">1")', t, mode=mode, row=row) is ErrorKind.VALUE
 
 
 def test_averageif_counts_matched_rows_with_text_sums():

@@ -31,6 +31,7 @@ from sprego.formula import (
     walk,
 )
 from sprego.rewrite import lint, rewrite
+from sprego.table import RangeView
 
 from helpers import deep_formulas, make_table, malformed_sources, random_source
 
@@ -188,11 +189,11 @@ def test_parse_range_normalized():
 
 def test_parse_range_orders_columns_by_number():
     # Z is column 26 and AA column 27, though "AA" < "Z" as strings. Each
-    # axis keeps the flag that travelled with it; of two equal coordinates
-    # the relative one comes first, as it always has
+    # axis keeps the flag that travelled with it; two equal coordinates stay
+    # as typed, each with its own flag
     for text, canonical in (
         ("=Z1:AA2", "=Z1:AA2"), ("=AA1:Z2", "=Z1:AA2"), ("=$AA2:Z$1", "=Z$1:$AA2"), ("=A1:A1", "=A1:A1"),
-        ("=$A1:A2", "=A1:$A2"), ("=A$2:B2", "=A2:B$2"), ("=a1:$a$1", "=A1:$A$1"),
+        ("=$A1:A2", "=$A1:A2"), ("=A$2:B2", "=A$2:B2"), ("=a1:$a$1", "=A1:$A$1"),
     ):
         assert format(parse(text)) == canonical, text
 
@@ -209,6 +210,41 @@ def test_parse_range_in_order_keeps_its_endpoints():
     ref = parse("=AA1:Z2").body
     assert (ref.start, ref.end) == (CellRef("Z", 1), CellRef("AA", 2))
     assert (ref.start.span, ref.end.span, ref.start.col, ref.end.col) == ((1, 4), (5, 7), 26, 27)
+
+
+_REVERSED_TABLE = make_table(a=(1, 3, 5), b=(2, 4, 6), c=(7, 8, 9))
+
+
+def _evaluated(func, *numbers):
+    return lambda ref: evaluate(Call(func, (ref, *map(NumberLit, numbers))), EvalContext(_REVERSED_TABLE))
+
+
+def _printed_and_reparsed(ref):
+    return format(ref), parse(format(ref)).body == ref
+
+
+def _vlookup_rewritten(ref):
+    return format(rewrite(Call("VLOOKUP", (NumberLit(5), ref, NumberLit(3), BoolLit(False))))[0])
+
+
+@pytest.mark.parametrize(
+    "of, corners, ordered, want",
+    [
+        (_evaluated("ROW"), ("A3", "A1"), "A1:A3", RangeView(3, 1, (1.0, 2.0, 3.0))),
+        (_evaluated("COLUMN"), ("B1", "A1"), "A1:B1", RangeView(1, 2, (1.0, 2.0))),
+        (_evaluated("OFFSET", 0, 0), ("A3", "A1"), "A1:A3", RangeView(3, 1, (1.0, 3.0, 5.0))),
+        (_printed_and_reparsed, ("$B1", "A$2"), "A1:$B$2", ("=A1:$B$2", True)),
+        (_vlookup_rewritten, ("C3", "A1"), "A1:C3", "{=INDEX(C1:C3,MATCH(5,A1:A3,0))}"),
+    ],
+    ids=["row", "column", "offset", "format", "rewrite"],
+)
+def test_range_built_by_hand_with_reversed_corners_is_the_ordered_range(of, corners, ordered, want):
+    # RangeRef orders the corners it is given, so every reader of a range
+    # (ROW, COLUMN, OFFSET, the printer, the rewriter) sees the same
+    # rectangle as for the text in order
+    ref = RangeRef(*(parse("=" + corner).body for corner in corners))
+    assert of(ref) == of(parse("=" + ordered).body) == want
+    assert ref == parse("=" + ordered).body
 
 
 def test_parse_lowercase_cellref_and_function():

@@ -177,8 +177,8 @@ def test_resolve_range_partially_out(table):
 
 
 def test_resolve_reversed_range_built_by_hand():
-    # the parser orders a range's endpoints; a RangeRef built otherwise
-    # covers the same cells whichever way its endpoints run
+    # a RangeRef orders its corners however it is built, so it covers the
+    # same cells whichever way its endpoints run
     t = make_table(a=(1, 3, 5), b=(2, 4, 6))
     ordered = resolve(t, RangeRef(CellRef("A", 1), CellRef("B", 3)))
     assert evaluate(parse("=SUM(B3:A1)"), EvalContext(t)) == 21.0
