@@ -83,10 +83,14 @@ reused, unless the formula calls RAND(), whose draws are each made.
 Error values propagate through every operator and elementwise function
 (the first error operand wins, argument order then cell order), except
 IF (only the condition and the taken branch matter), ISERROR, and
-IFERROR. Aggregators propagate the first error they meet in their input,
-with one deliberate exception: COUNT ignores error cells, mirroring the
-ISERROR guard in its SUM(IF()) replacement. SUM, AVERAGE, MIN, MAX, SMALL
-and LARGE take their numbers, or that first error, from one walk.
+IFERROR. LEN, LEFT, RIGHT, SEARCH, SUBSTITUTE, INT, ROUND, NOT and the
+unary operators are each a body over arguments coerced in order
+(_coerced): the first coercion that fails is the result, and an argument
+left out takes the body's default. Aggregators propagate the first error
+they meet in their input, with one deliberate exception: COUNT ignores
+error cells, mirroring the ISERROR guard in its SUM(IF()) replacement.
+SUM, AVERAGE, MIN, MAX, SMALL and LARGE take their numbers, or that
+first error, from one walk.
 
 All failures come back as error values; evaluate never raises for data
 reasons.
@@ -302,6 +306,23 @@ def _propagating(fn):
             if isinstance(a, ErrorKind):
                 return a
         return fn(*args)
+
+    return apply
+
+
+def _coerced(body, *coercers):
+    """*body* over its arguments, each coerced in order by its own coercer;
+    the first coercion that gives an error is the result. An argument left
+    out takes the body's default, so arity, not a value, says it is absent."""
+
+    def apply(*args):
+        coerced = []
+        for coerce, a in zip(coercers, args):
+            x = coerce(a)
+            if type(x) is ErrorKind:
+                return x
+            coerced.append(x)
+        return body(*coerced)
 
     return apply
 
@@ -767,20 +788,10 @@ def _is_empty_kernel(cs):
 _IS_EMPTY_KERNEL = Kernel(_no_errors, _is_empty_kernel, _is_empty_fold)
 
 
-def _unary_num(fn):
-    def op(a):
-        x = coerce_number(a)
-        if isinstance(x, ErrorKind):
-            return x
-        return finite_or_error(fn(x))
-
-    return op
-
-
 _UNARY_OPS = {
-    "-": _unary_num(lambda x: -x),
-    "+": _unary_num(lambda x: x),
-    "%": _unary_num(lambda x: x / 100.0),
+    "-": _coerced(operator.neg, coerce_number),
+    "+": coerce_number,
+    "%": _coerced(lambda x: x / 100.0, coerce_number),
 }
 
 
@@ -872,11 +883,7 @@ def _as_view(v) -> RangeView:
 # ---------------------------------------------------------------------------
 
 
-def _fn_len(t):
-    s = coerce_text(t)
-    if isinstance(s, ErrorKind):
-        return s
-    return float(len(s))
+_fn_len = _coerced(lambda s: float(len(s)), coerce_text)
 
 
 def _len_kernel(ts):
@@ -884,6 +891,8 @@ def _len_kernel(ts):
 
 
 def _count_arg(v, *, minimum=0):
+    """The count a number argument gives: the number floored, #VALUE! when
+    that is below *minimum*."""
     x = coerce_number(v)
     if isinstance(x, ErrorKind):
         return x
@@ -893,79 +902,26 @@ def _count_arg(v, *, minimum=0):
     return k
 
 
-def _fn_left(t, n=1.0):
-    s = coerce_text(t)
-    if isinstance(s, ErrorKind):
+_ordinal_arg = functools.partial(_count_arg, minimum=1)
+
+
+def _substitute(s, old, new, k=None):
+    """s with the k-th occurrence of old replaced by new, or every one when
+    k is left out; s itself when old is ""."""
+    if old == "":
         return s
-    k = _count_arg(n)
-    if isinstance(k, ErrorKind):
-        return k
-    return s[:k]
-
-
-def _fn_right(t, n=1.0):
-    s = coerce_text(t)
-    if isinstance(s, ErrorKind):
-        return s
-    k = _count_arg(n)
-    if isinstance(k, ErrorKind):
-        return k
-    return s[len(s) - min(k, len(s)):]
-
-
-def _fn_search(needle, haystack, start=1.0):
-    sn = coerce_text(needle)
-    if isinstance(sn, ErrorKind):
-        return sn
-    sh = coerce_text(haystack)
-    if isinstance(sh, ErrorKind):
-        return sh
-    k = _count_arg(start, minimum=1)
-    if isinstance(k, ErrorKind):
-        return k
-    return search_position(sn, sh, k)
-
-
-def _fn_substitute(t, old, new, instance=None):
-    s = coerce_text(t)
-    if isinstance(s, ErrorKind):
-        return s
-    so = coerce_text(old)
-    if isinstance(so, ErrorKind):
-        return so
-    sn = coerce_text(new)
-    if isinstance(sn, ErrorKind):
-        return sn
-    if so == "":
-        return s
-    if instance is None:
-        return s.replace(so, sn)
-    k = _count_arg(instance, minimum=1)
-    if isinstance(k, ErrorKind):
-        return k
+    if k is None:
+        return s.replace(old, new)
     pos = -1
     for _ in range(k):
-        pos = s.find(so, pos + 1)
+        pos = s.find(old, pos + 1)
         if pos < 0:
             return s
-    return s[:pos] + sn + s[pos + len(so):]
+    return s[:pos] + new + s[pos + len(old):]
 
 
-def _fn_int(x):
-    v = coerce_number(x)
-    if isinstance(v, ErrorKind):
-        return v
-    return float(math.floor(v))
-
-
-def _fn_round(x, digits=0.0):
-    v = coerce_number(x)
-    if isinstance(v, ErrorKind):
-        return v
-    d = coerce_number(digits)
-    if isinstance(d, ErrorKind):
-        return d
-    places = int(d)
+def _round(v, digits=0.0):
+    places = int(digits)
     # the shortest decimal that reads back as v: the 15 digits Excel shows
     # wherever those read back as v, more only when they cannot (1e15+0.5)
     exact = Decimal(repr(v))
@@ -980,12 +936,13 @@ def _fn_round(x, digits=0.0):
 
 _ROUND_CONTEXT = Context(prec=40, rounding=ROUND_HALF_UP)
 
-
-def _fn_not(v):
-    b = coerce_logical(v)
-    if isinstance(b, ErrorKind):
-        return b
-    return not b
+_fn_left = _coerced(lambda s, k=1: s[:k], coerce_text, _count_arg)
+_fn_right = _coerced(lambda s, k=1: s[len(s) - min(k, len(s)):], coerce_text, _count_arg)
+_fn_search = _coerced(search_position, coerce_text, coerce_text, _ordinal_arg)
+_fn_substitute = _coerced(_substitute, coerce_text, coerce_text, coerce_text, _ordinal_arg)
+_fn_int = _coerced(lambda x: float(math.floor(x)), coerce_number)
+_fn_round = _coerced(_round, coerce_number, coerce_number)
+_fn_not = _coerced(operator.not_, coerce_logical)
 
 
 def _fn_iserror(v):
@@ -1446,14 +1403,6 @@ def _index_arg(v, st):
     return math.floor(x)
 
 
-def _fn_vlookup(args, st):
-    return _lookup(args, st, by_row=True)
-
-
-def _fn_hlookup(args, st):
-    return _lookup(args, st, by_row=False)
-
-
 def _lookup(args, st, *, by_row: bool):
     lookup = _scalar_arg(args[0], st)
     if isinstance(lookup, ErrorKind):
@@ -1485,9 +1434,12 @@ def _lookup(args, st, *, by_row: bool):
 
 def _ref_rect(ref: Expr, table: Table):
     """(row, col, rows, cols) of a reference argument; #REF! when it
-    reaches past the sheet's last row or column and the table's too."""
+    starts before row or column 1, or reaches past the sheet's last row or
+    column and the table's too."""
     if isinstance(ref, (CellRef, RangeRef)):
         start, end = (ref, ref) if isinstance(ref, CellRef) else (ref.start, ref.end)
+        if min(start.row, start.col) < 1:
+            return ErrorKind.REF
         if end.row > max(MAX_ROWS, table.row_count) or end.col > max(MAX_COLUMNS, table.column_count):
             return ErrorKind.REF
         return start.row, start.col, end.row - start.row + 1, end.col - start.col + 1
@@ -1504,20 +1456,14 @@ def _fn_offset(args: tuple[Expr, ...], st: _EvalState):
     if isinstance(rect, ErrorKind):
         return rect
     row, col, height, width = rect
-    dr = _index_arg(_eval(args[1], st), st)
-    if isinstance(dr, ErrorKind):
-        return dr
-    dc = _index_arg(_eval(args[2], st), st)
-    if isinstance(dc, ErrorKind):
-        return dc
-    if len(args) > 3:
-        height = _index_arg(_eval(args[3], st), st)
-        if isinstance(height, ErrorKind):
-            return height
-    if len(args) > 4:
-        width = _index_arg(_eval(args[4], st), st)
-        if isinstance(width, ErrorKind):
-            return width
+    moves = []
+    for arg in args[1:]:
+        n = _index_arg(_eval(arg, st), st)
+        if isinstance(n, ErrorKind):
+            return n
+        moves.append(n)
+    # a height or width left out is the reference's
+    dr, dc, height, width = moves + [height, width][len(moves) - 2:]
     row += dr
     col += dc
     if min(row, col, height, width) < 1:
@@ -1654,8 +1600,8 @@ FUNCTION_SPECS: dict[str, FunctionSpec] = {
         _spec("SUMIF", 2, 3, "baseline", "evaluated", _fn_criteria("SUMIF")),
         _spec("SUMIFS", 3, None, "baseline", "evaluated", _fn_criteria("SUMIFS")),
         _spec("AVERAGEIF", 2, 3, "baseline", "evaluated", _fn_criteria("AVERAGEIF")),
-        _spec("VLOOKUP", 3, 4, "baseline", "evaluated", _fn_vlookup),
-        _spec("HLOOKUP", 3, 4, "baseline", "evaluated", _fn_hlookup),
+        _spec("VLOOKUP", 3, 4, "baseline", "evaluated", functools.partial(_lookup, by_row=True)),
+        _spec("HLOOKUP", 3, 4, "baseline", "evaluated", functools.partial(_lookup, by_row=False)),
         _spec(
             "IFERROR", 2, 2, "baseline", "elementwise", _fn_iferror,
             propagate=False, kernel=Kernel(_any, _iferror_kernel),

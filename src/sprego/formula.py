@@ -192,6 +192,8 @@ class CellRef(Expr):
     col: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not self.col_letters.isupper():  # read as the parser reads them
+            object.__setattr__(self, "col_letters", self.col_letters.upper())
         object.__setattr__(self, "col", col_letters_to_index(self.col_letters))
 
 
@@ -447,7 +449,7 @@ class _Parser:
 
 def _cellref_from_token(tok: Token) -> CellRef:
     col_abs, letters, row_abs, row = _CELLREF_RE.fullmatch(tok.lexeme).groups()
-    return CellRef(letters.upper(), int(row), col_abs == "$", row_abs == "$", span=tok.span)
+    return CellRef(letters, int(row), col_abs == "$", row_abs == "$", span=tok.span)
 
 
 def _join(left: Expr, right: Expr) -> Span | None:

@@ -23,7 +23,7 @@ from sprego.evaluator import (
     precedents,
     search_position,
 )
-from sprego.formula import CellRef, NameRef, RangeRef, format, parse
+from sprego.formula import Call, CellRef, NameRef, NumberLit, RangeRef, format, parse
 from sprego.rewrite import rewrite
 from sprego.table import PARTITION_MIN_ROWS, RangeView, Table, vector
 from sprego.values import ErrorKind
@@ -704,6 +704,58 @@ def test_substitute_all_and_instance():
     assert ev('=SUBSTITUTE("abc","b","y",0)') is ErrorKind.VALUE
 
 
+def test_substitute_instance_is_a_count_of_at_least_one():
+    # the instance argument coerces as every count does: a blank is 0, not
+    # the argument left out, and it is checked before an empty old text
+    blank = make_table(a=("aaa",), b=(None,))
+    assert ev('=SUBSTITUTE("aaa","a","b",B1)', blank) is ErrorKind.VALUE
+    assert ev('=SUBSTITUTE("abc","","y",0)') is ErrorKind.VALUE
+    assert ev('=SUBSTITUTE("abc","","y",1)') == "abc"
+
+
+# one cell of each argument form: an error, text, a blank, a logical and a
+# negative number (a negative count where a count is wanted)
+_ARGUMENT_FORMS = (ErrorKind.NA, "x", None, True, -1.0)
+NA, VAL = ErrorKind.NA, ErrorKind.VALUE
+
+
+@pytest.mark.parametrize(
+    "call, want",
+    [
+        ("LEN(v)", (NA, 1.0, 0.0, 4.0, 2.0)),
+        ("LEFT(v,2)", (NA, "x", "", "TR", "-1")),
+        ('LEFT("abc",v)', (NA, VAL, "", "a", VAL)),
+        ("RIGHT(v,2)", (NA, "x", "", "UE", "-1")),
+        ('RIGHT("abc",v)', (NA, VAL, "", "c", VAL)),
+        ('SEARCH(v,"x-1TRUE")', (NA, 1.0, 1.0, 4.0, 2.0)),
+        ('SEARCH("u",v)', (NA, VAL, VAL, 3.0, VAL)),
+        ('SEARCH("b","abcb",v)', (NA, VAL, VAL, 2.0, VAL)),
+        ('SUBSTITUTE(v,"1","z")', (NA, "x", "", "TRUE", "-z")),
+        ('SUBSTITUTE("a-1a",v,"z")', (NA, "a-1a", "a-1a", "a-1a", "aza")),
+        ('SUBSTITUTE("abc","b",v)', (NA, "axc", "ac", "aTRUEc", "a-1c")),
+        ('SUBSTITUTE("aaa","a","b",v)', (NA, VAL, VAL, "baa", VAL)),
+        ("INT(v)", (NA, VAL, 0.0, 1.0, -1.0)),
+        ("ROUND(v,1)", (NA, VAL, 0.0, 1.0, -1.0)),
+        ("ROUND(15.25,v)", (NA, VAL, 15.0, 15.3, 20.0)),
+        ("NOT(v)", (NA, VAL, True, False, False)),
+        ("-v", (NA, VAL, -0.0, -1.0, 1.0)),
+        ("+v", (NA, VAL, 0.0, 1.0, -1.0)),
+        ("v%", (NA, VAL, 0.0, 0.01, -0.01)),
+    ],
+)
+def test_each_argument_coerces_in_place(call, want):
+    # every argument position of the text, math and logic functions and the
+    # unary operators, given each form: per cell in array mode, split over
+    # a column past the partition floor, and cell by cell in scalar mode
+    short = make_table(v=_ARGUMENT_FORMS)
+    assert all(map(_same_cell, ev("{=" + call + "}", short).cells, want)), call
+    copies = -(-PARTITION_MIN_ROWS // len(want))
+    got = ev("{=" + call + "}", make_table(v=_ARGUMENT_FORMS * copies)).cells
+    assert len(got) == len(want) * copies and all(map(_same_cell, got, want * copies)), call
+    for row, w in enumerate(want, 1):
+        assert _same_cell(ev("=" + call, short, mode="scalar", row=row), w), (call, row)
+
+
 def test_substitute_case_sensitive():
     assert ev('=SUBSTITUTE("aA","a","x")') == "xA"
 
@@ -873,6 +925,16 @@ def test_row_column(nums):
     assert ev("=ROW()", nums).cells == (1.0, 2.0, 3.0)
     assert ev("=COLUMN(B7)", nums) == 2.0
     assert ev("=COLUMN()", nums) is ErrorKind.VALUE
+
+
+def test_references_before_the_first_row_or_column_are_ref(nums):
+    # a hand-built reference can name row 0, which no sheet has: ROW,
+    # COLUMN and OFFSET give #REF! for it as resolve does
+    a0 = CellRef("A", 0)
+    for call in (Call("ROW", (a0,)), Call("ROW", (RangeRef(a0, CellRef("A", 2)),)), Call("COLUMN", (a0,)),
+                 Call("OFFSET", (a0, NumberLit(1.0), NumberLit(0.0)))):
+        assert evaluate(call, EvalContext(nums)) is ErrorKind.REF, call
+    assert evaluate(a0, EvalContext(nums)) is ErrorKind.REF
 
 
 def test_references_past_the_sheet_edge(nums):

@@ -252,6 +252,15 @@ def test_parse_lowercase_cellref_and_function():
     assert format(f) == "=SUM(A1:A3)"
 
 
+def test_cellref_built_by_hand_with_lowercase_letters_is_the_parsed_reference():
+    # CellRef uppercases its letters as the parser does, so the printed
+    # text reparses to an equal tree
+    for letters in ("a", "aB", "xfd"):
+        ref = CellRef(letters, 1, col_abs=True)
+        assert ref == parse(f"=${letters}1").body
+        assert (format(ref), ref.col_letters) == (f"=${letters.upper()}1", letters.upper())
+
+
 def test_parse_identifier_vs_cellref():
     assert isinstance(parse("=A1").body, CellRef)
     assert parse("=A1B2").body == NameRef("A1B2")
