@@ -251,11 +251,12 @@ def _cmd_check(args) -> int:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
     seed = _seed(args)
     if args.all_rules:
+        if args.rewritten is not None:
+            raise UsageError("--rewritten is taken only with --original")
         verdicts = equivalence.check_all_rules(trials_per_schema=args.trials, seed=seed)
     else:
         if not args.rewritten:
-            print("error: --rewritten is required with --original", file=sys.stderr)
-            return 2
+            raise UsageError("--rewritten is required with --original")
         original = parse(args.original)
         rewritten = parse(args.rewritten)
         schemas = equivalence.schemas_for_pair(original, rewritten)

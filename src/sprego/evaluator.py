@@ -81,16 +81,20 @@ nodes, a rewrite may) is evaluated once per evaluate() call and its value
 reused, unless the formula calls RAND(), whose draws are each made.
 
 Error values propagate through every operator and elementwise function
-(the first error operand wins, argument order then cell order), except
-IF (only the condition and the taken branch matter), ISERROR, and
-IFERROR. LEN, LEFT, RIGHT, SEARCH, SUBSTITUTE, INT, ROUND, NOT and the
-unary operators are each a body over arguments coerced in order
-(_coerced): the first coercion that fails is the result, and an argument
-left out takes the body's default. Aggregators propagate the first error
-they meet in their input, with one deliberate exception: COUNT ignores
-error cells, mirroring the ISERROR guard in its SUM(IF()) replacement.
-SUM, AVERAGE, MIN, MAX, SMALL and LARGE take their numbers, or that
-first error, from one walk.
+by one rule, which each function keeps itself: an error argument wins
+over a failed coercion, and the first error in argument order wins.
+ISERROR, IFERROR and IF (only the condition and the taken branch matter)
+read errors as values. LEN, LEFT, RIGHT, SEARCH, SUBSTITUTE, INT, ROUND,
+NOT, & and the unary operators are each a body over arguments coerced in
+order (_coerced), and arithmetic coerces its operands the same way: when
+a coercion fails, the first error argument is the result (_first_error),
+else the failed coercion's error; an argument left out takes the body's
+default. The comparisons and the emptiness test return their first error
+argument. Aggregators propagate the first error they meet in their
+input, with one deliberate exception: COUNT ignores error cells,
+mirroring the ISERROR guard in its SUM(IF()) replacement. SUM, AVERAGE,
+MIN, MAX, SMALL and LARGE take their numbers, or that first error, from
+one walk.
 
 All failures come back as error values; evaluate never raises for data
 reasons.
@@ -259,7 +263,7 @@ def _eval(expr: Expr, st: _EvalState):
     if isinstance(expr, Binary):
         tested = _emptiness_operand(expr) if expr.op == "=" else None
         if tested is not None:
-            return _lift(_fn_is_empty, [_eval(tested, st)], st, propagate=False, kernel=_IS_EMPTY_KERNEL)
+            return _lift(_fn_is_empty, [_eval(tested, st)], st, kernel=_IS_EMPTY_KERNEL)
         left = _eval(expr.left, st)
         right = _eval(expr.right, st)
         return _lift(_BINARY_OPS[expr.op], [left, right], st, kernel=_BINARY_KERNELS.get(expr.op))
@@ -289,7 +293,7 @@ def _call(expr: Call, st: _EvalState):
         return spec.impl(expr.args, st)
     args = [_eval(a, st) for a in expr.args]
     if spec.call == "elementwise":
-        return _lift(spec.impl, args, st, propagate=spec.propagate, kernel=spec.kernel)
+        return _lift(spec.impl, args, st, kernel=spec.kernel)
     return spec.impl(args, st)
 
 
@@ -298,33 +302,31 @@ def _call(expr: Call, st: _EvalState):
 # ---------------------------------------------------------------------------
 
 
-def _propagating(fn):
-    """*fn*, except that its first error argument is the result."""
-
-    def apply(*args):
-        for a in args:
-            if isinstance(a, ErrorKind):
-                return a
-        return fn(*args)
-
-    return apply
-
-
 def _coerced(body, *coercers):
     """*body* over its arguments, each coerced in order by its own coercer;
-    the first coercion that gives an error is the result. An argument left
-    out takes the body's default, so arity, not a value, says it is absent."""
+    a failed coercion ends the call (_first_error). An argument left out
+    takes the body's default, so arity, not a value, says it is absent."""
 
     def apply(*args):
         coerced = []
         for coerce, a in zip(coercers, args):
             x = coerce(a)
             if type(x) is ErrorKind:
-                return x
+                return _first_error(args, x)
             coerced.append(x)
         return body(*coerced)
 
     return apply
+
+
+def _first_error(args, failed: ErrorKind) -> ErrorKind:
+    """The result of a call whose coercion of an argument gave *failed*:
+    the first error among *args*, else *failed*. The arguments before the
+    one that failed coerced, so none of them is an error."""
+    for a in args:
+        if type(a) is ErrorKind:
+            return a
+    return failed
 
 
 class Kernel(NamedTuple):
@@ -342,20 +344,20 @@ class Kernel(NamedTuple):
     fold: Callable[..., object] | None = None
 
 
-def _lift(fn, args, st: _EvalState, propagate: bool = True, kernel: Kernel | None = None):
+def _lift(fn, args, st: _EvalState, kernel: Kernel | None = None):
     """Apply a scalar function across possibly-ranged arguments."""
     if st.scalar:
-        return _apply(fn, [_scalarize(a, st) for a in args], propagate)
-    return _lift_array(fn, args, st.ctx.table, propagate, kernel)
+        return fn(*[_scalarize(a, st) for a in args])
+    return _lift_array(fn, args, st.ctx.table, kernel)
 
 
-def _lift_array(fn, args, table: Table, propagate: bool, kernel: Kernel | None):
+def _lift_array(fn, args, table: Table, kernel: Kernel | None):
     """_lift in array mode: views map cell by cell, and a column of *table*
     read whole may split. A masked IF is read as its IF's value."""
     args = [_unmasked(a) for a in args]
     views = [a for a in args if isinstance(a, RangeView)]
     if not views:
-        return _apply(fn, args, propagate)
+        return fn(*args)
 
     # vectors combine by length whatever their orientation, other views by
     # shape; on a mismatch every cell is VALUE
@@ -363,8 +365,8 @@ def _lift_array(fn, args, table: Table, propagate: bool, kernel: Kernel | None):
     if len({len(v) if v.is_vector else (v.rows, v.cols) for v in views}) == 1:
         split = _split_partition(args, table, kernel)
         if split is not None:
-            return _split_cells(*split, fn, args, propagate, kernel)
-        cells, kind = _map_cells(fn, args, propagate, kernel)
+            return _split_cells(*split, fn, args, kernel)
+        cells, kind = _map_cells(fn, args, kernel)
         return RangeView(first.rows, first.cols, cells, kind=kind)
     if not all(v.is_vector for v in views):
         return RangeView(first.rows, first.cols, (ErrorKind.VALUE,) * len(first))
@@ -373,26 +375,12 @@ def _lift_array(fn, args, table: Table, propagate: bool, kernel: Kernel | None):
     return RangeView(rows, cols, (ErrorKind.VALUE,) * size)
 
 
-def _apply(fn, args, propagate):
-    """*fn* over scalar arguments; with *propagate*, its first error
-    argument instead when there is one."""
-    if propagate:
-        for a in args:
-            if isinstance(a, ErrorKind):
-                return a
-    return fn(*args)
-
-
-def _map_cells(fn, args, propagate, kernel):
+def _map_cells(fn, args, kernel):
     """(cells, their kind or None): *kernel* over the streams of same-sized
     views taken in step, scalar arguments repeated, when every argument
-    passes its test; else *fn* over the same streams. With *propagate*, *fn*
-    is wrapped to return its first error argument only when some argument
-    holds an error."""
+    passes its test; else *fn* over the same streams."""
     if kernel is not None and all(map(kernel.accepts, args)):
         return kernel.run(*map(_stream, args))
-    if propagate and not all(map(_no_errors, args)):
-        fn = _propagating(fn)
     return tuple(map(fn, *map(_stream, args))), None
 
 
@@ -509,7 +497,7 @@ def _per_cell(part: Partition, other_args, per_value, coerce=None):
     ]
 
 
-def _split_cells(col, part: Partition, fn, args, propagate, kernel) -> _SplitView:
+def _split_cells(col, part: Partition, fn, args, kernel) -> _SplitView:
     """_map_cells over the column *col* split by *part*, its result kept
     split. Each view argument shows the column, is split over it or is a
     float view of its length (_split_partition). On the float part *kernel*
@@ -518,32 +506,31 @@ def _split_cells(col, part: Partition, fn, args, propagate, kernel) -> _SplitVie
     *fn* runs once per distinct value when every argument's other part is
     per value, otherwise per cell (by *kernel* when it takes them)."""
     float_args, other_args, per_value = _split_args(part, args)
-    floats = _float_part(fn, float_args, propagate, kernel)
+    floats = _float_part(fn, float_args, kernel)
     by_value = all(per_value)
     if not by_value:
-        # arithmetic returns the first error among the operands it coerced:
-        # beside an operand of floats that is the error propagation would
-        # return, and per value parts are coerced once per distinct value
+        # beside an operand of floats, arithmetic's result on a cell is the
+        # other operand's coercion when that fails, so per value parts are
+        # coerced once per distinct value
         arith = fn in _ARITH_OPS and sum(not _all_floats(a) for a in other_args) <= 1
         other_args = _per_cell(part, other_args, per_value, coerce_number if arith else None)
-        propagate = propagate and not arith
-    others, _ = _map_cells(fn, other_args, propagate, None if by_value else kernel)
+    others, _ = _map_cells(fn, other_args, None if by_value else kernel)
     first = next(a for a in args if isinstance(a, RangeView))
     return _SplitView(first.rows, first.cols, col, part, floats, others, by_value)
 
 
-def _float_part(fn, args, propagate, kernel):
+def _float_part(fn, args, kernel):
     """The float part of a split result: *fn* over the float parts of the
     arguments as a view, by *kernel* when it takes them; what *kernel*'s
     fold gives; or the one value of every cell, when each argument is one
     value."""
     views = [a for a in args if isinstance(a, RangeView)]
     if not views:
-        return _apply(fn, args, propagate)
+        return fn(*args)
     one = kernel.fold(*args) if kernel is not None and kernel.fold is not None else None
     if one is not None:
         return one
-    cells, kind = _map_cells(fn, args, propagate, kernel)
+    cells, kind = _map_cells(fn, args, kernel)
     return RangeView(len(views[0]), 1, cells, kind=kind)
 
 
@@ -592,7 +579,7 @@ def _arith(fn):
     def op(a, b):
         x = a if type(a) is float else coerce_number(a)
         if type(x) is ErrorKind:
-            return x
+            return _first_error((a, b), x)
         y = b if type(b) is float else coerce_number(b)
         if type(y) is ErrorKind:
             return y
@@ -625,16 +612,6 @@ def _pow(x, y):
         return ErrorKind.NUM
 
 
-def _concat(a, b):
-    x = coerce_text(a)
-    if isinstance(x, ErrorKind):
-        return x
-    y = coerce_text(b)
-    if isinstance(y, ErrorKind):
-        return y
-    return x + y
-
-
 def _compare(op):
     def cmp(a, b):
         c = compare_values(a, b)
@@ -651,7 +628,7 @@ _BINARY_OPS = {
     "*": _arith(_finite(operator.mul)),
     "/": _arith(_div),
     "^": _arith(_pow),
-    "&": _concat,
+    "&": _coerced(operator.add, coerce_text, coerce_text),
     **{op: _compare(fn) for op, fn in COMPARISONS.items()},
 }
 # the operators that coerce both operands with coerce_number first
@@ -1025,7 +1002,7 @@ def _if_value(cond: RangeView, then_v, else_v, table: Table) -> RangeView:
     """IF's cells over a vector condition, from its branches as _branch
     gives them: _if_cell lifted, so a column of *table* read whole splits
     as under any elementwise node."""
-    return _lift_array(_if_cell, (cond, then_v, else_v), table, False, _IF_KERNEL)
+    return _lift_array(_if_cell, (cond, then_v, else_v), table, _IF_KERNEL)
 
 
 def _if_cell(c, then_cell, else_cell):
@@ -1326,9 +1303,7 @@ def _criteria_reduce(sums, pair_args, st):
         if masks:
             cells = tuple(_kept(view.cells, masks))
             view = RangeView(len(cells), 1, cells, kind=view.kind)
-        compared = _lift_array(
-            _BINARY_OPS[crit.op], (view, crit.operand), st.ctx.table, True, _BINARY_KERNELS[crit.op]
-        )
+        compared = _lift_array(_BINARY_OPS[crit.op], (view, crit.operand), st.ctx.table, _BINARY_KERNELS[crit.op])
         hits = compared.cells
         types = () if compared.kind is bool else tuple(map(type, hits))
         if ErrorKind in types:
@@ -1518,9 +1493,11 @@ class FunctionSpec:
                 the linter/rewriter, never emitted by it
     call        how _call invokes impl:
                   "elementwise"  impl(*cells), lifted over the evaluated
-                                 arguments; with propagate, an error
-                                 argument is the result; a kernel, if
-                                 any, does the same over whole ranges
+                                 arguments; impl itself returns its
+                                 first error argument, ahead of a failed
+                                 coercion (ISERROR and IFERROR read
+                                 errors as values); a kernel, if any,
+                                 does the same over whole ranges
                   "evaluated"    impl(evaluated arguments, state)
                   "raw"          impl(unevaluated Expr arguments, state)
     shape       the result shape competency's static guess reads: "scalar"
@@ -1535,7 +1512,6 @@ class FunctionSpec:
     group: str
     call: str
     impl: Callable
-    propagate: bool
     kernel: Kernel | None
     shape: str
     competency: str | None
@@ -1546,10 +1522,10 @@ class FunctionSpec:
         return self.min_args <= n and (self.max_args is None or n <= self.max_args)
 
 
-def _spec(name, lo, hi, group, call, impl, *, propagate=True, kernel=None, shape=None, competency=None):
+def _spec(name, lo, hi, group, call, impl, *, kernel=None, shape=None, competency=None):
     # functions over evaluated arguments (aggregators, lookups) give one value
     shape = shape or ("scalar" if call == "evaluated" else "lifted")
-    return FunctionSpec(name, lo, hi, group, call, impl, propagate, kernel, shape, competency)
+    return FunctionSpec(name, lo, hi, group, call, impl, kernel, shape, competency)
 
 
 # the two competency items a call can demonstrate
@@ -1577,7 +1553,7 @@ FUNCTION_SPECS: dict[str, FunctionSpec] = {
         _spec("INDEX", 2, 3, "core", "evaluated", _fn_index, competency=_ARRAY_COND),
         _spec(
             "ISERROR", 1, 1, "core", "elementwise", _fn_iserror,
-            propagate=False, kernel=Kernel(_any, _iserror_kernel, _iserror_fold), competency=_ARRAY_COND,
+            kernel=Kernel(_any, _iserror_kernel, _iserror_fold), competency=_ARRAY_COND,
         ),
         # extended
         _spec("SUBSTITUTE", 3, 4, "extended", "elementwise", _fn_substitute, competency=_NON_ARRAY),
@@ -1602,10 +1578,7 @@ FUNCTION_SPECS: dict[str, FunctionSpec] = {
         _spec("AVERAGEIF", 2, 3, "baseline", "evaluated", _fn_criteria("AVERAGEIF")),
         _spec("VLOOKUP", 3, 4, "baseline", "evaluated", functools.partial(_lookup, by_row=True)),
         _spec("HLOOKUP", 3, 4, "baseline", "evaluated", functools.partial(_lookup, by_row=False)),
-        _spec(
-            "IFERROR", 2, 2, "baseline", "elementwise", _fn_iferror,
-            propagate=False, kernel=Kernel(_any, _iferror_kernel),
-        ),
+        _spec("IFERROR", 2, 2, "baseline", "elementwise", _fn_iferror, kernel=Kernel(_any, _iferror_kernel)),
     )
 }
 

@@ -407,6 +407,20 @@ def _read_records(text: str) -> list[tuple[list[_Field], int]]:
 # ---------------------------------------------------------------------------
 
 
+def reference_propagating(fn):
+    """*fn*, except that its first error argument is the result: the error
+    rule of every operator and elementwise function but ISERROR, IFERROR
+    and IF, checked before *fn* runs."""
+
+    def apply(*args):
+        for a in args:
+            if isinstance(a, ErrorKind):
+                return a
+        return fn(*args)
+
+    return apply
+
+
 def reference_match_position(lookup: Value, vec, match_type: int) -> Value:
     """evaluator.match_position as a scan of compare_values, cell by cell."""
     view = _as_view(vec)

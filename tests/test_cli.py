@@ -255,6 +255,16 @@ def test_check_missing_rewritten(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("rewritten", ["=1", ""])
+def test_check_all_rules_with_rewritten_exit_2(capsys, rewritten):
+    # --all-rules checks the shipped rules, so a --rewritten beside it would
+    # be dropped without a word
+    code, out, err = run(capsys, "check", "--all-rules", "--rewritten", rewritten, "--trials", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --rewritten is taken only with --original\n"
+
+
 @pytest.mark.parametrize("trials", ["0", "-1"])
 @pytest.mark.parametrize(
     "target", [("--all-rules",), ("--original", "=COUNTIF(xs,\">5\")", "--rewritten", "{=SUM(IF(xs>5,1,0))}")]

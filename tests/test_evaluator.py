@@ -37,6 +37,7 @@ from helpers import (
     oracle_match_exact,
     random_elementwise_source,
     reference_matches,
+    reference_propagating,
 )
 
 
@@ -470,7 +471,7 @@ def _lifted_cases():
 
 @pytest.mark.parametrize("source,fn,propagate,names", _lifted_cases(), ids=[c[0] for c in _lifted_cases()])
 def test_mixed_path_matches_per_cell(source, fn, propagate, names):
-    ref = evaluator._propagating(fn) if propagate else fn
+    ref = reference_propagating(fn) if propagate else fn
     cols = _mixed_columns()
     for xs, ys in itertools.product(cols, cols[::3]):
         got = ev("{=" + source + "}", make_table(x=xs, y=ys))
@@ -561,10 +562,40 @@ def test_error_argument_wins_over_failed_coercion():
     assert ev('=ROUND("x",A3)', errs) is ErrorKind.DIV0
 
 
+# two errors, texts that do and do not read as numbers, a blank, the
+# logicals and numbers from zeros of both signs to the edge of overflow
+_ERROR_RULE_GRID = (
+    ErrorKind.NA, ErrorKind.DIV0, "", "abc", " 3 ", "-1", None, True, False,
+    0.0, -0.0, 1.0, 2.7, -1.0, 1e20, 1e308,
+)
+
+
+def _error_rule_cases():
+    """(name, per-cell function, arity): every operator and every
+    elementwise function at each arity, but ISERROR and IFERROR, which read
+    errors as values."""
+    cases = [(op, fn, 2) for op, fn in evaluator._BINARY_OPS.items()]
+    cases += [("unary " + op, fn, 1) for op, fn in evaluator._UNARY_OPS.items()]
+    cases.append(("emptiness test", evaluator._fn_is_empty, 1))
+    for name, spec in FUNCTION_SPECS.items():
+        if spec.call == "elementwise" and name not in ("ISERROR", "IFERROR"):
+            cases += [(name, spec.impl, n) for n in range(spec.min_args, spec.max_args + 1)]
+    return cases
+
+
+@pytest.mark.parametrize("name,fn,arity", _error_rule_cases(), ids=[f"{c[0]}/{c[2]}" for c in _error_rule_cases()])
+def test_each_function_returns_its_first_error_argument(name, fn, arity):
+    # an error argument wins over a failed coercion, the first in argument
+    # order wins; with no error argument the function is left as it is
+    ref = reference_propagating(fn)
+    for args in itertools.product(_ERROR_RULE_GRID, repeat=arity):
+        assert _same_cell(fn(*args), ref(*args)), (name, args, fn(*args))
+
+
 @pytest.fixture
 def spies(monkeypatch):
-    """Counts runs of the & and LEN kernels and wraps in _propagating."""
-    calls = {"&": 0, "LEN": 0, "wrap": 0}
+    """Counts runs of the & and LEN kernels."""
+    calls = {"&": 0, "LEN": 0}
 
     def counting(name, kernel):
         def run(*streams):
@@ -576,13 +607,6 @@ def spies(monkeypatch):
     monkeypatch.setitem(evaluator._BINARY_KERNELS, "&", counting("&", evaluator._BINARY_KERNELS["&"]))
     spec = FUNCTION_SPECS["LEN"]
     monkeypatch.setitem(FUNCTION_SPECS, "LEN", dataclasses.replace(spec, kernel=counting("LEN", spec.kernel)))
-    wrap = evaluator._propagating
-
-    def counted_wrap(fn):
-        calls["wrap"] += 1
-        return wrap(fn)
-
-    monkeypatch.setattr(evaluator, "_propagating", counted_wrap)
     return calls
 
 
@@ -590,26 +614,24 @@ def test_text_kernels_run_by_argument_type(spies):
     t = make_table(n=(1.0, -0.0, 1e16, 0.25), s=("a", "", "bc", "12"), m=(True, None, "x", 2.0))
     # & takes any cells but errors; LEN only text
     assert ev('{=n&s&m&""}', t).cells == ("1aTRUE", "0", "1e+16bcx", "0.25122")
-    assert spies == {"&": 3, "LEN": 0, "wrap": 0}
+    assert spies == {"&": 3, "LEN": 0}
     assert ev("{=LEN(s)}", t).cells == (1.0, 0.0, 2.0, 2.0)
     assert ev("{=LEN(m)}", t).cells == (4.0, 0.0, 1.0, 1.0)
-    assert spies == {"&": 3, "LEN": 1, "wrap": 0}
+    assert spies == {"&": 3, "LEN": 1}
     # an error cell or argument sends the call down the per-cell path,
-    # wrapped to return the first error argument
+    # where each function returns its first error argument
     e = make_table(s=("a", ErrorKind.NA, "b"))
     assert ev('{=LEN(s&"!")}', e).cells == (2.0, ErrorKind.NA, 2.0)
     assert ev('{=s&(1/0)}', e).cells == (ErrorKind.DIV0, ErrorKind.NA, ErrorKind.DIV0)
-    assert spies == {"&": 3, "LEN": 1, "wrap": 3}
+    assert spies == {"&": 3, "LEN": 1}
 
 
-def test_error_free_lift_is_not_wrapped(spies):
+def test_per_cell_lift_gives_failed_coercions_and_error_cells():
     t = make_table(x=(1.0, None, "3", True, "abc"), y=(2.0, 2.0, "", 0.0, 1.0))
     assert ev("{=x/y}", t).cells == (0.5, 0.0, ErrorKind.VALUE, ErrorKind.DIV0, ErrorKind.VALUE)
     assert ev("{=ROUND(x,y)}", t).cells == (1.0, 0.0, ErrorKind.VALUE, 1.0, ErrorKind.VALUE)
-    assert spies["wrap"] == 0
-    # a view holding an error, here one the division made, is wrapped
+    # a view holding errors, here ones the division made, passes them on
     assert ev("{=x/y+1}", t).cells == (1.5, 1.0, ErrorKind.VALUE, ErrorKind.DIV0, ErrorKind.VALUE)
-    assert spies["wrap"] == 1
 
 
 # ---------------------------------------------------------------------------

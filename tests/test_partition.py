@@ -27,7 +27,7 @@ from sprego.formula import parse
 from sprego.table import PARTITION_MIN_ROWS, Table
 from sprego.values import ErrorKind
 
-from helpers import make_table, reference_criteria_reduce
+from helpers import make_table, reference_criteria_reduce, reference_propagating
 from test_evaluator import _EDGE_FLOATS, _ODD_CELLS, _same_cell, kernel_calls  # noqa: F401
 from test_range_kinds import _check as _check_sum
 from test_range_kinds import _float_columns, fused, reference, views_by_kind  # noqa: F401
@@ -73,7 +73,7 @@ def splits(monkeypatch):
 
 
 def _per_cell(fn, propagate, columns):
-    ref = evaluator._propagating(fn) if propagate else fn
+    ref = reference_propagating(fn) if propagate else fn
     return [ref(*cells) for cells in zip(*columns)]
 
 
