@@ -80,21 +80,22 @@ A subtree that occurs more than once in the tree (the parser never shares
 nodes, a rewrite may) is evaluated once per evaluate() call and its value
 reused, unless the formula calls RAND(), whose draws are each made.
 
-Error values propagate through every operator and elementwise function
-by one rule, which each function keeps itself: an error argument wins
-over a failed coercion, and the first error in argument order wins.
-ISERROR, IFERROR and IF (only the condition and the taken branch matter)
-read errors as values. LEN, LEFT, RIGHT, SEARCH, SUBSTITUTE, INT, ROUND,
-NOT, & and the unary operators are each a body over arguments coerced in
-order (_coerced), and arithmetic coerces its operands the same way: when
+Error values propagate through every operator and function by one rule,
+which each function keeps itself: an error argument wins over a failed
+coercion, and the first error in argument order wins. ISERROR, IFERROR
+and IF (only the condition and the taken branch matter) read errors as
+values. The comparisons and the emptiness test return their first error
+argument; arithmetic, the other elementwise functions, MATCH, INDEX,
+VLOOKUP, HLOOKUP, SMALL, LARGE and OFFSET's offsets are each a body over
+arguments coerced in order (_coerced; arithmetic by the same steps): when
 a coercion fails, the first error argument is the result (_first_error),
 else the failed coercion's error; an argument left out takes the body's
-default. The comparisons and the emptiness test return their first error
-argument. Aggregators propagate the first error they meet in their
-input, with one deliberate exception: COUNT ignores error cells,
-mirroring the ISERROR guard in its SUM(IF()) replacement. SUM, AVERAGE,
-MIN, MAX, SMALL and LARGE take their numbers, or that first error, from
-one walk.
+default. The six functions first collapse each argument to one value but
+a range, read whole (_evaluated); SMALL's and LARGE's range is read as its
+numbers, which fails at its first error cell. The aggregators return the
+first error cell their one walk meets (COUNT ignores error cells,
+mirroring the ISERROR guard in its SUM(IF()) replacement), and the
+criteria baselines keep the order _criteria_reduce states.
 
 All failures come back as error values; evaluate never raises for data
 reasons.
@@ -867,16 +868,17 @@ def _len_kernel(ts):
     return tuple(map(float, map(len, ts))), float
 
 
-def _count_arg(v, *, minimum=0):
-    """The count a number argument gives: the number floored, #VALUE! when
-    that is below *minimum*."""
+def _floored(v):
+    """A number argument read as a count or a position: floored to an int."""
     x = coerce_number(v)
-    if isinstance(x, ErrorKind):
-        return x
-    k = math.floor(x)
-    if k < minimum:
-        return ErrorKind.VALUE
-    return k
+    return x if type(x) is ErrorKind else math.floor(x)
+
+
+def _count_arg(v, *, minimum=0):
+    """The count a number argument gives: _floored, #VALUE! when that is
+    below *minimum*."""
+    k = _floored(v)
+    return k if type(k) is ErrorKind or k >= minimum else ErrorKind.VALUE
 
 
 _ordinal_arg = functools.partial(_count_arg, minimum=1)
@@ -1192,20 +1194,26 @@ def _fn_minmax(pick):
 
 
 def _fn_bool_agg(identity, short_circuit):
+    """AND or OR over the cells of its arguments in order, the blanks and a
+    range's text skipped: the first error or text, else the logicals
+    combined, #VALUE! when there are none."""
+
     def fn(args, st):
         acc = identity
         seen = False
-        for v in _iter_cells(args):
-            if isinstance(v, ErrorKind):
-                return v
-            if v is None:
-                continue
-            b = coerce_logical(v)
-            if isinstance(b, ErrorKind):
-                return b
-            seen = True
-            if b == short_circuit:
-                acc = short_circuit
+        for a in args:
+            in_range = isinstance(a, RangeView)
+            for v in a.cells if in_range else (a,):
+                if isinstance(v, ErrorKind):
+                    return v
+                if v is None or in_range and type(v) is str:
+                    continue
+                b = coerce_logical(v)
+                if isinstance(b, ErrorKind):
+                    return b
+                seen = True
+                if b == short_circuit:
+                    acc = short_circuit
         if not seen:
             return ErrorKind.VALUE
         return acc
@@ -1213,25 +1221,17 @@ def _fn_bool_agg(identity, short_circuit):
     return fn
 
 
-def _fn_small_large(reverse):
-    def fn(args, st):
-        view = _as_view(args[0])
-        k = _scalar_arg(args[1], st)
-        if isinstance(k, ErrorKind):
-            return k
-        numbers = _numbers(view.cells)
-        if type(numbers) is ErrorKind:
-            return numbers
-        kk = coerce_number(k)
-        if isinstance(kk, ErrorKind):
-            return kk
-        kk = math.floor(kk)
-        ordered = sorted(numbers, reverse=reverse)
-        if kk < 1 or kk > len(ordered):
-            return ErrorKind.NUM
-        return float(ordered[kk - 1])
+def _range_numbers(v):
+    """A range argument read as its numbers, or its first error cell."""
+    return _numbers(_as_view(v).cells)
 
-    return fn
+
+def _fn_small_large(reverse):
+    def kth(numbers, k: int):
+        ordered = sorted(numbers, reverse=reverse)
+        return float(ordered[k - 1]) if 1 <= k <= len(ordered) else ErrorKind.NUM
+
+    return _evaluated(kth, _range_numbers, _floored)
 
 
 def _fn_count(args, st):
@@ -1345,61 +1345,48 @@ def _fn_criteria(name):
     return fn
 
 
-def _fn_match(args, st):
-    lookup = _scalar_arg(args[0], st)
-    mt = 1
-    if len(args) > 2:
-        raw = _scalar_arg(args[2], st)
-        x = coerce_number(raw)
-        if isinstance(x, ErrorKind):
-            return x
-        mt = 0 if x == 0 else (1 if x > 0 else -1)
-    result = match_position(lookup, args[1], mt)
-    return float(result) if isinstance(result, int) else result
+def _evaluated(body, *readers):
+    """An "evaluated" function: *body* over its arguments read in order by
+    *readers*, under the one error rule (_coerced). An argument whose reader
+    takes a range (_as_view, _range_numbers) is read whole, as a view that
+    is no error argument; any other is first collapsed (_scalar_arg)."""
+    whole = [i for i, read in enumerate(readers) if read in (_as_view, _range_numbers)]
+    read = _coerced(body, *readers)
+
+    def fn(args, st):
+        for i, a in enumerate(args):
+            # in _call's own list: a view where one value is read, or a value where a range is
+            if isinstance(a, RangeView) is not (i in whole):
+                args[i] = _as_view(a) if i in whole else _scalar_arg(a, st)
+        return read(*args)
+
+    return fn
 
 
-def _fn_index(args, st):
-    row = _index_arg(args[1], st)
-    if isinstance(row, ErrorKind):
-        return row
-    col = None
-    if len(args) > 2:
-        col = _index_arg(args[2], st)
-        if isinstance(col, ErrorKind):
-            return col
-    return index_select(args[0], row, col)
+def _as_is(v):
+    """A lookup value, read as it is."""
+    return v
 
 
-def _index_arg(v, st):
-    x = _scalar_arg(v, st)
-    x = coerce_number(x)
-    if isinstance(x, ErrorKind):
-        return x
-    return math.floor(x)
+def _match(lookup, view: RangeView, match_type: float = 1.0):
+    pos = match_position(lookup, view, (match_type > 0) - (match_type < 0))
+    return float(pos) if type(pos) is int else pos
 
 
-def _lookup(args, st, *, by_row: bool):
-    lookup = _scalar_arg(args[0], st)
-    if isinstance(lookup, ErrorKind):
-        return lookup
-    view = _as_view(args[1])
-    k = _index_arg(args[2], st)
-    if isinstance(k, ErrorKind):
-        return k
-    approx = True
-    if len(args) > 3:
-        flag = coerce_logical(_scalar_arg(args[3], st))
-        if isinstance(flag, ErrorKind):
-            return flag
-        approx = flag
-    limit = view.cols if by_row else view.rows
-    if k < 1 or k > limit:
-        return ErrorKind.REF
-    key = view.column(1) if by_row else view.row(1)
-    pos = match_position(lookup, key, 1 if approx else 0)
-    if isinstance(pos, ErrorKind):
-        return pos
-    return view.at(pos, k) if by_row else view.at(k, pos)
+def _fn_lookup(by_row: bool):
+    """VLOOKUP (*by_row*) or HLOOKUP: the k-th cell of the row (column)
+    whose first cell MATCH finds."""
+
+    def body(lookup, view: RangeView, k: int, approx: bool = True):
+        if k < 1 or k > (view.cols if by_row else view.rows):
+            return ErrorKind.REF
+        key = view.column(1) if by_row else view.row(1)
+        pos = match_position(lookup, key, 1 if approx else 0)
+        if isinstance(pos, ErrorKind):
+            return pos
+        return view.at(pos, k) if by_row else view.at(k, pos)
+
+    return _evaluated(body, _as_is, _as_view, _floored, coerce_logical)
 
 
 # ---------------------------------------------------------------------------
@@ -1426,19 +1413,20 @@ def _ref_rect(ref: Expr, table: Table):
     return ErrorKind.VALUE
 
 
+# OFFSET's rows and columns to move, and the height and width it may give
+_offset_moves = _coerced(lambda *moves: moves, _floored, _floored, _floored, _floored)
+
+
 def _fn_offset(args: tuple[Expr, ...], st: _EvalState):
     rect = _ref_rect(args[0], st.ctx.table)
     if isinstance(rect, ErrorKind):
         return rect
     row, col, height, width = rect
-    moves = []
-    for arg in args[1:]:
-        n = _index_arg(_eval(arg, st), st)
-        if isinstance(n, ErrorKind):
-            return n
-        moves.append(n)
+    moves = _offset_moves(*[_scalar_arg(_eval(a, st), st) for a in args[1:]])
+    if type(moves) is ErrorKind:
+        return moves
     # a height or width left out is the reference's
-    dr, dc, height, width = moves + [height, width][len(moves) - 2:]
+    dr, dc, height, width = moves + (height, width)[len(moves) - 2:]
     row += dr
     col += dc
     if min(row, col, height, width) < 1:
@@ -1452,7 +1440,9 @@ def _fn_offset(args: tuple[Expr, ...], st: _EvalState):
 def _fn_row(args: tuple[Expr, ...], st: _EvalState):
     if not args:
         if st.scalar:
-            return float(st.ctx.current_row) if st.ctx.current_row else ErrorKind.VALUE
+            # a row before the first is #REF!, as for a vector operand there
+            row = st.ctx.current_row
+            return ErrorKind.VALUE if row is None else ErrorKind.REF if row < 1 else float(row)
         n = st.ctx.table.row_count
         return RangeView(n, 1, tuple(float(i) for i in range(1, n + 1)))
     rect = _ref_rect(args[0], st.ctx.table)
@@ -1498,7 +1488,9 @@ class FunctionSpec:
                                  coercion (ISERROR and IFERROR read
                                  errors as values); a kernel, if any,
                                  does the same over whole ranges
-                  "evaluated"    impl(evaluated arguments, state)
+                  "evaluated"    impl(evaluated arguments, state), read
+                                 by the one rule (_evaluated) but in the
+                                 aggregators and the criteria baselines
                   "raw"          impl(unevaluated Expr arguments, state)
     shape       the result shape competency's static guess reads: "scalar"
                 whatever the arguments, "lifted" (a vector when an argument
@@ -1549,8 +1541,14 @@ FUNCTION_SPECS: dict[str, FunctionSpec] = {
         _spec("MAX", 1, None, "core", "evaluated", _fn_minmax(max), competency=_NON_ARRAY),
         # core: conditional, array and error
         _spec("IF", 2, 3, "core", "raw", _fn_if, competency=_ARRAY_COND),
-        _spec("MATCH", 2, 3, "core", "evaluated", _fn_match, competency=_ARRAY_COND),
-        _spec("INDEX", 2, 3, "core", "evaluated", _fn_index, competency=_ARRAY_COND),
+        _spec(
+            "MATCH", 2, 3, "core", "evaluated", _evaluated(_match, _as_is, _as_view, coerce_number),
+            competency=_ARRAY_COND,
+        ),
+        _spec(
+            "INDEX", 2, 3, "core", "evaluated", _evaluated(index_select, _as_view, _floored, _floored),
+            competency=_ARRAY_COND,
+        ),
         _spec(
             "ISERROR", 1, 1, "core", "elementwise", _fn_iserror,
             kernel=Kernel(_any, _iserror_kernel, _iserror_fold), competency=_ARRAY_COND,
@@ -1576,8 +1574,8 @@ FUNCTION_SPECS: dict[str, FunctionSpec] = {
         _spec("SUMIF", 2, 3, "baseline", "evaluated", _fn_criteria("SUMIF")),
         _spec("SUMIFS", 3, None, "baseline", "evaluated", _fn_criteria("SUMIFS")),
         _spec("AVERAGEIF", 2, 3, "baseline", "evaluated", _fn_criteria("AVERAGEIF")),
-        _spec("VLOOKUP", 3, 4, "baseline", "evaluated", functools.partial(_lookup, by_row=True)),
-        _spec("HLOOKUP", 3, 4, "baseline", "evaluated", functools.partial(_lookup, by_row=False)),
+        _spec("VLOOKUP", 3, 4, "baseline", "evaluated", _fn_lookup(by_row=True)),
+        _spec("HLOOKUP", 3, 4, "baseline", "evaluated", _fn_lookup(by_row=False)),
         _spec("IFERROR", 2, 2, "baseline", "elementwise", _fn_iferror, kernel=Kernel(_any, _iferror_kernel)),
     )
 }

@@ -592,6 +592,52 @@ def test_each_function_returns_its_first_error_argument(name, fn, arity):
         assert _same_cell(fn(*args), ref(*args)), (name, args, fn(*args))
 
 
+# column A holds the grid, a cell per value; B and C a 3x2 table, and D a
+# column with an error cell
+_EVALUATED_GRID_TABLE = make_table(
+    a=_ERROR_RULE_GRID,
+    b=(1.0, 2.0, 3.0) + (None,) * 13,
+    c=("a", "b", "c") + (None,) * 13,
+    d=(2.0, ErrorKind.NA, 1.0) + (None,) * 13,
+)
+
+
+def _evaluated_error_cases():
+    """(name, arity, the range argument, its position): MATCH, INDEX,
+    VLOOKUP, HLOOKUP, SMALL and LARGE at each arity over each range they
+    take, and OFFSET, whose arguments after the reference are its offsets."""
+    cases = []
+    for name, ranges, position in (
+        ("MATCH", ("B1:B3", "B1:C3"), 1), ("INDEX", ("B1:B3", "B1:C3"), 0), ("VLOOKUP", ("B1:C3",), 1),
+        ("HLOOKUP", ("B1:C3",), 1), ("SMALL", ("B1:B3", "D1:D3"), 0), ("LARGE", ("B1:B3", "D1:D3"), 0),
+        ("OFFSET", ("B2",), 0),
+    ):
+        spec = FUNCTION_SPECS[name]
+        cases += [(name, n, r, position) for n in range(spec.min_args, spec.max_args + 1) for r in ranges]
+    return cases
+
+
+@pytest.mark.parametrize(
+    "name,arity,range_arg,position",
+    _evaluated_error_cases(),
+    ids=[f"{c[0]}/{c[1]}/{c[2]}" for c in _evaluated_error_cases()],
+)
+def test_each_evaluated_function_returns_its_first_error_argument(name, arity, range_arg, position):
+    # every other argument is a cell of the grid, its value once collapsed:
+    # an error argument wins over a failed coercion and the first one wins,
+    # and a range is never an error argument (a first error cell of SMALL's
+    # or LARGE's range is its failed read)
+    ctx = EvalContext(_EVALUATED_GRID_TABLE)
+    grid_cells = [CellRef("A", row) for row in range(1, len(_ERROR_RULE_GRID) + 1)]
+    range_expr = parse("=" + range_arg).body
+    for rows in itertools.product(range(len(_ERROR_RULE_GRID)), repeat=arity - 1):
+        args = [grid_cells[i] for i in rows]
+        args.insert(position, range_expr)
+        got = evaluate(Call(name, tuple(args)), ctx)
+        want = next((v for v in map(_ERROR_RULE_GRID.__getitem__, rows) if type(v) is ErrorKind), got)
+        assert _same_cell(got, want), (name, format(Call(name, tuple(args))), got)
+
+
 @pytest.fixture
 def spies(monkeypatch):
     """Counts runs of the & and LEN kernels."""
@@ -841,6 +887,21 @@ def test_and_or_not():
     assert ev("=AND(x)", t) is ErrorKind.VALUE  # nothing to aggregate
 
 
+def test_and_or_skip_the_text_cells_of_a_range():
+    # as blanks are: a range's text is no argument; text given directly is
+    # #VALUE!, and so is a range with nothing else
+    t = make_table(y=(4, "a", None), z=(0, "TRUE", None), w=("a", None, "b"), e=("a", ErrorKind.NA, 1))
+    assert ev("=AND(y)", t) is True
+    assert ev("=OR(y)", t) is True
+    assert ev("=AND(z)", t) is False
+    assert ev("=OR(z)", t) is False
+    assert ev("=AND(y,w)", t) is True
+    assert ev("=AND(w)", t) is ErrorKind.VALUE
+    assert ev('=AND(y,"a")', t) is ErrorKind.VALUE
+    assert ev("=OR(e)", t) is ErrorKind.NA
+    assert ev("=AND(A2)", t) is ErrorKind.VALUE  # one cell: its value, given directly
+
+
 def test_int_floor():
     assert ev("=INT(3.7)") == 3.0
     assert ev("=INT(0-3.2)") == -4.0
@@ -947,6 +1008,15 @@ def test_row_column(nums):
     assert ev("=ROW()", nums).cells == (1.0, 2.0, 3.0)
     assert ev("=COLUMN(B7)", nums) == 2.0
     assert ev("=COLUMN()", nums) is ErrorKind.VALUE
+
+
+def test_row_before_the_first_is_ref(nums):
+    # in scalar mode ROW() is the current row; before row 1 it is #REF!, as
+    # a vector operand indexed there is
+    for row in (0, -1):
+        assert ev("=x", nums, mode="scalar", row=row) is ErrorKind.REF
+        assert ev("=ROW()", nums, mode="scalar", row=row) is ErrorKind.REF
+    assert ev("=ROW()", nums, mode="scalar", row=1) == 1.0
 
 
 def test_references_before_the_first_row_or_column_are_ref(nums):
