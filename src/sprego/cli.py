@@ -3,8 +3,9 @@ profile, and a line-oriented REPL.
 
 Exit status: 0 on success, 1 when lint finds something or an equivalence
 check fails, 2 on usage or formula-parse errors, unreadable input files,
-a SPREGO_SEED that is not an integer, a check --trials below 1 or a
-check pair whose references need tables past its cell budget. Data
+a SPREGO_SEED that is not an integer, a check --trials below 1, a
+check pair whose references need tables past its cell budget or a check
+pair that compares nothing (a side calls RAND()). Data
 goes to stdout, messages to stderr. The seed defaults to 0 (or
 SPREGO_SEED) so identical invocations print identical bytes.
 """
@@ -30,7 +31,8 @@ SCHEMA_VERSION = 1
 
 class UsageError(Exception):
     """A bad setting argparse does not catch: a SPREGO_SEED that is not an
-    integer, a check --trials below 1."""
+    integer, a check --trials below 1, a check pair that compares nothing
+    because a side calls RAND()."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -144,7 +146,8 @@ def _formula_source(args) -> str:
 
 
 def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    """Print a JSON document, with the schema_version every one carries."""
+    print(json.dumps({"schema_version": SCHEMA_VERSION, **obj}, indent=2, sort_keys=True))
 
 
 def _value_to_json(v):
@@ -178,7 +181,6 @@ def _cmd_parse(args) -> int:
     if args.format == "json":
         _print_json(
             {
-                "schema_version": SCHEMA_VERSION,
                 "source": source,
                 "canonical": format_formula(parsed),
                 "array_entered": parsed.array_entered,
@@ -198,7 +200,7 @@ def _cmd_eval(args) -> int:
     ctx = EvalContext(table, current_row=args.row, rng_seed=_seed(args), mode=mode)
     result = evaluate(parsed, ctx)
     if args.format == "json":
-        _print_json({"schema_version": SCHEMA_VERSION, "result": _value_to_json(result)})
+        _print_json({"result": _value_to_json(result)})
     else:
         print(_value_to_text(result))
     return 0
@@ -210,7 +212,7 @@ def _cmd_lint(args) -> int:
     table = _main_table(args) if args.table else None
     diags = lint(parsed, table)
     if args.format == "json":
-        _print_json({"schema_version": SCHEMA_VERSION, "diagnostics": [d.to_json() for d in diags]})
+        _print_json({"diagnostics": [d.to_json() for d in diags]})
     else:
         for d in diags:
             fixable = " (rewrite available)" if d.rewrite_available else ""
@@ -229,7 +231,6 @@ def _cmd_rewrite(args) -> int:
     if args.format == "json":
         _print_json(
             {
-                "schema_version": SCHEMA_VERSION,
                 "rewritten": format_formula(rewritten),
                 "plans": [p.to_json() for p in plans],
                 "unrewritten_calls": [c.func for c in leftovers],
@@ -260,15 +261,16 @@ def _cmd_check(args) -> int:
         original = parse(args.original)
         rewritten = parse(args.rewritten)
         schemas = equivalence.schemas_for_pair(original, rewritten)
-        verdicts = [
-            equivalence.check_equivalence(
-                original, rewritten, schemas, trials_per_schema=args.trials, seed=seed, name="pair"
-            )
-        ]
+        verdict = equivalence.check_equivalence(
+            original, rewritten, schemas, trials_per_schema=args.trials, seed=seed, name="pair"
+        )
+        if not verdict.trials:
+            # nothing was compared (a side calls RAND()): no verdict to pass
+            raise UsageError("; ".join(verdict.notes))
+        verdicts = [verdict]
     passed = all(v.passed for v in verdicts)
     _print_json(
         {
-            "schema_version": SCHEMA_VERSION,
             "seed": seed,
             "trials_per_schema": args.trials,
             "passed": passed,
@@ -288,7 +290,7 @@ def _cmd_report(args) -> int:
     formulas = [(src, parse(src)) for src in sources]
     rep = competency.report(tables, formulas)
     if args.format == "json":
-        _print_json({"schema_version": SCHEMA_VERSION, **rep.to_json()})
+        _print_json(rep.to_json())
     else:
         print(competency.render_report(rep))
     return 0
@@ -298,13 +300,7 @@ def _cmd_profile(args) -> int:
     table = _main_table(args)
     profiles = profile(table)
     if args.format == "json":
-        _print_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "table": table.to_json(),
-                "columns": [p.to_json() for p in profiles],
-            }
-        )
+        _print_json({"table": table.to_json(), "columns": [p.to_json() for p in profiles]})
     else:
         for p in profiles:
             counts = " ".join(f"{k}={v}" for k, v in p.counts.items() if v)

@@ -16,18 +16,16 @@ cells bit for bit: a binary arithmetic or comparison operator over floats
 or ranges of floats, & over cells without errors, LEN over text, ISERROR,
 IFERROR and IF over anything. A column read whole that is not all floats
 splits first (below), and the kernels serve its parts. Other arguments
-take the per-cell path, where a function pays for the first-error-wins
-check only when a scan of each range, one per range, finds an error. IF
-over a vector condition is its per-cell IF lifted, each branch view of
-the condition's size read by position in the condition's shape and any
-other view #VALUE!; over a condition of logicals (or 1 and 0) its kernel
-selects each cell from the pair of branch cells in C, as IFERROR's does
-by whether a cell is an error. The criteria baselines are one function,
-which reads their argument shape from criteria.criteria_args and runs each
-criteria as its comparison operator runs, kernel and split and all, each
-later one only on the rows the earlier ones matched; a number looked up
-in a vector of floats (MATCH, VLOOKUP, HLOOKUP) is compared a range at a
-time; COUNT and COUNTA count cell types.
+take the per-cell path. IF over a vector condition is its per-cell IF
+lifted, each branch view of the condition's size read by position in the
+condition's shape and any other view #VALUE!; over a condition of
+logicals (or 1 and 0) its kernel selects each cell from the pair of
+branch cells in C, as IFERROR's does by whether a cell is an error. The
+criteria baselines are one function, which reads their argument shape
+from criteria.criteria_args and runs each criteria as its comparison
+operator runs, kernel and split and all, each later one only on the rows
+the earlier ones matched; MATCH, VLOOKUP and HLOOKUP scan by the
+comparison operators (match_position); COUNT and COUNTA count cell types.
 
 A column neither all floats nor shorter than table.PARTITION_MIN_ROWS
 has a Partition: the float cells, the other cells as codes into their
@@ -91,8 +89,10 @@ arguments coerced in order (_coerced; arithmetic by the same steps): when
 a coercion fails, the first error argument is the result (_first_error),
 else the failed coercion's error; an argument left out takes the body's
 default. The six functions first collapse each argument to one value but
-a range, read whole (_evaluated); SMALL's and LARGE's range is read as its
-numbers, which fails at its first error cell. The aggregators return the
+one in a range position (_evaluated), which is read whole (_range): a
+view as it is, any other value as a one-cell view, and an error value is
+an error argument. SMALL's and LARGE's range is read as its numbers,
+which fails at its first error cell. The aggregators return the
 first error cell their one walk meets (COUNT ignores error cells,
 mirroring the ISERROR guard in its SUM(IF()) replacement), and the
 criteria baselines keep the order _criteria_reduce states.
@@ -786,8 +786,11 @@ def match_position(lookup: Value, vec, match_type: int) -> Value:
     the largest value <= lookup, NA if every value is greater.
     match_type -1: descending; position of the smallest value >= lookup,
     NA if every value is smaller. On unsorted input the +-1 scans return
-    whatever the sorted assumption yields; never a crash. Cells that do
-    not compare (error cells) are skipped.
+    whatever the sorted assumption yields; never a crash. One scan finds
+    the first cell = lookup (type 0), > it (1) or < it (-1), by the
+    comparison's float form over floats and else its per-cell form, which
+    is never TRUE for an error cell; types 1 and -1 back off over error
+    cells just before the stop, so error cells are skipped.
     """
     view = _as_view(vec)
     if not view.is_vector:
@@ -796,29 +799,18 @@ def match_position(lookup: Value, vec, match_type: int) -> Value:
         return lookup
 
     exact = match_type == 0
-    if type(lookup) is float and _all_floats(view):
-        # the scan below, over floats: stop at the first cell equal to the
-        # lookup (type 0) or past it (types 1 and -1)
-        stop = COMPARISONS["=" if exact else ">" if match_type > 0 else "<"]
-        try:
-            i = operator.indexOf(map(stop, view.cells, repeat(lookup)), True)
-        except ValueError:  # no cell stops the scan
-            return ErrorKind.NA if exact else len(view) or ErrorKind.NA
-        return i + 1 if exact else i or ErrorKind.NA
-
-    keep = COMPARISONS["=" if exact else "<=" if match_type > 0 else ">="]
-    best: int | None = None
-    for i, v in enumerate(view.cells, 1):
-        c = compare_values(v, lookup)
-        if isinstance(c, ErrorKind):
-            continue
-        if keep(c, 0):
-            best = i
-            if exact:
-                break
-        elif not exact:
-            break
-    return best if best is not None else ErrorKind.NA
+    op = "=" if exact else ">" if match_type > 0 else "<"
+    stop = COMPARISONS[op] if type(lookup) is float and _all_floats(view) else _BINARY_OPS[op]
+    cells = view.cells
+    try:
+        i = operator.indexOf(map(stop, cells, repeat(lookup)), True)
+    except ValueError:  # no cell stops the scan
+        i = None if exact else len(cells)
+    if exact:
+        return ErrorKind.NA if i is None else i + 1
+    while i and type(cells[i - 1]) is ErrorKind:
+        i -= 1
+    return i or ErrorKind.NA
 
 
 def index_select(source, row: int, col: int | None = None) -> Value:
@@ -849,11 +841,7 @@ def search_position(needle: str, haystack: str, start: int = 1) -> Value:
 
 
 def _as_view(v) -> RangeView:
-    if isinstance(v, RangeView):
-        return v
-    if isinstance(v, (list, tuple)):
-        return RangeView(len(v), 1, tuple(v))
-    return RangeView(1, 1, (v,))
+    return v if isinstance(v, RangeView) else RangeView(1, 1, (v,))
 
 
 # ---------------------------------------------------------------------------
@@ -1221,6 +1209,12 @@ def _fn_bool_agg(identity, short_circuit):
     return fn
 
 
+def _range(v):
+    """A range argument read whole: a view, or one value as a one-cell
+    view. An error value fails to read, as it does under _range_numbers."""
+    return v if type(v) is ErrorKind else _as_view(v)
+
+
 def _range_numbers(v):
     """A range argument read as its numbers, or its first error cell."""
     return _numbers(_as_view(v).cells)
@@ -1348,16 +1342,17 @@ def _fn_criteria(name):
 def _evaluated(body, *readers):
     """An "evaluated" function: *body* over its arguments read in order by
     *readers*, under the one error rule (_coerced). An argument whose reader
-    takes a range (_as_view, _range_numbers) is read whole, as a view that
-    is no error argument; any other is first collapsed (_scalar_arg)."""
-    whole = [i for i, read in enumerate(readers) if read in (_as_view, _range_numbers)]
+    takes a range (_range, _range_numbers) reaches it as it is, a view to
+    read whole or one value, and an error value there is an error argument;
+    any other is first collapsed (_scalar_arg)."""
+    whole = [i for i, read in enumerate(readers) if read in (_range, _range_numbers)]
     read = _coerced(body, *readers)
 
     def fn(args, st):
         for i, a in enumerate(args):
-            # in _call's own list: a view where one value is read, or a value where a range is
-            if isinstance(a, RangeView) is not (i in whole):
-                args[i] = _as_view(a) if i in whole else _scalar_arg(a, st)
+            # in _call's own list: a view where one value is read
+            if isinstance(a, RangeView) and i not in whole:
+                args[i] = _scalar_arg(a, st)
         return read(*args)
 
     return fn
@@ -1386,7 +1381,7 @@ def _fn_lookup(by_row: bool):
             return pos
         return view.at(pos, k) if by_row else view.at(k, pos)
 
-    return _evaluated(body, _as_is, _as_view, _floored, coerce_logical)
+    return _evaluated(body, _as_is, _range, _floored, coerce_logical)
 
 
 # ---------------------------------------------------------------------------
@@ -1542,11 +1537,11 @@ FUNCTION_SPECS: dict[str, FunctionSpec] = {
         # core: conditional, array and error
         _spec("IF", 2, 3, "core", "raw", _fn_if, competency=_ARRAY_COND),
         _spec(
-            "MATCH", 2, 3, "core", "evaluated", _evaluated(_match, _as_is, _as_view, coerce_number),
+            "MATCH", 2, 3, "core", "evaluated", _evaluated(_match, _as_is, _range, coerce_number),
             competency=_ARRAY_COND,
         ),
         _spec(
-            "INDEX", 2, 3, "core", "evaluated", _evaluated(index_select, _as_view, _floored, _floored),
+            "INDEX", 2, 3, "core", "evaluated", _evaluated(index_select, _range, _floored, _floored),
             competency=_ARRAY_COND,
         ),
         _spec(

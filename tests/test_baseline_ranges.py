@@ -148,6 +148,34 @@ def test_odd_cells_and_float_columns_match_the_per_cell_references(reference):
                 assert _same_cell(got, want), (src, got, want)
 
 
+def test_match_position_against_the_per_cell_reference():
+    # numbers, text, logicals, blanks and every error, with runs of error
+    # cells placed before the cell that stops a scan: types 1 and -1 must
+    # back off over them to the last cell that compares
+    rng = random.Random(11)
+    errors = tuple(ErrorKind)
+    checked = Counter()
+    for _ in range(4000):
+        n = rng.randint(1, 8)
+        kind = rng.randrange(3)
+        if kind == 0:
+            cells = [rng.choice(_ODD_CELLS) for _ in range(n)]
+        else:
+            cells = sorted(rng.choice(_FLOATS) for _ in range(n))
+            if kind == 2:
+                cells.reverse()
+        at = rng.randint(0, n)
+        cells[at:at] = rng.choices(errors, k=rng.randint(1, 3))
+        vec = RangeView(len(cells), 1, tuple(cells))
+        lookup = rng.choice(_ODD_CELLS + _FLOATS)
+        for match_type in (0, 1, -1):
+            got = evaluator.match_position(lookup, vec, match_type)
+            want = reference_match_position(lookup, vec, match_type)
+            assert got == want, (lookup, cells, match_type, got, want)
+            checked[type(want).__name__] += 1
+    assert checked["int"] > 4000 and checked["ErrorKind"] > 2000
+
+
 @pytest.mark.parametrize(
     "src, want",
     [

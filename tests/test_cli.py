@@ -265,6 +265,17 @@ def test_check_all_rules_with_rewritten_exit_2(capsys, rewritten):
     assert err == "error: --rewritten is taken only with --original\n"
 
 
+@pytest.mark.parametrize(
+    "original, rewritten", [("=RAND()", "=1"), ("=IFERROR(RAND(),0)", "{=IF(ISERROR(RAND()),0,RAND())}")]
+)
+def test_check_pair_that_compares_nothing_exit_2(capsys, original, rewritten):
+    # a pair that calls RAND() is run on no dataset, so it must not report a pass
+    code, out, err = run(capsys, "check", "--original", original, "--rewritten", rewritten)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "RAND()" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("trials", ["0", "-1"])
 @pytest.mark.parametrize(
     "target", [("--all-rules",), ("--original", "=COUNTIF(xs,\">5\")", "--rewritten", "{=SUM(IF(xs>5,1,0))}")]

@@ -1161,6 +1161,24 @@ def test_hlookup_over_rows():
     assert ev("=HLOOKUP(3,A1:C2,3,FALSE)", t) is ErrorKind.REF
 
 
+@pytest.mark.parametrize("mode, row", [("array", None), ("scalar", 2)])
+@pytest.mark.parametrize("given", ["1/0", "nosuch", "Z1:AA3"])
+@pytest.mark.parametrize(
+    "template",
+    [
+        "=MATCH(1,{},0)", "=MATCH(1,{})", "=MATCH(1,{},-1)", "=INDEX({},1)", "=INDEX({},2,1)",
+        "=VLOOKUP(1,{},1)", "=VLOOKUP(1,{},1,FALSE)", "=HLOOKUP(1,{},1)", "=HLOOKUP(1,{},1,FALSE)",
+    ],
+)
+def test_an_error_given_as_a_range_is_the_error_argument(template, given, mode, row, nums):
+    # a range position reads its argument as SMALL's does: a #DIV/0!, an
+    # unknown name's #NAME? and a range past the table's edge's #REF! are
+    # the result, not a one-cell range that holds the error
+    want = ev(f"=SMALL({given},1)", nums, mode=mode, row=row)
+    assert want in (ErrorKind.DIV0, ErrorKind.NAME, ErrorKind.REF)
+    assert ev(template.format(given), nums, mode=mode, row=row) is want
+
+
 # ---------------------------------------------------------------------------
 # baselines: counting family
 # ---------------------------------------------------------------------------
