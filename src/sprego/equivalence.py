@@ -12,6 +12,7 @@ replayable from its recorded dataset seed.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .evaluator import EvalContext, contains_rand, evaluate, precedents
@@ -88,10 +89,16 @@ def gen_dataset(schema: DatasetSchema, seed: int) -> Table:
     return Table("dataset", tuple(c.name for c in schema.columns), columns)
 
 
-def _draw_number(spec: ColumnSpec, rng: random.Random) -> float:
+def _number_drawer(spec: ColumnSpec, rng: random.Random) -> Callable[[], float]:
+    """A function that draws one number of *spec*'s column from *rng*, its
+    methods bound once per column: a randint as a float, or rng.uniform's
+    draw by rng.uniform's own arithmetic, so the same stream gives the
+    same cells, rounded to three places."""
     if spec.integers:
-        return float(rng.randint(int(spec.lo), int(spec.hi)))
-    return round(rng.uniform(spec.lo, spec.hi), 3)
+        randint, lo, hi = rng.randint, int(spec.lo), int(spec.hi)
+        return lambda: float(randint(lo, hi))
+    unit, lo, span = rng.random, spec.lo, spec.hi - spec.lo
+    return lambda: round(lo + span * unit(), 3)
 
 
 def _draw_text(spec: ColumnSpec, rng: random.Random) -> str:
@@ -99,37 +106,35 @@ def _draw_text(spec: ColumnSpec, rng: random.Random) -> str:
 
 
 def _gen_column(spec: ColumnSpec, rows: int, rng: random.Random) -> list[Value]:
+    draw, coin, choice = _number_drawer(spec, rng), rng.random, rng.choice
     if spec.kind == "numeric":
-        return [_draw_number(spec, rng) for _ in range(rows)]
+        return [draw() for _ in range(rows)]
     if spec.kind == "sorted-ascending":
-        return sorted(_draw_number(spec, rng) for _ in range(rows))
+        return sorted(draw() for _ in range(rows))
     if spec.kind == "sorted-descending":
-        return sorted((_draw_number(spec, rng) for _ in range(rows)), reverse=True)
+        return sorted((draw() for _ in range(rows)), reverse=True)
     if spec.kind == "text":
         return [_draw_text(spec, rng) for _ in range(rows)]
     if spec.kind == "logical":
-        return [rng.random() < 0.5 for _ in range(rows)]
+        return [coin() < 0.5 for _ in range(rows)]
     if spec.kind == "with-blanks":
-        return [None if rng.random() < BLANK_RATE else _draw_number(spec, rng) for _ in range(rows)]
+        return [None if coin() < BLANK_RATE else draw() for _ in range(rows)]
     if spec.kind == "with-errors":
-        return [
-            rng.choice(_ERROR_KINDS) if rng.random() < ERROR_RATE else _draw_number(spec, rng)
-            for _ in range(rows)
-        ]
+        return [choice(_ERROR_KINDS) if coin() < ERROR_RATE else draw() for _ in range(rows)]
     # mixed
     out: list[Value] = []
     for _ in range(rows):
-        t = rng.choice(spec.mixed_types)
+        t = choice(spec.mixed_types)
         if t == "number":
-            out.append(_draw_number(spec, rng))
+            out.append(draw())
         elif t == "text":
             out.append(_draw_text(spec, rng))
         elif t == "logical":
-            out.append(rng.random() < 0.5)
+            out.append(coin() < 0.5)
         elif t == "blank":
             out.append(None)
         else:
-            out.append(rng.choice(_ERROR_KINDS))
+            out.append(choice(_ERROR_KINDS))
     return out
 
 
@@ -142,13 +147,23 @@ def numbers_close(a: float, b: float) -> bool:
     return abs(a - b) <= max(ABS_TOL, REL_TOL * max(abs(a), abs(b)))
 
 
+# the cell types whose exact equality, type for type, implies a match: the
+# engine keeps no NaN or infinity in a cell, and a nested view compares
+# its cells by == alone, under which True equals 1.0
+_EXACT_TYPES = frozenset((float, bool, str, type(None), ErrorKind))
+
+
 def values_match(a, b) -> bool:
     if isinstance(a, RangeView) or isinstance(b, RangeView):
         if not (isinstance(a, RangeView) and isinstance(b, RangeView)):
             return False
         if (a.rows, a.cols) != (b.rows, b.cols):
             return False
-        return all(values_match(x, y) for x, y in zip(a.cells, b.cells))
+        if a.cells == b.cells:  # one comparison in C for the usual match
+            types = list(map(type, a.cells))
+            if types == list(map(type, b.cells)) and _EXACT_TYPES.issuperset(types):
+                return True
+        return all(map(values_match, a.cells, b.cells))
     if value_type(a) != value_type(b):
         return False
     if isinstance(a, ErrorKind):

@@ -209,17 +209,20 @@ def _shared_nodes(expr: Expr) -> list[int]:
     A tree that calls RAND() shares none: each of its draws must be made."""
     seen: set[int] = set()
     shared = []
+    rand = False
     stack = [expr]
     while stack:
         node = stack.pop()
-        # not ranges: R1-R4 share theirs, and each evaluate would run the RAND test
+        # not ranges: R1-R4 share theirs. Only these nodes hold a call, so
+        # the one walk also finds any RAND()
         if isinstance(node, (Unary, Binary, Call)):
             if id(node) in seen:
                 shared.append(id(node))
             else:
                 seen.add(id(node))
+                rand = rand or isinstance(node, Call) and node.func == "RAND"
                 stack += children(node)
-    return [] if shared and contains_rand(expr) else shared
+    return [] if rand else shared
 
 
 def contains_rand(expr: Expr) -> bool:
@@ -389,8 +392,9 @@ class _UnbuiltView(RangeView):
     """A view that keeps what its cells are made from, for the consumers
     that read that instead; _build() makes the cells at their first read."""
 
-    def __init__(self, rows, cols, kind, **kept):
-        vars(self).update(rows=rows, cols=cols, kind=kind, **kept)
+    def __init__(self, rows, cols, kind, source=None, **kept):
+        self.rows, self.cols, self.kind, self.source = rows, cols, kind, source
+        vars(self).update(kept)
 
     @functools.cached_property
     def cells(self):
@@ -787,10 +791,11 @@ def match_position(lookup: Value, vec, match_type: int) -> Value:
     match_type -1: descending; position of the smallest value >= lookup,
     NA if every value is smaller. On unsorted input the +-1 scans return
     whatever the sorted assumption yields; never a crash. One scan finds
-    the first cell = lookup (type 0), > it (1) or < it (-1), by the
-    comparison's float form over floats and else its per-cell form, which
-    is never TRUE for an error cell; types 1 and -1 back off over error
-    cells just before the stop, so error cells are skipped.
+    the first cell = lookup (type 0), > it (1) or < it (-1): by the
+    comparison's float form over floats, else by the first cell whose
+    compare_values against lookup is that type, which an error cell's
+    error never is; types 1 and -1 back off over error cells just before
+    the stop, so error cells are skipped.
     """
     view = _as_view(vec)
     if not view.is_vector:
@@ -799,11 +804,14 @@ def match_position(lookup: Value, vec, match_type: int) -> Value:
         return lookup
 
     exact = match_type == 0
-    op = "=" if exact else ">" if match_type > 0 else "<"
-    stop = COMPARISONS[op] if type(lookup) is float and _all_floats(view) else _BINARY_OPS[op]
+    op, sign = ("=", 0) if exact else (">", 1) if match_type > 0 else ("<", -1)
     cells = view.cells
+    if type(lookup) is float and _all_floats(view):
+        stops, stop = map(COMPARISONS[op], cells, repeat(lookup)), True
+    else:
+        stops, stop = map(compare_values, cells, repeat(lookup)), sign
     try:
-        i = operator.indexOf(map(stop, cells, repeat(lookup)), True)
+        i = operator.indexOf(stops, stop)
     except ValueError:  # no cell stops the scan
         i = None if exact else len(cells)
     if exact:

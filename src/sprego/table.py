@@ -113,7 +113,6 @@ def _cell_to_json(v: Value) -> object:
     return v
 
 
-@dataclass(frozen=True)
 class RangeView:
     """A rectangular window of values, row-major. A vector is a view with
     one row or one column. *kind*, when not None, is the one type of every
@@ -123,17 +122,41 @@ class RangeView:
     the type they make. *source*, when not None, is the 1-based index of a
     table column not all of floats whose rows this vector runs along, one
     cell per row: resolve's view of the whole column, whose cells are the
-    column's own tuple, or an evaluator result split over it."""
+    column's own tuple, or an evaluator result split over it.
 
-    rows: int
-    cols: int
-    cells: tuple[Value, ...]
-    kind: type | None = field(default=None, compare=False, repr=False)
-    source: int | None = field(default=None, compare=False, repr=False)
+    Equality and hash are over (rows, cols, cells) alone, and equality
+    holds only between views of the same class; no code changes a view
+    once built. A plain slotted class, not a frozen dataclass: an
+    equivalence check builds thousands of small views, and the
+    dataclass's __init__ costs three times as much."""
+
+    __slots__ = ("rows", "cols", "cells", "kind", "source")
+
+    def __init__(self, rows: int, cols: int, cells: tuple[Value, ...], kind: type | None = None,
+                 source: int | None = None):
+        self.rows = rows
+        self.cols = cols
+        self.cells = cells
+        self.kind = kind
+        self.source = source
+        self.__post_init__()
 
     def __post_init__(self):
+        """The size check, apart from __init__ so that a check of every
+        view built can wrap it."""
         if self.rows * self.cols != len(self.cells):
             raise ValueError(f"{self.rows}x{self.cols} view needs {self.rows * self.cols} cells, got {len(self.cells)}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rows, self.cols, self.cells) == (other.rows, other.cols, other.cells)
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.cells))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(rows={self.rows!r}, cols={self.cols!r}, cells={self.cells!r})"
 
     @property
     def is_vector(self) -> bool:

@@ -41,6 +41,7 @@ from sprego.values import (
     finite_or_error,
     is_number,
     parse_number,
+    value_type,
 )
 
 
@@ -419,6 +420,26 @@ def reference_propagating(fn):
         return fn(*args)
 
     return apply
+
+
+def reference_values_match(a, b) -> bool:
+    """equivalence.values_match as a fold over the cells, with no whole-view
+    shortcut: views of one shape match when every pair of cells does, a
+    nested view by this same fold; cells of different types never match,
+    numbers within 1e-9 relative (1e-12 absolute) do, errors by kind."""
+    if isinstance(a, RangeView) or isinstance(b, RangeView):
+        if not (isinstance(a, RangeView) and isinstance(b, RangeView)):
+            return False
+        if (a.rows, a.cols) != (b.rows, b.cols):
+            return False
+        return all(reference_values_match(x, y) for x, y in zip(a.cells, b.cells))
+    if value_type(a) != value_type(b):
+        return False
+    if isinstance(a, ErrorKind):
+        return a is b
+    if isinstance(a, (bool, str)) or a is None:
+        return a == b
+    return abs(a - b) <= max(1e-12, 1e-9 * max(abs(a), abs(b)))
 
 
 def reference_match_position(lookup: Value, vec, match_type: int) -> Value:

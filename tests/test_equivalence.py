@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sprego import equivalence, evaluator
 from sprego.equivalence import (
@@ -20,6 +24,8 @@ from sprego.formula import parse
 from sprego.rewrite import rewrite
 from sprego.table import PARTITION_MIN_ROWS, RangeView
 from sprego.values import ErrorKind, format_value
+
+from helpers import reference_values_match
 
 
 def _schema(kind="numeric", rows=12, **kw):
@@ -111,6 +117,46 @@ def test_values_match_types_strict():
     assert values_match(a, RangeView(2, 1, (1.0, 2.0)))
     assert not values_match(a, RangeView(1, 2, (1.0, 2.0)))
     assert not values_match(a, 1.0)
+
+
+# cells that == may call equal where values_match must not (True and 1.0,
+# a nested view of each), or the reverse (1.0 and 1.0+5e-10), and cells
+# values_match takes exactly: zeros of both signs, text, blank, each error
+_MATCH_GRID = (
+    0.0, -0.0, 1.0, 1.0 + 5e-10, True, False, "1", "a", "A", None, *ErrorKind,
+    RangeView(1, 1, (1.0,)), RangeView(1, 1, (True,)), RangeView(1, 2, (1.0 + 5e-10, None)),
+)
+
+
+@st.composite
+def _view_pairs(draw):
+    """Two views over the grid, the second mostly of the first's shape, its
+    cells the first's or, cell by cell, another grid value."""
+    cells = draw(st.lists(st.sampled_from(_MATCH_GRID), min_size=1, max_size=8))
+    size = len(cells)
+    rows = draw(st.sampled_from([r for r in range(1, size + 1) if size % r == 0]))
+    others = [draw(st.sampled_from((c, c, c, *_MATCH_GRID))) for c in cells]
+    b_rows = draw(st.sampled_from((rows, rows, rows, size // rows)))
+    return RangeView(rows, size // rows, tuple(cells)), RangeView(b_rows, size // b_rows, tuple(others))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_view_pairs())
+def test_values_match_agrees_with_per_cell_fold(pair):
+    a, b = pair
+    assert values_match(a, b) == reference_values_match(a, b)
+    assert values_match(b, a) == reference_values_match(b, a)
+
+
+def test_values_match_takes_every_pair_of_grid_cells_as_the_fold_does():
+    for x, y in itertools.product(_MATCH_GRID, repeat=2):
+        for a, b in ((RangeView(1, 1, (x,)), RangeView(1, 1, (y,))), (RangeView(2, 1, (x, y)), RangeView(2, 1, (y, x)))):
+            assert values_match(a, b) == reference_values_match(a, b), (x, y)
+    # the pairs the whole-view shortcut sees as == but the fold tells apart
+    assert not values_match(RangeView(1, 1, (True,)), RangeView(1, 1, (1.0,)))
+    nested = RangeView(1, 1, (RangeView(1, 1, (1.0,)),)), RangeView(1, 1, (RangeView(1, 1, (True,)),))
+    assert nested[0] == nested[1] and not values_match(*nested)
+    assert values_match(RangeView(1, 2, (0.0, 1.0)), RangeView(1, 2, (-0.0, 1.0 + 5e-10)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 import pytest
 
 from sprego.equivalence import ColumnSpec, DatasetSchema, gen_dataset
-from sprego.evaluator import EvalContext, evaluate
+from sprego.evaluator import EvalContext, _MaskedIf, _SplitView, evaluate
 from sprego.formula import Call, CellRef, NameRef, RangeRef, parse
-from sprego.table import CsvError, RangeView, Table, load_csv, profile, resolve, vector
+from sprego.table import CsvError, RangeView, Table, _partition, load_csv, profile, resolve, vector
 from sprego.values import ErrorKind
 
 from helpers import make_table
@@ -254,6 +254,57 @@ def test_rangeview_validation():
     with pytest.raises(ValueError):
         RangeView(2, 2, (1.0,))
     assert vector([1.0, 2.0]).is_vector
+
+
+def _split_and_masked():
+    """A _SplitView and a _MaskedIf, with the plain views of their cells."""
+    cells = (1.0, "a", 2.0, None)
+    split = _SplitView(4, 1, 1, _partition(cells), RangeView(2, 1, (1.0, 2.0), kind=float), ("a", None), False)
+    cond = RangeView(2, 1, (True, False), kind=bool)
+    masked = _MaskedIf(cond, RangeView(2, 1, (1.0, 2.0), kind=float), 0.0, None, [], make_table(x=[1.0, 2.0]))
+    return (split, RangeView(4, 1, cells)), (masked, RangeView(2, 1, (1.0, 0.0)))
+
+
+def test_rangeview_equality_and_hash_ignore_kind_and_source():
+    plain = RangeView(3, 1, ("a", "b", "c"))
+    for other in (RangeView(3, 1, ("a", "b", "c"), kind=str), RangeView(3, 1, ("a", "b", "c"), str, 2)):
+        assert plain == other and not plain != other
+        assert hash(plain) == hash(other) == hash((3, 1, ("a", "b", "c")))
+    assert plain != RangeView(1, 3, ("a", "b", "c"))
+    assert plain != RangeView(3, 1, ("a", "b", "d"))
+    assert plain != ("a", "b", "c") and plain != 3
+    assert len({plain, RangeView(3, 1, ("a", "b", "c"), kind=str)}) == 1
+
+
+def test_unbuilt_views_never_equal_a_plain_view():
+    for unbuilt, plain in _split_and_masked():
+        assert unbuilt.cells == plain.cells and (unbuilt.rows, unbuilt.cols) == (plain.rows, plain.cols)
+        assert unbuilt != plain and plain != unbuilt
+        assert not unbuilt == plain and not plain == unbuilt
+        assert unbuilt == unbuilt
+
+
+def test_rangeview_repr_names_its_class_and_shape_and_cells():
+    assert repr(RangeView(2, 1, (1.0, "a"), kind=None, source=3)) == "RangeView(rows=2, cols=1, cells=(1.0, 'a'))"
+    assert repr(RangeView(1, 1, (ErrorKind.NA,), kind=None)) == "RangeView(rows=1, cols=1, cells=(<ErrorKind.NA: '#N/A'>,))"
+    (split, _), (masked, _) = _split_and_masked()
+    assert repr(split) == "_SplitView(rows=4, cols=1, cells=(1.0, 'a', 2.0, None))"
+    assert repr(masked) == "_MaskedIf(rows=2, cols=1, cells=(1.0, 0.0))"
+
+
+def test_rangeview_size_check_runs_through_post_init(monkeypatch):
+    for rows, cols, cells in ((2, 2, (1.0,)), (1, 2, (1.0, 2.0, 3.0)), (0, 1, (None,))):
+        with pytest.raises(ValueError, match=f"{rows}x{cols} view needs {rows * cols} cells, got {len(cells)}"):
+            RangeView(rows, cols, cells)
+    assert RangeView(0, 3, ()).cells == ()
+    calls = []
+    monkeypatch.setattr(RangeView, "__post_init__", lambda self: calls.append(self.cells))
+    RangeView(1, 1, (1.0,))
+    assert calls == [(1.0,)]
+
+
+def test_rangeview_keeps_no_instance_dict():
+    assert not hasattr(RangeView(1, 1, (1.0,)), "__dict__")
 
 
 # ---------------------------------------------------------------------------
