@@ -209,7 +209,6 @@ def _shared_nodes(expr: Expr) -> list[int]:
     A tree that calls RAND() shares none: each of its draws must be made."""
     seen: set[int] = set()
     shared = []
-    rand = False
     stack = [expr]
     while stack:
         node = stack.pop()
@@ -218,11 +217,12 @@ def _shared_nodes(expr: Expr) -> list[int]:
         if isinstance(node, (Unary, Binary, Call)):
             if id(node) in seen:
                 shared.append(id(node))
+            elif isinstance(node, Call) and node.func == "RAND":
+                return []
             else:
                 seen.add(id(node))
-                rand = rand or isinstance(node, Call) and node.func == "RAND"
                 stack += children(node)
-    return [] if rand else shared
+    return shared
 
 
 def contains_rand(expr: Expr) -> bool:

@@ -291,3 +291,15 @@ def test_the_tested_operand_makes_its_draw():
     rng = random.Random(3)
     rng.random()
     assert _ev('=IF(LEN(RAND()&"")=0,0,RAND())', make_table(x=(1.0,)), rng_seed=3) == rng.random()
+
+
+def test_a_shared_node_under_rand_is_evaluated_at_each_use():
+    # R7 shares its x, here RAND() itself: ISERROR(x) makes the first draw
+    # and the value branch the second, as the unshared tree would
+    tree, plans = rewrite(parse("=IFERROR(RAND(),0)"))
+    assert [p.rule_id for p in plans] == ["R7"]
+    assert evaluator._shared_nodes(tree.body) == []
+    for seed in range(3):
+        rng = random.Random(seed)
+        rng.random()
+        assert evaluate(tree, EvalContext(make_table(x=(1.0,)), rng_seed=seed)) == rng.random()
