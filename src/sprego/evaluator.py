@@ -25,7 +25,9 @@ criteria baselines are one function, which reads their argument shape
 from criteria.criteria_args and runs each criteria as its comparison
 operator runs, kernel and split and all, each later one only on the rows
 the earlier ones matched; MATCH, VLOOKUP and HLOOKUP scan by the
-comparison operators (match_position); COUNT and COUNTA count cell types.
+comparison operators (match_position), over a range of two or more rows
+and columns only the slices they read (_BlockView); COUNT and COUNTA
+count cell types, a whole column's by its kept partition, if any.
 
 A column neither all floats nor shorter than table.PARTITION_MIN_ROWS
 has a Partition: the float cells, the other cells as codes into their
@@ -69,10 +71,11 @@ floats and for the numbers of LEN, of an arithmetic kernel that made no
 #NUM! and of an IF over logicals whose branches both give floats; bool for
 the comparison kernels and ISERROR; str for & and a slice of a column of
 text; a split view's when both its parts have it. An IF(cond, x, 0) or
-IF(cond, 0, x) over a condition of logicals, with floats for x, is the
-other unbuilt view, a _MaskedIf of kind float: SUM adds x's floats where
-cond takes them, shared node or not, an x that is itself such an IF ANDs
-its condition in, and any other node reads the IF's value, split or not.
+IF(cond, 0, x) over a condition of logicals, with floats for x, is
+another unbuilt view, a _MaskedIf of kind float: SUM adds x's floats where
+cond takes them (a number x by count, _counted_total), shared node or not,
+an x that is itself such an IF ANDs its condition in, and any other node
+reads the IF's value, split or not.
 
 A subtree that occurs more than once in the tree (the parser never shares
 nodes, a rewrite may) is evaluated once per evaluate() call and its value
@@ -136,7 +139,7 @@ from .formula import (
     index_to_col_letters,
     walk,
 )
-from .table import FLIP, PARTITION_MIN_ROWS, Partition, RangeView, Table, resolve, vector
+from .table import FLIP, PARTITION_MIN_ROWS, Partition, RangeView, Table, range_columns, resolve, row_major, vector
 from .values import (
     COMPARISONS,
     ErrorKind,
@@ -258,6 +261,9 @@ def _eval(expr: Expr, st: _EvalState):
     if isinstance(expr, BoolLit):
         return expr.value
     if isinstance(expr, (CellRef, RangeRef, NameRef)):
+        if type(expr) is RangeRef and expr.start.row != expr.end.row and expr.start.col != expr.end.col:
+            block = range_columns(st.ctx.table, expr)
+            return block if type(block) is ErrorKind else _BlockView(*block)
         return resolve(st.ctx.table, expr)
     if st.reuse and id(expr) in st.reuse:
         return _reused(expr, st)
@@ -402,6 +408,28 @@ class _UnbuiltView(RangeView):
 
     def __len__(self):
         return self.rows * self.cols
+
+
+class _BlockView(_UnbuiltView):
+    """A range of two or more rows and columns as its column *slices*, which
+    a column, a row or a cell reads: a lookup reads only what it needs."""
+
+    def __init__(self, slices: list, kind):
+        # not through _UnbuiltView's keywords, which cost a lookup over a
+        # small table more than the interleave they save
+        self.rows, self.cols, self.kind, self.source, self.slices = len(slices[0]), len(slices), kind, None, slices
+
+    def _build(self):
+        return row_major(self.slices)
+
+    def at(self, row, col):
+        return self.slices[col - 1][row - 1]
+
+    def column(self, col):
+        return RangeView(self.rows, 1, self.slices[col - 1], kind=self.kind)
+
+    def row(self, row):
+        return RangeView(1, self.cols, tuple(map(operator.itemgetter(row - 1), self.slices)), kind=self.kind)
 
 
 class _SplitView(_UnbuiltView):
@@ -647,7 +675,8 @@ _ARITH_OPS = frozenset(_BINARY_OPS[op] for op in "+-*/^")
 
 
 def _finite_cells(cells: tuple) -> tuple:
-    if all(map(math.isfinite, cells)):
+    # a finite sum has no inf or NaN among its terms; one that overflows scans
+    if math.isfinite(sum(cells)) or all(map(math.isfinite, cells)):
         return cells, float
     return tuple(x if math.isfinite(x) else ErrorKind.NUM for x in cells), None
 
@@ -1092,19 +1121,23 @@ def _iter_cells(args):
     return chain.from_iterable(a.cells if isinstance(a, RangeView) else (a,) for a in args)
 
 
-def _masked_numbers(v: _MaskedIf) -> compress:
-    """The floats SUM adds for a _MaskedIf: its branch's where every IF
-    takes them. A left-to-right float sum that starts at +0.0 is never
-    -0.0, so adding a zero of either sign changes nothing and the zero
-    cells need not be made."""
+def _masked_sum(v: _MaskedIf, total: float) -> float:
+    """*total* plus the floats of a _MaskedIf, its branch's where every IF
+    takes them: one number times their count where _counted_total allows,
+    else added left to right. A left-to-right float sum that starts at +0.0
+    is never -0.0, so zeros of either sign need not be made."""
     mask, *inner = (cond.cells if on_true else bytes(cond.cells).translate(FLIP) for cond, on_true in v.takes)
-    if not inner:
-        return compress(v.floats, mask)
-    # the floats where the inner IFs take them (a number's are all one),
-    # and this IF's mask there
-    taken = functools.reduce(_and, inner)
-    floats = v.floats if type(v.floats) is repeat else compress(v.floats, taken)
-    return compress(floats, compress(mask, taken))
+    floats = v.floats
+    if inner:
+        # the floats where the inner IFs take them (a number's are all
+        # one), and this IF's mask there
+        taken = functools.reduce(_and, inner)
+        if type(floats) is repeat:
+            mask = bytes(compress(mask, taken))  # to be counted
+        else:
+            floats, mask = compress(floats, taken), compress(mask, taken)
+    counted = _counted_total(total, [(next(floats), mask.count(True))]) if type(floats) is repeat else None
+    return functools.reduce(operator.add, compress(floats, mask), total) if counted is None else counted
 
 
 def _and(a, b) -> bytes:
@@ -1122,8 +1155,9 @@ def _fn_sum(args, st):
                 total = split_total
                 continue
         if type(v) is _MaskedIf:
-            numbers = _masked_numbers(v)
-        elif isinstance(v, RangeView) and v.kind is not None:
+            total = _masked_sum(v, total)
+            continue
+        if isinstance(v, RangeView) and v.kind is not None:
             numbers = v.cells if v.kind is float else ()  # logical and text cells add nothing
         else:
             numbers = _numbers(v.cells if isinstance(v, RangeView) else (v,))
@@ -1140,20 +1174,29 @@ _SKIPPED = frozenset((bool, str, type(None)))
 def _split_total(v: _SplitView, total: float) -> float | None:
     """*total* plus the numbers of a split view, added part by part: the
     float part's one value times the float cells, then each distinct
-    value's result times its number of cells. That is the left-to-right
-    sum in column order when *total* and every number are integral and
-    their magnitudes add up to less than 2**53, so that every partial sum
-    in either order is exact: COUNT's and COUNTA's 1s and 0s. Otherwise,
-    or with an error among the cells, None."""
+    value's result times its number of cells, where _counted_total allows;
+    else, or with an error among the cells, None."""
     if not v.by_value or isinstance(v.floats, RangeView):
         return None
-    terms = [(x, n) for x, n in zip((v.floats, *v.others), (len(v.part.floats), *v.part.counts)) if n]
-    numbers = [(x, n) for x, n in terms if type(x) not in _SKIPPED]
-    if not (total.is_integer() and all(type(x) is float and x.is_integer() for x, _ in numbers)):
+    terms = zip((v.floats, *v.others), (len(v.part.floats), *v.part.counts))
+    return _counted_total(total, [(x, n) for x, n in terms if n and type(x) not in _SKIPPED])
+
+
+def _counted_total(total: float, terms) -> float | None:
+    """*total* plus x * n for each (number x, count n) of *terms*, the sum of
+    n copies of each x in any order, when *total* and every x are integral
+    and their magnitudes add up to less than 2**53 (every partial sum is
+    then exact: COUNT's and COUNTA's 1s and 0s); else None."""
+    bound = abs(total)
+    for x, n in terms:  # a loop, not generators: one term costs less
+        if type(x) is not float or not x.is_integer():
+            return None
+        bound += abs(x) * n
+    if not total.is_integer() or bound >= 2.0**53:
         return None
-    if functools.reduce(operator.add, (abs(x) * n for x, n in numbers), abs(total)) >= 2.0**53:
-        return None
-    return functools.reduce(operator.add, (x * n for x, n in numbers), total)
+    for x, n in terms:
+        total += x * n
+    return total
 
 
 def _numbers(cells):
@@ -1236,18 +1279,36 @@ def _fn_small_large(reverse):
     return _evaluated(kth, _range_numbers, _floored)
 
 
+def _kept_partition(v, table: Table) -> Partition | None:
+    """The Partition *table* already keeps for resolve's view of a whole column; none is built."""
+    return table.partitions.get(v.source) if type(v) is RangeView else None
+
+
 def _fn_count(args, st):
     # error cells are ignored, not propagated: the SUM(IF(ISERROR(r+0),...))
     # replacement swallows them the same way
-    types = Counter(map(type, _iter_cells(args)))
-    return float(sum(n for t, n in types.items() if issubclass(t, (int, float)) and t is not bool))
+    count = 0
+    for view in map(_as_view, args):
+        part = _kept_partition(view, st.ctx.table)
+        # a partition's other cells are never numbers
+        types = Counter(map(type, view.cells)) if part is None else {float: len(part.floats)}
+        count += sum(n for t, n in types.items() if issubclass(t, (int, float)) and t is not bool)
+    return float(count)
 
 
 def _fn_counta(args, st):
-    types = Counter(map(type, _iter_cells(args)))
-    if ErrorKind in types:
-        return next(v for v in _iter_cells(args) if type(v) is ErrorKind)
-    return float(types.total() - types[type(None)])
+    count = 0
+    for view in map(_as_view, args):
+        part = _kept_partition(view, st.ctx.table)
+        # a partition's distinct values stand for its other cells, in order
+        # of first appearance, so the first error among them is the column's
+        cells = view.cells if part is None else part.values
+        types = tuple(map(type, cells))
+        if ErrorKind in types:
+            return cells[types.index(ErrorKind)]
+        blank = type(None)
+        count += len(view) - (types.count(blank) if part is None else blank in types and part.counts[types.index(blank)])
+    return float(count)
 
 
 def _scalar_arg(v, st: _EvalState):

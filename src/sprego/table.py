@@ -435,22 +435,36 @@ def resolve(table: Table, ref: Expr) -> Value | RangeView:
         return columns[col - 1][row - 1]
 
     if isinstance(ref, RangeRef):
-        r0, c0, r1, c1 = ref.start.row, ref.start.col, ref.end.row, ref.end.col
-        if not (1 <= c0 and c1 <= len(columns) and 1 <= r0 and r1 <= len(columns[0])):
-            return ErrorKind.REF
-        if c0 == c1:
-            # one tuple slice. A slice over every row is the column's tuple
-            # itself, as a name's view is, and has the same source
-            kind = table.column_kind(c0)
-            whole = kind is not float and r0 == 1 and r1 == len(columns[0])
-            return RangeView(r1 - r0 + 1, 1, columns[c0 - 1][r0 - 1 : r1], kind=kind, source=c0 if whole else None)
-        # several columns interleave row-major
-        slices = [column[r0 - 1 : r1] for column in columns[c0 - 1 : c1]]
-        kinds = {table.column_kind(c) for c in range(c0, c1 + 1)}
-        kind = kinds.pop() if len(kinds) == 1 else None
-        return RangeView(r1 - r0 + 1, c1 - c0 + 1, tuple(chain.from_iterable(zip(*slices))), kind=kind)
+        if type(block := range_columns(table, ref)) is ErrorKind:
+            return block
+        slices, kind = block
+        rows = len(slices[0])
+        if len(slices) == 1:
+            # a slice over every row is the column's tuple itself, as a
+            # name's view is, and has the same source
+            whole = kind is not float and rows == len(columns[0])
+            return RangeView(rows, 1, slices[0], kind=kind, source=ref.start.col if whole else None)
+        return RangeView(rows, len(slices), row_major(slices), kind=kind)
 
     raise TypeError(f"not a reference: {ref!r}")
+
+
+def range_columns(table: Table, ref: RangeRef) -> tuple[list[tuple[Value, ...]], type | None] | ErrorKind:
+    """A range's column slices, left to right, and its columns' one kind or
+    None; ErrorKind.REF when it reaches past the table."""
+    r0, c0, r1, c1 = ref.start.row, ref.start.col, ref.end.row, ref.end.col
+    columns = table.columns
+    if not (1 <= c0 and c1 <= len(columns) and 1 <= r0 and r1 <= len(columns[0])):
+        return ErrorKind.REF
+    if c0 == c1:  # every copied-down column reference: no set to build
+        return (columns[c0 - 1][r0 - 1 : r1],), table.column_kind(c0)
+    kinds = {table.column_kind(c) for c in range(c0, c1 + 1)}
+    return [column[r0 - 1 : r1] for column in columns[c0 - 1 : c1]], kinds.pop() if len(kinds) == 1 else None
+
+
+def row_major(slices) -> tuple[Value, ...]:
+    """The cells of equal column slices, interleaved row by row."""
+    return tuple(chain.from_iterable(zip(*slices)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@
 COUNTIF(S)/SUMIF(S)/AVERAGEIF with a number criteria over a range of
 floats, MATCH/VLOOKUP/HLOOKUP with a number looked up in floats, and
 COUNT/COUNTA counting cells by type must give what the per-cell loops in
-helpers give, cell for cell and bit for bit, on every input."""
+helpers give, cell for cell and bit for bit, on every input. So must
+COUNT and COUNTA over a whole column read from the partition the table
+already keeps, and every node over a range of two or more rows and
+columns, which the evaluator keeps as its column slices."""
 
 import dataclasses
 import random
@@ -11,10 +14,10 @@ from collections import Counter
 
 import pytest
 
-from sprego import evaluator
+from sprego import evaluator, table
 from sprego.evaluator import FUNCTION_SPECS, EvalContext, evaluate
-from sprego.formula import parse
-from sprego.table import RangeView, Table
+from sprego.formula import RangeRef, parse
+from sprego.table import PARTITION_MIN_ROWS, RangeView, Table, resolve
 from sprego.values import ErrorKind
 
 from helpers import (
@@ -101,11 +104,18 @@ def reference(monkeypatch):
             m.setattr(evaluator, "_criteria_reduce", reference_criteria_reduce)
             m.setattr(RangeView, "column", reference_column)
             m.setattr(RangeView, "row", reference_row)
+            m.setattr(evaluator, "_BlockView", _plain_block)
             for name, impl in (("COUNT", reference_count), ("COUNTA", reference_counta)):
                 m.setitem(FUNCTION_SPECS, name, dataclasses.replace(FUNCTION_SPECS[name], impl=impl))
             return ev(src, table)
 
     return run
+
+
+def _plain_block(slices, kind):
+    """A block as resolve's plain view of it, its cells read row by row."""
+    rows, cols = len(slices[0]), len(slices)
+    return RangeView(rows, cols, tuple(slices[c][r] for r in range(rows) for c in range(cols)), kind=kind)
 
 
 def ev(src, table):
@@ -307,3 +317,161 @@ def test_later_pairs_compare_only_the_rows_earlier_pairs_matched(src, reference)
     )
     got = ev(src, t)
     assert _same_cell(got, reference(src, t)), (src, got)
+
+
+# ---------------------------------------------------------------------------
+# COUNT and COUNTA over a column whose partition the table keeps
+# ---------------------------------------------------------------------------
+
+
+def _counted_columns():
+    """Columns of PARTITION_MIN_ROWS + 16 cells: mostly floats among odd
+    cells, evenly mixed, with no error, with neither blank nor error, and
+    one whose errors first appear after its blanks and text, #N/A before
+    the #DIV/0! that ErrorKind lists first."""
+    rows = PARTITION_MIN_ROWS + 16
+    rng = random.Random(23)
+    no_error = [c for c in _NON_FLOATS if type(c) is not ErrorKind]
+    late = [None, "x", None, "", False] + [2.0] * (rows - 5)
+    late[300], late[350], late[390] = ErrorKind.NA, ErrorKind.DIV0, ErrorKind.NA
+    return [
+        tuple(rng.choice(_NON_FLOATS) if rng.random() < 1 / 6 else rng.choice(_FLOATS) for _ in range(rows)),
+        tuple(rng.choice(_ODD_CELLS) for _ in range(rows)),
+        tuple(rng.choice(no_error) if rng.random() < 1 / 4 else rng.choice(_FLOATS) for _ in range(rows)),
+        tuple(rng.choice(("a", "", True)) if i % 5 == 0 else float(i) for i in range(rows)),
+        tuple(late),
+    ]
+
+
+def test_count_and_counta_match_the_per_cell_reference_with_and_without_a_partition(reference, monkeypatch):
+    kept = Counter()
+    kept_partition = evaluator._kept_partition
+    monkeypatch.setattr(
+        evaluator, "_kept_partition", lambda v, t: kept.update([kept_partition(v, t) is not None]) or kept_partition(v, t)
+    )
+    columns = _counted_columns()
+    rows = len(columns[0])
+    sources = [
+        "=COUNT(x)", "=COUNTA(x)", "=COUNT(x,y)", "=COUNTA(x,y)", "=COUNTA(y,x)", '=COUNT(x,1,"a",y)',
+        "=COUNTA(1,x)", "=COUNTA(x,1/0)", f"=COUNTA(A1:A{rows})", f"=COUNT(B1:B{rows})",
+        f"=COUNTA(A2:A{rows})", f"=COUNT(A1:A{rows - 1},y)", "=COUNTA(x,A1:B3)", "=COUNT(x+0)", '=COUNTA(x&"",y)',
+    ]
+    checked = Counter()
+    for x, y in zip(columns, columns[1:] + columns[:1]):
+        t = make_table(x=x, y=y)
+        # a fresh table scans the cells; once the columns are split, the
+        # partitions answer
+        for fresh in (True, False):
+            if not fresh:
+                for name in "xy":
+                    ev("{=" + name + "+0}", t)
+                assert t.partitions[1] is not None and t.partitions[2] is not None
+            for src in sources:
+                got, want = ev(src, t), reference(src, t)
+                assert _same_cell(got, want), (src, fresh, got, want)
+                checked[type(want).__name__] += 1
+    assert checked["float"] > 50 and checked["ErrorKind"] > 20, checked
+    assert kept[True] > 50 and kept[False] > 50, kept
+    # the first error in column order, not in ErrorKind's order
+    t = make_table(x=columns[-1])
+    ev("{=x+0}", t)
+    assert t.partitions[1].values[:5] == (None, "x", "", False, ErrorKind.NA)
+    assert ev("=COUNTA(x)", t) is ErrorKind.NA and ev("=COUNT(x)", t) == float(rows - 8)
+
+
+# ---------------------------------------------------------------------------
+# ranges of two or more rows and columns, kept as their column slices
+# ---------------------------------------------------------------------------
+
+
+def _block_formulas(rng: random.Random, n: int) -> list[str]:
+    v = rng.choice(_LOOKUPS)
+    exact = rng.choice(("TRUE", "FALSE"))
+    return [
+        f"=VLOOKUP({v},A1:C{n},{rng.randint(0, 4)},{exact})",
+        f"=VLOOKUP({v},B1:C{n},2)",
+        f"=HLOOKUP({v},A1:C{n},{rng.randint(0, n + 1)},{exact})",
+        f"=HLOOKUP({v},A1:B{n},2)",
+        f"=INDEX(A1:C{n},{rng.randint(0, n + 1)},{rng.randint(0, 4)})",
+        f"=INDEX(B1:C{n},{rng.randint(1, n)})",
+        f"=SUM(A1:C{n})",
+        f"=SUM(IF(A1:B{n}>1,A1:B{n},0))",
+        f"=COUNTA(A1:C{n})",
+        f"=COUNT(B1:C{n},a)",
+        f'=COUNTIF(A1:C{n},"<5")',
+        f"=MATCH({v},A1:C{n},0)",
+        f"{{=A1:C{n}}}",
+        f"{{=A1:C{n}*2}}",
+        f"{{=A1:B{n}+B1:C{n}}}",
+        f"{{=A1:B{n}&a}}",
+        f"{{=ISERROR(A1:C{n})}}",
+        f"{{=IFERROR(A1:C{n},-1)}}",
+        f"{{=IF(A1:B{n}>0,A1:B{n},1)}}",
+    ]
+
+
+def _same_value(got, want) -> bool:
+    if isinstance(want, RangeView):
+        return (
+            type(got) is RangeView
+            and (got.rows, got.cols, got.kind) == (want.rows, want.cols, want.kind)
+            and all(map(_same_cell, got.cells, want.cells))
+        )
+    return _same_cell(got, want)
+
+
+def test_nodes_over_blocks_match_the_per_cell_reference(reference):
+    checked = Counter()
+    for rng, n, t in _tables(seed=13, count=150):
+        for src in _block_formulas(rng, n):
+            got, want = ev(src, t), reference(src, t)
+            assert _same_value(got, want), (src, t.columns, got, want)
+            checked[type(want).__name__] += 1
+        # scalar mode: a block is no one value
+        scalar = EvalContext(t, mode="scalar", current_row=1)
+        assert evaluate(parse(f"=A1:C{n}"), scalar) is (t.columns[0][0] if n == 1 else ErrorKind.VALUE)
+    assert checked["RangeView"] > 500 and checked["float"] > 500 and checked["ErrorKind"] > 500, checked
+
+
+def test_lookups_over_a_block_never_interleave_it(monkeypatch):
+    rows = 400
+    t = make_table(
+        a=tuple(float(i) for i in range(rows)),
+        b=tuple(f"t{i}" for i in range(rows)),
+        c=tuple(None if i % 7 == 0 else float(i) * 2 for i in range(rows)),
+        d=tuple(-float(i) for i in range(rows)),
+    )
+    built = []
+    for module in (evaluator, table):
+        monkeypatch.setattr(module, "row_major", lambda s, f=module.row_major: built.append(len(s)) or f(s))
+    assert ev(f"=VLOOKUP(399,A1:D{rows},4,FALSE)", t) == -399.0
+    assert ev(f"=VLOOKUP(250.5,A1:D{rows},3)", t) == 500.0
+    assert ev(f'=VLOOKUP("t7",B1:D{rows},2,FALSE)', t) is None
+    assert ev(f"=HLOOKUP(0,A1:D{rows},300,FALSE)", t) == 299.0
+    assert ev(f"=INDEX(A1:D{rows},300,4)", t) == -299.0
+    assert built == []
+    # a node that reads every cell interleaves the block once
+    assert ev(f"=COUNTA(A1:D{rows})", t) == float(4 * rows - len(range(0, rows, 7)))
+    assert built == [4]
+
+
+def test_an_evaluated_block_is_resolves_plain_view():
+    t = make_table(a=(1.0, "x", None, True, ErrorKind.NA), b=(-0.0, 2.0, 3.0, 4.0, 5.0), c=("p", "q", "r", "s", "t"))
+    for src, ref in (("A1:C5", "A1:C5"), ("B2:C4", "B2:C4"), ("A1:B2", "A1:B2")):
+        got = ev("{=" + src + "}", t)
+        want = resolve(t, parse("=" + ref).body)
+        assert type(got) is RangeView and got == want and repr(got) == repr(want) and got.kind is want.kind
+    floats = make_table(a=(1.0, 2.0), b=(3.0, -0.0))
+    assert ev("{=A1:B2}", floats).kind is float and ev("{=A1:B2}", floats).cells == (1.0, 3.0, 2.0, -0.0)
+
+
+@pytest.mark.parametrize(
+    "src",
+    ["{=A1:D5}", "{=A1:C6}", "=SUM(B1:Z2)", "{=A1:C6*2}", "=VLOOKUP(1,A1:D5,2)", "=HLOOKUP(1,B4:C9,2)",
+     "=INDEX(A2:C9,1,1)", "=COUNTA(A1:D2)", "=MATCH(1,A1:D2,0)"],
+)
+def test_blocks_past_the_table_are_ref_errors(src):
+    t = make_table(a=(1.0,) * 5, b=(2.0,) * 5, c=("x",) * 5)
+    assert ev(src, t) is ErrorKind.REF
+    ref = next(n for n in evaluator.walk(parse(src).body) if type(n) is RangeRef)
+    assert resolve(t, ref) is ErrorKind.REF

@@ -393,3 +393,25 @@ def test_partition_is_built_only_where_a_split_reads_it(monkeypatch):
         assert t.column_kind(1) is str
         evaluate(parse(source), EvalContext(t))
         assert built == [names], source
+
+
+def test_count_and_counta_read_a_kept_partition_and_build_none(monkeypatch):
+    built = []
+    partition = table._partition
+    monkeypatch.setattr(table, "_partition", lambda cells: built.append(cells) or partition(cells))
+    x, y = _dirty_columns()[:2]
+    sources = ["=COUNT(x)", "=COUNTA(x)", "=COUNT(y,x)", "=COUNTA(x,y)", f"=COUNT(A1:A{ROWS})", f"=COUNTA(B1:B{ROWS})"]
+    t = make_table(x=x, y=y)
+    fresh = [evaluate(parse(source), EvalContext(t)) for source in sources]
+    assert built == [] and t.partitions == {}
+    # once an operator splits x, COUNT and COUNTA read its partition, give
+    # what they gave, and build none for y
+    evaluate(parse("{=x+0}"), EvalContext(t))
+    assert built == [x]
+    kept = evaluator._kept_partition
+    read = []
+    monkeypatch.setattr(evaluator, "_kept_partition", lambda v, t: read.append(kept(v, t)) or read[-1])
+    warm = [evaluate(parse(source), EvalContext(t)) for source in sources]
+    assert all(map(_same_cell, warm, fresh)), (warm, fresh)
+    assert built == [x] and list(t.partitions) == [1]
+    assert sum(part is t.partitions[1] for part in read) == 5, read

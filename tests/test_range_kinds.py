@@ -158,17 +158,17 @@ def fused(monkeypatch):
     not kept as a masked view, or a masked view that a node read as its
     value. An IF kept inside a masked IF is counted by neither."""
     calls = Counter()
-    masked_numbers, if_value = evaluator._masked_numbers, evaluator._if_value
+    masked_sum, if_value = evaluator._masked_sum, evaluator._if_value
 
-    def summed(v):
+    def summed(v, total):
         calls["masked"] += 1
-        return masked_numbers(v)
+        return masked_sum(v, total)
 
     def built(*args):
         calls["built"] += 1
         return if_value(*args)
 
-    monkeypatch.setattr(evaluator, "_masked_numbers", summed)
+    monkeypatch.setattr(evaluator, "_masked_sum", summed)
     monkeypatch.setattr(evaluator, "_if_value", built)
     return calls
 
@@ -270,6 +270,57 @@ def test_masked_sum_adds_from_left_to_right():
     assert evaluate(parse("{=SUM(IF(g>0,f,0))}"), EvalContext(t)) == 0.0
     assert evaluate(parse("{=SUM(IF(g<0,0,f),f)}"), EvalContext(t)) == 0.0
     assert evaluate(parse("{=SUM(f,IF(g>0,f,0))}"), EvalContext(t)) == 0.0
+
+
+def test_masked_sum_of_one_number_is_its_count_where_exact(reference, fused, monkeypatch):
+    # x times the count of the cells taken, nested takes ANDed, only where
+    # every partial sum is exact: integral totals and x below 2**53
+    folds = Counter()
+    counted_total = evaluator._counted_total
+
+    def counted(total, terms):
+        folds[counted_total(total, terms) is not None] += 1
+        return counted_total(total, terms)
+
+    monkeypatch.setattr(evaluator, "_counted_total", counted)
+    floats = _float_columns()
+    big = "9007199254740991"  # 2**53 - 1
+    for f, g in itertools.product(floats, floats[::-1]):
+        t = make_table(f=f, g=g)
+        for x in ("1", "-0", "2.5", "4503599627370496", "0.1", "-1"):
+            for source in (
+                f"SUM(IF(f>0,{x},0))",
+                f"SUM(IF(f>0,0,{x}))",
+                f"SUM(IF(f>0,IF(g<1,{x},0),0))",
+                f"SUM(IF(f>0,0,IF(g<1,0,{x})))",
+                f"SUM(IF(f>=0,IF(g<1,IF(f<g,{x},0),0),0))",
+                f"SUM({big},IF(f>0,{x},0))",
+                f"SUM(-{big},IF(g<1,0,{x}),IF(f>0,IF(g>0,{x},0),0))",
+                f"SUM(9007199254740000,IF(f<>1,{x},0),IF(f>0,IF(g<1,{x},0),0))",
+                f"SUM(f,IF(f>0,{x},0))",
+                f"SUM(IF(f>0,{x},0),0.5,IF(g<1,{x},0))",
+            ):
+                _check(reference, parse("{=" + source + "}"), t)
+    assert fused["masked"] > 0 and fused["built"] == 0, fused
+    assert folds[True] > 300 and folds[False] > 300, folds
+    # past 2**53 the left-to-right adds stop at 2**53; x times the count
+    # would give 2**53 + 2
+    t = make_table(f=(1.0, 2.0, 3.0, -1.0))
+    assert evaluate(parse("{=SUM(" + big + ",IF(f>0,1,0))}"), EvalContext(t)) == 2.0**53
+
+
+def test_arithmetic_kernels_check_finite_cells_by_their_sum_first():
+    # finite cells whose sum overflows: the scan finds them all finite
+    t = make_table(f=(1e308, 1e308, -1e308, 1e308), g=(1.0, 10.0, 1.0, 1.0))
+    got = evaluate(parse("{=f*1}"), EvalContext(t))
+    assert got.kind is float and got.cells == t.columns[0]
+    assert evaluate(parse("{=SUM(f*1)}"), EvalContext(t)) is ErrorKind.NUM
+    # one cell that overflows is #NUM!, and the view has no kind
+    got = evaluate(parse("{=f*g}"), EvalContext(t))
+    assert got.kind is None and got.cells == (1e308, ErrorKind.NUM, -1e308, 1e308)
+    assert evaluator._finite_cells((1.0, float("inf"), float("-inf"))) == ((1.0, ErrorKind.NUM, ErrorKind.NUM), None)
+    assert evaluator._finite_cells((float("nan"), 2.0)) == ((ErrorKind.NUM, 2.0), None)
+    assert evaluator._finite_cells(()) == ((), float)
 
 
 # ---------------------------------------------------------------------------
